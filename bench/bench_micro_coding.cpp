@@ -464,10 +464,11 @@ BENCHMARK(BM_CompletionTimeRegularStragglers)
 void BM_WorstCaseTimeCached(benchmark::State& state) {
   // The C(m, s) enumeration with a shared decoding cache (range(2) = 1)
   // versus brute-force solving every prefix (range(2) = 0). Fractional
-  // repetition is the regime with real prefix reuse: its
-  // min_results_required is far below m − s, so every pattern probes a
-  // ladder of early prefixes that overlap heavily between patterns — the
-  // hit_rate counter is the fraction of probes answered from the LRU.
+  // repetition is the regime with real prefix reuse: its decode quorum
+  // (one result per block) is far below m − s, so once it is met every
+  // pattern probes a ladder of prefixes that overlap heavily between
+  // patterns — the hit_rate counter is the fraction of probes answered from
+  // the LRU.
   // (Wall time can still favour uncached here because fractional's solve is
   // a cheap block scan; the cache's wall-time win needs an expensive solve,
   // measured by BM_CompletionTimeRegularStragglers above.)

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -36,20 +36,30 @@ std::vector<std::size_t> proportional_counts(std::span<const double> weights,
 
   // Hand out the remainder one unit at a time to the worker with the largest
   // unmet ideal share that still has cap headroom. Ties resolve to the lower
-  // index, keeping the function deterministic.
+  // index, keeping the function deterministic. A max-heap keyed on
+  // (deficit descending, index ascending) makes each pick O(log m): only the
+  // picked worker's deficit changes, so it alone is re-keyed.
+  using Entry = std::pair<double, std::size_t>;  // (deficit, worker)
+  const auto deficit = [&](std::size_t i) {
+    return ideal[i] - static_cast<double>(counts[i]);
+  };
+  const auto lower_priority = [](const Entry& a, const Entry& b) {
+    return a.first < b.first || (a.first == b.first && a.second > b.second);
+  };
+  std::vector<Entry> heap;
+  heap.reserve(m);
+  for (std::size_t i = 0; i < m; ++i)
+    if (counts[i] < cap) heap.emplace_back(deficit(i), i);
+  std::make_heap(heap.begin(), heap.end(), lower_priority);
   for (std::size_t left = total - assigned; left > 0; --left) {
-    std::size_t best = m;  // sentinel: none found yet
-    double best_deficit = -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < m; ++i) {
-      if (counts[i] >= cap) continue;
-      const double deficit = ideal[i] - static_cast<double>(counts[i]);
-      if (deficit > best_deficit) {
-        best_deficit = deficit;
-        best = i;
-      }
+    HGC_ASSERT(!heap.empty(), "no worker with cap headroom left");
+    std::pop_heap(heap.begin(), heap.end(), lower_priority);
+    const std::size_t best = heap.back().second;
+    heap.pop_back();
+    if (++counts[best] < cap) {
+      heap.emplace_back(deficit(best), best);
+      std::push_heap(heap.begin(), heap.end(), lower_priority);
     }
-    HGC_ASSERT(best < m, "no worker with cap headroom left");
-    ++counts[best];
   }
   return counts;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "linalg/kernels.hpp"
+#include "util/checked_cast.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
@@ -20,11 +21,13 @@ void check_shape(const SparseRowMatrix& b, std::size_t assignment_rows,
 }  // namespace
 
 CodingScheme::CodingScheme(SparseRowMatrix b, Assignment assignment,
-                           std::size_t s)
+                           std::size_t s, std::vector<DecodeQuorum> quorums)
     : coding_matrix_(std::move(b)),
       assignment_(std::move(assignment)),
-      s_(s) {
+      s_(s),
+      quorums_(std::move(quorums)) {
   check_shape(coding_matrix_, assignment_.size(), s_);
+  index_quorums();
   // The coding matrix's support must match the declared assignment exactly;
   // the simulator derives per-worker compute load from the assignment and
   // the decoder trusts the matrix, so a mismatch would silently skew both.
@@ -38,9 +41,11 @@ CodingScheme::CodingScheme(SparseRowMatrix b, Assignment assignment,
   }
 }
 
-CodingScheme::CodingScheme(SparseRowMatrix b, std::size_t s)
-    : coding_matrix_(std::move(b)), s_(s) {
+CodingScheme::CodingScheme(SparseRowMatrix b, std::size_t s,
+                           std::vector<DecodeQuorum> quorums)
+    : coding_matrix_(std::move(b)), s_(s), quorums_(std::move(quorums)) {
   check_shape(coding_matrix_, coding_matrix_.rows(), s_);
+  index_quorums();
   // The assignment IS the row structure: supp(b_w), already ascending.
   assignment_.resize(coding_matrix_.rows());
   for (std::size_t w = 0; w < coding_matrix_.rows(); ++w) {
@@ -50,8 +55,64 @@ CodingScheme::CodingScheme(SparseRowMatrix b, std::size_t s)
 }
 
 CodingScheme::CodingScheme(const Matrix& b, Assignment assignment,
-                           std::size_t s)
-    : CodingScheme(SparseRowMatrix::from_dense(b), std::move(assignment), s) {}
+                           std::size_t s, std::vector<DecodeQuorum> quorums)
+    : CodingScheme(SparseRowMatrix::from_dense(b), std::move(assignment), s,
+                   std::move(quorums)) {}
+
+void CodingScheme::index_quorums() {
+  HGC_REQUIRE(!quorums_.empty(), "a scheme needs at least one decode quorum");
+  const std::size_t m = num_workers();
+  // Counting sort of (worker, quorum) memberships into CSR: one pass to
+  // size the rows, one to fill them — O(m + Σ|quorum|) time and space.
+  std::vector<std::uint32_t> sizes(m, 0);
+  bool any_listed = false;
+  for (std::size_t q = 0; q < quorums_.size(); ++q) {
+    const DecodeQuorum& quorum = quorums_[q];
+    HGC_REQUIRE(quorum.need > 0, "a decode quorum needs at least one result");
+    if (quorum.workers.empty()) {
+      global_quorums_.push_back(checked_cast<std::uint32_t>(q));
+      continue;
+    }
+    any_listed = true;
+    for (WorkerId w : quorum.workers) {
+      HGC_REQUIRE(w < m, "quorum worker id out of range");
+      ++sizes[w];
+    }
+  }
+  if (!any_listed) return;
+  quorum_offsets_.assign(m + 1, 0);
+  for (std::size_t w = 0; w < m; ++w)
+    quorum_offsets_[w + 1] = quorum_offsets_[w] + sizes[w];
+  quorum_ids_.resize(quorum_offsets_[m]);
+  std::vector<std::uint32_t> next(quorum_offsets_.begin(),
+                                  quorum_offsets_.end() - 1);
+  for (std::size_t q = 0; q < quorums_.size(); ++q)
+    for (WorkerId w : quorums_[q].workers)
+      quorum_ids_[next[w]++] = checked_cast<std::uint32_t>(q);
+}
+
+std::span<const std::uint32_t> CodingScheme::quorums_of(WorkerId w) const {
+  HGC_REQUIRE(w < num_workers(), "worker id out of range");
+  if (quorum_offsets_.empty()) return {};
+  return std::span<const std::uint32_t>(quorum_ids_)
+      .subspan(quorum_offsets_[w], quorum_offsets_[w + 1] - quorum_offsets_[w]);
+}
+
+bool CodingScheme::quorum_met(const std::vector<bool>& received) const {
+  HGC_REQUIRE(received.size() == num_workers(),
+              "received flags must have one entry per worker");
+  std::size_t total = 0;
+  if (!global_quorums_.empty()) total = count_received(received);
+  for (const DecodeQuorum& quorum : quorums_) {
+    std::size_t count = total;
+    if (!quorum.workers.empty()) {
+      count = 0;
+      for (WorkerId w : quorum.workers) count += received[w] ? 1 : 0;
+    }
+    if (count >= quorum.need) return true;
+  }
+  return false;
+}
 
 const Matrix& CodingScheme::coding_matrix() const {
   std::call_once(dense_view_once_,

@@ -12,11 +12,17 @@
 // instead of the dense O(m·k) that walls out 10k-worker clusters. A dense
 // view still exists for the small-m solve paths and external consumers, but
 // it materializes lazily on first request and never on the scale path.
+//
+// Each scheme also declares its decode quorums: necessary conditions for
+// decoding_coefficients to succeed. Streaming callers count arrivals per
+// quorum and only solve once one is met (see QuorumTracker).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "core/types.hpp"
@@ -25,6 +31,15 @@
 #include "linalg/workspace.hpp"
 
 namespace hgc {
+
+/// A worker set plus a threshold (need ≥ 1). Contract:
+/// decoding_coefficients(R) may return a value only if some quorum of the
+/// scheme has at least `need` of its workers in R. An empty worker list
+/// means every worker counts.
+struct DecodeQuorum {
+  std::vector<WorkerId> workers;
+  std::size_t need = 0;
+};
 
 /// Base class for all gradient coding strategies.
 class CodingScheme {
@@ -65,26 +80,39 @@ class CodingScheme {
   virtual std::optional<Vector> decoding_coefficients(
       const std::vector<bool>& received) const = 0;
 
-  /// Cheap lower bound on how many results must have arrived before
-  /// decoding_coefficients can possibly succeed; the master uses it to skip
-  /// pointless solves while results trickle in.
-  virtual std::size_t min_results_required() const {
-    return num_workers() - s_;
+  /// The scheme's decode quorums (see DecodeQuorum for the contract).
+  const std::vector<DecodeQuorum>& quorums() const { return quorums_; }
+
+  /// Indices of the quorums with an empty worker list (every arrival
+  /// counts toward them).
+  std::span<const std::uint32_t> global_quorums() const {
+    return global_quorums_;
   }
 
+  /// Indices of the listed quorums that contain worker w.
+  std::span<const std::uint32_t> quorums_of(WorkerId w) const;
+
+  /// True when some quorum has at least `need` of its workers received —
+  /// the necessary condition for decoding_coefficients to succeed.
+  /// O(m + Σ|quorum|); streaming callers track it incrementally instead.
+  bool quorum_met(const std::vector<bool>& received) const;
+
  protected:
-  /// Derived constructors hand over the finished matrix and assignment;
-  /// the support of B must equal the assignment exactly (checked in
-  /// O(nnz)).
-  CodingScheme(SparseRowMatrix b, Assignment assignment, std::size_t s);
+  /// Derived constructors hand over the finished matrix, assignment and
+  /// decode quorums; the support of B must equal the assignment exactly
+  /// (checked in O(nnz)).
+  CodingScheme(SparseRowMatrix b, Assignment assignment, std::size_t s,
+               std::vector<DecodeQuorum> quorums);
 
   /// Same, but the assignment IS the row structure: derived directly from
   /// the sparse rows in O(nnz), no scan, no redundant validation.
-  CodingScheme(SparseRowMatrix b, std::size_t s);
+  CodingScheme(SparseRowMatrix b, std::size_t s,
+               std::vector<DecodeQuorum> quorums);
 
   /// Dense convenience for constructors/tests that still build a Matrix;
   /// converts via SparseRowMatrix::from_dense (support = entries != 0.0).
-  CodingScheme(const Matrix& b, Assignment assignment, std::size_t s);
+  CodingScheme(const Matrix& b, Assignment assignment, std::size_t s,
+               std::vector<DecodeQuorum> quorums);
 
   /// Generic decodability fallback: least-squares solve of B_Rᵀ·x = 1 with a
   /// residual test. Works for any B; O(k·|R|²). Scratch (the row selection,
@@ -99,9 +127,19 @@ class CodingScheme {
                                        SolveWorkspace& ws) const;
 
  private:
+  /// Validate the quorums and build the worker → quorum index.
+  void index_quorums();
+
   SparseRowMatrix coding_matrix_;
   Assignment assignment_;
   std::size_t s_;
+  // Immutable after construction, so schemes stay shareable across threads.
+  // The index is CSR over workers (empty when every quorum is global):
+  // quorums_of(w) = quorum_ids_[quorum_offsets_[w] .. quorum_offsets_[w+1]).
+  std::vector<DecodeQuorum> quorums_;
+  std::vector<std::uint32_t> global_quorums_;
+  std::vector<std::uint32_t> quorum_offsets_;
+  std::vector<std::uint32_t> quorum_ids_;
   // Lazily materialized dense view; guarded so concurrent sweep threads
   // sharing one scheme race-free. Logically const — a pure function of
   // coding_matrix_.

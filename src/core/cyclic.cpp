@@ -5,8 +5,8 @@
 namespace hgc {
 
 CyclicScheme::CyclicScheme(Alg1Build build, std::size_t s)
-    : CodingScheme(build.b,
-                   cyclic_scheme_assignment(build.b.rows(), s), s),
+    : CodingScheme(build.b, cyclic_scheme_assignment(build.b.rows(), s), s,
+                   {{{}, build.b.rows() - s}}),
       code_(std::move(build.code)) {}
 
 CyclicScheme::CyclicScheme(std::size_t m, std::size_t s, Rng& rng)
@@ -14,7 +14,7 @@ CyclicScheme::CyclicScheme(std::size_t m, std::size_t s, Rng& rng)
 
 std::optional<Vector> CyclicScheme::decoding_coefficients(
     const std::vector<bool>& received) const {
-  if (count_received(received) < min_results_required()) return std::nullopt;
+  if (!quorum_met(received)) return std::nullopt;
   if (auto fast = code_.decode(received, num_workers())) return fast;
   return generic_decode(received);
 }

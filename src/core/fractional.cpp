@@ -47,7 +47,10 @@ FractionalRepetitionScheme::Layout make_layout(std::size_t m, std::size_t s,
 
 FractionalRepetitionScheme::FractionalRepetitionScheme(Layout layout,
                                                        std::size_t s)
-    : CodingScheme(std::move(layout.b), std::move(layout.assignment), s),
+    // A complete set of gradients needs one worker from each of the m/(s+1)
+    // blocks, which can be far fewer than m−s results.
+    : CodingScheme(std::move(layout.b), std::move(layout.assignment), s,
+                   {{{}, layout.blocks.size()}}),
       blocks_(std::move(layout.blocks)),
       stripe_partitions_(std::move(layout.stripes)) {}
 
@@ -73,10 +76,6 @@ std::optional<Vector> FractionalRepetitionScheme::decoding_coefficients(
     if (!covered) return std::nullopt;
   }
   return coefficients;
-}
-
-std::size_t FractionalRepetitionScheme::min_results_required() const {
-  return blocks_.size();
 }
 
 }  // namespace hgc

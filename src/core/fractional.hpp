@@ -24,10 +24,6 @@ class FractionalRepetitionScheme : public CodingScheme {
   std::optional<Vector> decoding_coefficients(
       const std::vector<bool>& received) const override;
 
-  /// A complete set of gradients needs one worker from each of the
-  /// m/(s+1) blocks; this can be far fewer than m−s results.
-  std::size_t min_results_required() const override;
-
   /// Worker block layout: block(b) lists the s+1 workers replicating
   /// stripe b.
   const std::vector<std::vector<WorkerId>>& blocks() const { return blocks_; }

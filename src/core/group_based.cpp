@@ -12,6 +12,7 @@ struct GroupBasedScheme::Build {
   Assignment assignment;
   std::vector<Group> groups;
   Alg1Code sub_code;
+  std::size_t active = 0;  ///< workers holding at least one partition
 };
 
 namespace {
@@ -65,16 +66,37 @@ GroupBasedScheme::Build make_build(const Throughputs& c, std::size_t k,
     sub_code = std::move(sub.code);
   }
 
+  std::size_t active = 0;
+  for (const auto& partitions : assignment)
+    if (!partitions.empty()) ++active;
   return {b.build(), std::move(assignment), std::move(groups),
-          std::move(sub_code)};
+          std::move(sub_code), active};
+}
+
+// One quorum per decode route of Alg. 3: each kept group completes with all
+// |G| members, the sub-code with all but s' of its workers, and the generic
+// solve needs active − s results overall.
+std::vector<DecodeQuorum> decode_quorums(const GroupBasedScheme::Build& build,
+                                         std::size_t s) {
+  std::vector<DecodeQuorum> quorums;
+  quorums.reserve(build.groups.size() + 2);
+  for (const Group& g : build.groups) quorums.push_back({g, g.size()});
+  if (!build.sub_code.empty())
+    quorums.push_back({build.sub_code.workers(),
+                       build.sub_code.workers().size() -
+                           build.sub_code.stragglers_tolerated()});
+  quorums.push_back({{}, build.active - s});
+  return quorums;
 }
 
 }  // namespace
 
 GroupBasedScheme::GroupBasedScheme(Build build, std::size_t s)
-    : CodingScheme(std::move(build.b), std::move(build.assignment), s),
+    : CodingScheme(std::move(build.b), std::move(build.assignment), s,
+                   decode_quorums(build, s)),
       groups_(std::move(build.groups)),
-      sub_code_(std::move(build.sub_code)) {}
+      sub_code_(std::move(build.sub_code)),
+      active_(build.active) {}
 
 GroupBasedScheme::GroupBasedScheme(const Throughputs& c, std::size_t k,
                                    std::size_t s, Rng& rng,
@@ -105,24 +127,9 @@ std::optional<Vector> GroupBasedScheme::decoding_coefficients(
   // (3) Mixed combinations: only worth a least-squares solve once at least
   // (active − s) results arrived — the point at which Theorem 6 guarantees
   // decodability.
-  std::size_t active = 0;
-  for (const auto& partitions : assignment())
-    if (!partitions.empty()) ++active;
-  if (count_received(received) >= active - stragglers_tolerated())
+  if (count_received(received) >= active_ - stragglers_tolerated())
     return generic_decode(received);
   return std::nullopt;
-}
-
-std::size_t GroupBasedScheme::min_results_required() const {
-  std::size_t smallest = num_workers() - stragglers_tolerated();
-  for (const Group& g : groups_)
-    smallest = std::min(smallest, g.size());
-  if (!sub_code_.empty()) {
-    const std::size_t sub_need =
-        sub_code_.workers().size() - sub_code_.stragglers_tolerated();
-    smallest = std::min(smallest, sub_need);
-  }
-  return smallest;
 }
 
 }  // namespace hgc

@@ -31,11 +31,11 @@ class GroupBasedScheme : public CodingScheme {
   /// Decoding order mirrors Alg. 3: (1) any complete group sums directly,
   /// (2) the Alg.1 sub-code over non-group workers (tolerance s−P),
   /// (3) generic least-squares once enough results arrived (covers mixed
-  /// combinations the two fast paths cannot express).
+  /// combinations the two fast paths cannot express). Each route is one
+  /// decode quorum: every kept group, the sub-code workers, and a global
+  /// quorum of active − s.
   std::optional<Vector> decoding_coefficients(
       const std::vector<bool>& received) const override;
-
-  std::size_t min_results_required() const override;
 
   /// Kept (pairwise-disjoint) groups; P = groups().size() ≤ s+1.
   const std::vector<Group>& groups() const { return groups_; }
@@ -50,6 +50,7 @@ class GroupBasedScheme : public CodingScheme {
 
   std::vector<Group> groups_;
   Alg1Code sub_code_;
+  std::size_t active_;  ///< workers holding at least one partition
 };
 
 }  // namespace hgc

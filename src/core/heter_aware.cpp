@@ -17,8 +17,11 @@ Alg1Build build_from_throughputs(const Throughputs& c, std::size_t k,
 HeterAwareScheme::HeterAwareScheme(Alg1Build build, std::size_t s)
     // The single-argument base constructor derives the assignment straight
     // from the sparse row structure — the old O(m·k) assignment_from_matrix
-    // dense scan is gone.
-    : CodingScheme(std::move(build.b), s), code_(std::move(build.code)) {}
+    // dense scan is gone. All active workers minus s must respond; idle
+    // (zero-load) workers never send anything, so they are not counted.
+    : CodingScheme(std::move(build.b), s,
+                   {{{}, build.code.workers().size() - s}}),
+      code_(std::move(build.code)) {}
 
 HeterAwareScheme::HeterAwareScheme(const Throughputs& c, std::size_t k,
                                    std::size_t s, Rng& rng)
@@ -26,15 +29,9 @@ HeterAwareScheme::HeterAwareScheme(const Throughputs& c, std::size_t k,
 
 std::optional<Vector> HeterAwareScheme::decoding_coefficients(
     const std::vector<bool>& received) const {
-  if (count_received(received) < min_results_required()) return std::nullopt;
+  if (!quorum_met(received)) return std::nullopt;
   if (auto fast = code_.decode(received, num_workers())) return fast;
   return generic_decode(received);
-}
-
-std::size_t HeterAwareScheme::min_results_required() const {
-  // All active workers minus s must respond; idle (zero-load) workers never
-  // send anything, so they are excluded from the count.
-  return code_.workers().size() - stragglers_tolerated();
 }
 
 }  // namespace hgc

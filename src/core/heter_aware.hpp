@@ -27,8 +27,6 @@ class HeterAwareScheme : public CodingScheme {
   std::optional<Vector> decoding_coefficients(
       const std::vector<bool>& received) const override;
 
-  std::size_t min_results_required() const override;
-
   /// The auxiliary random matrix (exposed for tests of properties P1/P2).
   const Alg1Code& code() const { return code_; }
 

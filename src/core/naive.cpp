@@ -18,7 +18,7 @@ SparseRowMatrix sparse_identity(std::size_t m) {
 }  // namespace
 
 NaiveScheme::NaiveScheme(std::size_t m)
-    : CodingScheme(sparse_identity(m), 0) {
+    : CodingScheme(sparse_identity(m), 0, {{{}, m}}) {
   HGC_REQUIRE(m > 0, "need at least one worker");
 }
 

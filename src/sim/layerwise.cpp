@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/decoder.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
@@ -68,12 +69,11 @@ LayerwiseResult simulate_layerwise_iteration(const CodingScheme& scheme,
     std::sort(arrivals.begin(), arrivals.end());
 
     std::vector<bool> received(m, false);
-    std::size_t count = 0;
+    QuorumTracker quorums(scheme);
     bool layer_decoded = false;
     for (const auto& [at, w] : arrivals) {
       received[w] = true;
-      ++count;
-      if (count < scheme.min_results_required()) continue;
+      if (!quorums.add(w)) continue;
       if (scheme.decoding_coefficients(received)) {
         result.layer_times[layer] = at;
         layer_decoded = true;

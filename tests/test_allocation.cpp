@@ -2,6 +2,9 @@
 // rounding invariants and cyclic-assignment replication guarantees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "core/allocation.hpp"
@@ -70,6 +73,84 @@ TEST(ProportionalCounts, RejectsAllZeroWeights) {
 TEST(ProportionalCounts, RejectsNegativeWeight) {
   const std::vector<double> w = {1.0, -0.5};
   EXPECT_THROW(proportional_counts(w, 2, 2), std::invalid_argument);
+}
+
+// The original O(m) rescan per remainder unit, kept as the reference the
+// heap-based remainder hand-out must match exactly (same picks, same
+// tie-break to the lower index).
+std::vector<std::size_t> linear_scan_counts(const std::vector<double>& weights,
+                                            std::size_t total,
+                                            std::size_t cap) {
+  const std::size_t m = weights.size();
+  double weight_sum = 0.0;
+  for (double w : weights) weight_sum += w;
+  std::vector<double> ideal(m);
+  for (std::size_t i = 0; i < m; ++i)
+    ideal[i] = static_cast<double>(total) * weights[i] / weight_sum;
+  std::vector<std::size_t> counts(m);
+  std::size_t assigned = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    counts[i] = std::min(static_cast<std::size_t>(std::floor(ideal[i])), cap);
+    assigned += counts[i];
+  }
+  for (std::size_t left = total - assigned; left > 0; --left) {
+    std::size_t best = m;
+    double best_deficit = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < m; ++i) {
+      if (counts[i] >= cap) continue;
+      const double deficit = ideal[i] - static_cast<double>(counts[i]);
+      if (deficit > best_deficit) {
+        best_deficit = deficit;
+        best = i;
+      }
+    }
+    ++counts[best];
+  }
+  return counts;
+}
+
+TEST(ProportionalCounts, MatchesLinearScanReference) {
+  Rng rng(7);
+  std::size_t left_exceeded_m = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t m = 1 + static_cast<std::size_t>(rng.uniform_int(0, 40));
+    std::vector<double> w(m);
+    switch (trial % 4) {
+      case 0:  // random real weights
+        for (double& x : w) x = rng.uniform(0.0, 10.0);
+        break;
+      case 1:  // few distinct integer weights: many exact deficit ties
+        for (double& x : w)
+          x = static_cast<double>(rng.uniform_int(1, 3));
+        break;
+      case 2:  // all equal: every remainder unit is a tie
+        std::fill(w.begin(), w.end(), 2.5);
+        break;
+      default:  // one dominant worker: the cap binds and the overflow is
+                // redistributed, often more than m units
+        for (double& x : w) x = rng.uniform(0.5, 1.5);
+        w[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(m) - 1))] = 1000.0;
+        break;
+    }
+    if (std::accumulate(w.begin(), w.end(), 0.0) == 0.0) w[0] = 1.0;
+    const auto cap = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    const auto total = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(cap * m)));
+
+    const auto expected = linear_scan_counts(w, total, cap);
+    std::size_t floor_sum = 0;
+    for (std::size_t i = 0; i < m; ++i)
+      floor_sum += std::min(
+          static_cast<std::size_t>(std::floor(
+              static_cast<double>(total) * w[i] /
+              std::accumulate(w.begin(), w.end(), 0.0))),
+          cap);
+    if (total - floor_sum > m) ++left_exceeded_m;
+    ASSERT_EQ(proportional_counts(w, total, cap), expected)
+        << "trial " << trial;
+  }
+  EXPECT_GT(left_exceeded_m, 0u) << "no trial handed out more than m units";
 }
 
 TEST(HeterAwareCounts, MatchesEquationFive) {

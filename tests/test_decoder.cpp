@@ -1,11 +1,27 @@
-// Tests for the decoding-matrix builder (Eq. 2) and the streaming decoder.
+// Tests for the decoding-matrix builder (Eq. 2), the streaming decoder and
+// its decode-quorum gate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <numeric>
+#include <optional>
+#include <span>
+#include <string>
+
+#include "cluster/cluster.hpp"
+#include "cluster/straggler.hpp"
 #include "core/decoder.hpp"
+#include "core/decoding_cache.hpp"
 #include "core/group_based.hpp"
 #include "core/heter_aware.hpp"
 #include "core/naive.hpp"
 #include "core/robustness.hpp"
+#include "core/scheme_factory.hpp"
+#include "engine/link.hpp"
+#include "engine/round.hpp"
 #include "util/rng.hpp"
 
 namespace hgc {
@@ -44,7 +60,8 @@ TEST(DecodingMatrix, NaiveHasSingleEmptyPattern) {
 class NeverDecodableScheme : public CodingScheme {
  public:
   NeverDecodableScheme(std::size_t m, std::size_t s)
-      : CodingScheme(Matrix::ones(m, 1), Assignment(m, {0}), s) {}
+      : CodingScheme(Matrix::ones(m, 1), Assignment(m, {0}), s,
+                     {{{}, m - s}}) {}
   std::string name() const override { return "never-decodable"; }
   std::optional<Vector> decoding_coefficients(
       const std::vector<bool>&) const override {
@@ -152,13 +169,16 @@ TEST(StreamingDecoder, ResetAllowsReuse) {
 }
 
 TEST(StreamingDecoder, GroupFastPathDecodesBelowFullQuorum) {
-  // Group-based {1,2,3,4,4}: groups {0,1,4} and {2,3}, so
-  // min_results_required() is 2 — far below the m−s = 4 of heter-aware.
-  // Arrival order 2, 3 completes a group: the first arrival must be skipped
-  // by the fast path (count < min) and the second must decode immediately.
+  // Group-based {1,2,3,4,4}: groups {0,1,4} and {2,3}, so the smallest
+  // quorum needs 2 — far below the m−s = 4 of heter-aware. Arrival order
+  // 2, 3 completes a group: the first arrival must be skipped by the gate
+  // (no quorum met) and the second must decode immediately.
   Rng rng(41);
   GroupBasedScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
-  ASSERT_EQ(scheme.min_results_required(), 2u);
+  std::size_t smallest = scheme.num_workers();
+  for (const DecodeQuorum& q : scheme.quorums())
+    smallest = std::min(smallest, q.need);
+  ASSERT_EQ(smallest, 2u);
   StreamingDecoder decoder(scheme);
   std::vector<Vector> grads(7);
   for (std::size_t p = 0; p < 7; ++p) grads[p] = {double(p + 1)};
@@ -172,10 +192,10 @@ TEST(StreamingDecoder, GroupFastPathDecodesBelowFullQuorum) {
 }
 
 TEST(StreamingDecoder, ArrivalOrderPastMinRequiresMoreSolves) {
-  // Arrival order 0, 1, 2, 4: counts 2 and 3 are at/above the group-based
-  // minimum but undecodable (no complete group, fewer than active−s
-  // results), so the decoder keeps answering "not yet" until group {0,1,4}
-  // completes on the fourth arrival. Worker 2's result ends up unused.
+  // Arrival order 0, 1, 2, 4: no quorum is met (no complete group, fewer
+  // than active−s results), so the decoder keeps answering "not yet"
+  // until group {0,1,4} completes on the fourth arrival. Worker 2's result
+  // ends up unused.
   Rng rng(41);
   GroupBasedScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
   StreamingDecoder decoder(scheme);
@@ -271,6 +291,199 @@ TEST(CompletionTime, UndecodableReturnsNullopt) {
   NaiveScheme naive(3);
   const Throughputs c = {1, 1, 1};
   EXPECT_FALSE(completion_time(naive, c, {0}).has_value());
+}
+
+// ------------------------------------------------------- quorum gate --
+
+struct GateCase {
+  std::string label;
+  std::unique_ptr<CodingScheme> scheme;
+};
+
+// Every scheme kind on the four Table II clusters with s ∈ {1, 2} (naive
+// ignores s, fractional needs (s+1) | m), k = m.
+std::vector<GateCase> table2_cases() {
+  std::vector<GateCase> cases;
+  std::uint64_t seed = 900;
+  for (const Cluster& cluster : paper_clusters()) {
+    const Throughputs c = cluster.throughputs();
+    const std::size_t m = c.size();
+    for (std::size_t s : {1u, 2u}) {
+      for (SchemeKind kind :
+           {SchemeKind::kNaive, SchemeKind::kCyclic,
+            SchemeKind::kFractionalRepetition, SchemeKind::kHeterAware,
+            SchemeKind::kGroupBased}) {
+        if (kind == SchemeKind::kNaive && s != 1) continue;
+        if (kind == SchemeKind::kFractionalRepetition && m % (s + 1) != 0)
+          continue;
+        Rng rng(seed++);
+        cases.push_back({to_string(kind) + "/m=" + std::to_string(m) +
+                             "/s=" + std::to_string(s),
+                         make_scheme(kind, c, m, s, rng)});
+      }
+    }
+  }
+  return cases;
+}
+
+// Half the draws knock out a handful of workers (where decodes succeed),
+// half keep each worker with a random probability (where they mostly fail).
+std::vector<bool> random_received(std::size_t m, Rng& rng) {
+  std::vector<bool> received(m, true);
+  if (rng.bernoulli(0.5)) {
+    const auto missing = static_cast<std::size_t>(rng.uniform_int(0, 4));
+    for (std::size_t w : rng.sample_without_replacement(m, missing))
+      received[w] = false;
+  } else {
+    const double keep = rng.uniform();
+    for (std::size_t w = 0; w < m; ++w) received[w] = rng.bernoulli(keep);
+  }
+  return received;
+}
+
+TEST(QuorumGate, SoundOnTable2Clusters) {
+  // The contract the gate rests on: whenever decoding_coefficients
+  // succeeds, some quorum is met. Exhaustive over all 2^m received sets
+  // where m ≤ 12, 2,000 seeded sets otherwise.
+  Rng subsets(77);
+  for (const GateCase& gate_case : table2_cases()) {
+    const CodingScheme& scheme = *gate_case.scheme;
+    const std::size_t m = scheme.num_workers();
+    std::size_t successes = 0;
+    const auto check = [&](const std::vector<bool>& received) {
+      if (!scheme.decoding_coefficients(received)) return;
+      ++successes;
+      EXPECT_TRUE(scheme.quorum_met(received)) << gate_case.label;
+    };
+    if (m <= 12) {
+      std::vector<bool> received(m);
+      for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << m); ++mask) {
+        for (std::size_t w = 0; w < m; ++w) received[w] = (mask >> w) & 1u;
+        check(received);
+      }
+    } else {
+      for (int draw = 0; draw < 2000; ++draw) check(random_received(m, subsets));
+    }
+    EXPECT_GT(successes, 0u) << gate_case.label << ": vacuous check";
+  }
+}
+
+TEST(QuorumGate, TrackerAgreesWithDirectCheck) {
+  // The incremental counters must report exactly scheme.quorum_met() of the
+  // current prefix after every arrival, and forget everything on reset().
+  Rng orders(78);
+  for (const GateCase& gate_case : table2_cases()) {
+    const CodingScheme& scheme = *gate_case.scheme;
+    const std::size_t m = scheme.num_workers();
+    QuorumTracker tracker(scheme);
+    for (int round = 0; round < 3; ++round) {
+      tracker.reset();
+      EXPECT_FALSE(tracker.met()) << gate_case.label;
+      std::vector<std::size_t> order(m);
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      orders.shuffle(std::span<std::size_t>(order));
+      std::vector<bool> received(m, false);
+      for (WorkerId w : order) {
+        received[w] = true;
+        ASSERT_EQ(tracker.add(w), scheme.quorum_met(received))
+            << gate_case.label;
+      }
+    }
+  }
+}
+
+TEST(QuorumGate, GatedDecoderMatchesUngatedReference) {
+  // 200 seeded arrival orders (a random number of stragglers never
+  // arrive): the gated StreamingDecoder, with and without a decoding cache,
+  // must decode at the same arrival as a reference probing every prefix,
+  // with bit-identical coefficients.
+  Rng orders(79);
+  const auto cases = table2_cases();
+  for (int trial = 0; trial < 200; ++trial) {
+    const GateCase& gate_case = cases[static_cast<std::size_t>(trial) %
+                                      cases.size()];
+    const CodingScheme& scheme = *gate_case.scheme;
+    const std::size_t m = scheme.num_workers();
+    std::vector<std::size_t> order(m);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    orders.shuffle(std::span<std::size_t>(order));
+    order.resize(m - static_cast<std::size_t>(orders.uniform_int(0, 3)));
+
+    std::optional<Vector> expected;
+    std::size_t expected_at = 0;
+    std::vector<bool> received(m, false);
+    for (std::size_t i = 0; i < order.size() && !expected; ++i) {
+      received[order[i]] = true;
+      expected = scheme.decoding_coefficients(received);
+      expected_at = i + 1;
+    }
+
+    DecodingCache cache(scheme);
+    StreamingDecoder gated(scheme);
+    StreamingDecoder cached(scheme, &cache);
+    for (StreamingDecoder* decoder : {&gated, &cached}) {
+      std::size_t decoded_at = 0;
+      for (std::size_t i = 0; i < order.size() && !decoder->ready(); ++i)
+        if (decoder->add_result(order[i], {})) decoded_at = i + 1;
+      ASSERT_EQ(decoder->ready(), expected.has_value())
+          << gate_case.label << " trial " << trial;
+      if (!expected) continue;
+      EXPECT_EQ(decoded_at, expected_at) << gate_case.label;
+      const Vector& got = decoder->coefficients();
+      ASSERT_EQ(got.size(), expected->size());
+      for (std::size_t w = 0; w < m; ++w)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[w]),
+                  std::bit_cast<std::uint64_t>((*expected)[w]))
+            << gate_case.label << " worker " << w;
+    }
+  }
+}
+
+// Forwards to a wrapped scheme (same matrix, same quorums) and counts the
+// real decode solves a caller performs.
+class SolveCountingScheme : public CodingScheme {
+ public:
+  explicit SolveCountingScheme(const CodingScheme& inner)
+      : CodingScheme(SparseRowMatrix(inner.sparse_matrix()),
+                     Assignment(inner.assignment()),
+                     inner.stragglers_tolerated(), inner.quorums()),
+        inner_(inner) {}
+
+  std::string name() const override { return inner_.name(); }
+
+  std::optional<Vector> decoding_coefficients(
+      const std::vector<bool>& received) const override {
+    ++solves;
+    return inner_.decoding_coefficients(received);
+  }
+
+  mutable std::size_t solves = 0;
+
+ private:
+  const CodingScheme& inner_;
+};
+
+TEST(QuorumGate, TenThousandWorkerGroupRoundTakesAtMostTwoSolves) {
+  // Ungated, the master re-solved on every arrival past the smallest group
+  // size — about 1,300 solves per round at this scale.
+  const Cluster cluster = scale_cluster(10000);
+  Rng rng(80);
+  const GroupBasedScheme inner(cluster.throughputs(), cluster.size(), 2, rng);
+  SolveCountingScheme scheme(inner);
+
+  StragglerModel model;
+  model.num_stragglers = 2;
+  model.delay_seconds = 10.0;
+  model.fluctuation_sigma = 0.05;
+  Rng conditions_rng(81);
+  engine::FixedLatencyLink link(1e-4);
+  for (int round = 0; round < 3; ++round) {
+    scheme.solves = 0;
+    const auto outcome = engine::run_round(
+        scheme, cluster, model.draw(cluster.size(), conditions_rng), link);
+    ASSERT_TRUE(outcome.decoded) << "round " << round;
+    EXPECT_LE(scheme.solves, 2u) << "round " << round;
+  }
 }
 
 }  // namespace

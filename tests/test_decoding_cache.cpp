@@ -130,7 +130,7 @@ class CountingScheme : public CodingScheme {
   explicit CountingScheme(const CodingScheme& inner)
       : CodingScheme(Matrix(inner.coding_matrix()),
                      Assignment(inner.assignment()),
-                     inner.stragglers_tolerated()),
+                     inner.stragglers_tolerated(), inner.quorums()),
         inner_(inner) {}
 
   std::string name() const override { return "counting"; }
@@ -141,24 +141,20 @@ class CountingScheme : public CodingScheme {
     return inner_.decoding_coefficients(received);
   }
 
-  std::size_t min_results_required() const override {
-    return inner_.min_results_required();
-  }
-
   mutable std::size_t solves = 0;
 
  private:
   const CodingScheme& inner_;
 };
 
-// A scheme that can never decode and accepts probes from the first arrival
-// on: the exact shape that used to trigger completion_time's redundant
-// tail re-solve of the full received set.
+// A scheme that can never decode and whose one-result global quorum is met
+// from the first arrival on: the exact shape that used to trigger
+// completion_time's redundant tail re-solve of the full received set.
 class NeverDecodableScheme : public CodingScheme {
  public:
   NeverDecodableScheme()
       : CodingScheme(Matrix{{1, 1}, {1, 1}, {1, 1}},
-                     Assignment{{0, 1}, {0, 1}, {0, 1}}, 1) {}
+                     Assignment{{0, 1}, {0, 1}, {0, 1}}, 1, {{{}, 1}}) {}
 
   std::string name() const override { return "never"; }
 
@@ -168,13 +164,11 @@ class NeverDecodableScheme : public CodingScheme {
     return std::nullopt;
   }
 
-  std::size_t min_results_required() const override { return 1; }
-
   mutable std::size_t solves = 0;
 };
 
 TEST(CompletionTimeSolves, NoDuplicateSolveWhenLoopAlreadyTriedFullSet) {
-  // 3 survivors, min_results_required = 1: the arrival loop attempts the
+  // 3 survivors, a quorum of 1: the arrival loop attempts the
   // decode at counts 1, 2 and 3 — the last attempt IS the full received
   // set, so the undecodable tail must not re-run that identical solve.
   NeverDecodableScheme scheme;
@@ -184,9 +178,10 @@ TEST(CompletionTimeSolves, NoDuplicateSolveWhenLoopAlreadyTriedFullSet) {
 }
 
 TEST(CompletionTimeSolves, TailStillRunsWhenLoopNeverReachedFullSet) {
-  // Heter-aware with s = 1 has min_results_required = m - 1; with two
-  // stragglers only m - 2 survivors arrive, the loop never attempts a
-  // decode, and the tail case must still probe the full survivor set once.
+  // Heter-aware with s = 1 has one global quorum of m - 1; with two
+  // stragglers only m - 2 survivors arrive, the quorum is never met, the
+  // loop never attempts a decode, and the tail case probes the full
+  // survivor set once.
   Rng rng(151);
   HeterAwareScheme inner({1, 2, 3, 4, 4}, 7, 1, rng);
   CountingScheme scheme(inner);

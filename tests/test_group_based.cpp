@@ -2,6 +2,8 @@
 // decoding paths, and the early-decode advantage over heter-aware.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/group_based.hpp"
 #include "core/heter_aware.hpp"
 #include "core/robustness.hpp"
@@ -43,10 +45,24 @@ TEST(GroupBased, DecodesFromSingleCompleteGroup) {
   for (double v : ab) EXPECT_NEAR(v, 1.0, 1e-12);
 }
 
-TEST(GroupBased, MinResultsIsSmallestGroup) {
+TEST(GroupBased, QuorumsAreGroupsPlusGlobal) {
   Rng rng(44);
   GroupBasedScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
-  EXPECT_EQ(scheme.min_results_required(), 2u);  // group {2,3}
+  // P = s + 1 = 2 groups and no sub-code: one quorum per group plus the
+  // global active − s = 4.
+  ASSERT_EQ(scheme.groups().size(), 2u);
+  ASSERT_TRUE(scheme.sub_code().empty());
+  const auto& quorums = scheme.quorums();
+  ASSERT_EQ(quorums.size(), 3u);
+  for (std::size_t g = 0; g < 2; ++g) {
+    EXPECT_EQ(quorums[g].workers, scheme.groups()[g]);
+    EXPECT_EQ(quorums[g].need, scheme.groups()[g].size());
+  }
+  EXPECT_TRUE(quorums[2].workers.empty());
+  EXPECT_EQ(quorums[2].need, 4u);
+  std::size_t smallest = quorums[0].need;
+  for (const DecodeQuorum& q : quorums) smallest = std::min(smallest, q.need);
+  EXPECT_EQ(smallest, 2u);  // group {2,3}
 }
 
 TEST(GroupBased, EveryStragglerPatternDecodes) {

@@ -48,14 +48,16 @@ TEST(HeterAware, BalancedTimesPerWorker) {
     EXPECT_NEAR(static_cast<double>(scheme.load(w)) / c[w], t0, 1e-12);
 }
 
-TEST(HeterAware, MinResultsExcludesIdleWorkers) {
+TEST(HeterAware, QuorumExcludesIdleWorkers) {
   Rng rng(35);
   // Worker 0 is so slow it gets zero partitions at this granularity.
   const Throughputs c = {0.01, 10, 10, 10};
   HeterAwareScheme scheme(c, 4, 1, rng);
   EXPECT_EQ(scheme.load(0), 0u);
   // 3 active workers, s = 1 -> 2 results needed.
-  EXPECT_EQ(scheme.min_results_required(), 2u);
+  ASSERT_EQ(scheme.quorums().size(), 1u);
+  EXPECT_TRUE(scheme.quorums()[0].workers.empty());
+  EXPECT_EQ(scheme.quorums()[0].need, 2u);
   std::vector<bool> received = {false, true, true, false};
   const auto a = scheme.decoding_coefficients(received);
   ASSERT_TRUE(a.has_value());

@@ -32,9 +32,11 @@ TEST(Naive, NeedsEveryWorker) {
   EXPECT_EQ(*a, Vector(3, 1.0));
 }
 
-TEST(Naive, MinResultsIsAll) {
+TEST(Naive, QuorumIsAll) {
   NaiveScheme naive(5);
-  EXPECT_EQ(naive.min_results_required(), 5u);
+  ASSERT_EQ(naive.quorums().size(), 1u);
+  EXPECT_TRUE(naive.quorums()[0].workers.empty());
+  EXPECT_EQ(naive.quorums()[0].need, 5u);
 }
 
 TEST(Cyclic, UniformLoadsAndRobustness) {
@@ -77,13 +79,15 @@ TEST(Fractional, BlockStructure) {
 TEST(Fractional, DecodesFromOnePerBlock) {
   FractionalRepetitionScheme frc(6, 1);
   // Knock out one worker in every block (3 > s stragglers!) — FRC still
-  // decodes because each block keeps one replica. min_results is 3, not 5.
+  // decodes because each block keeps one replica. The quorum is 3, not 5.
   std::vector<bool> received = {true, false, false, true, true, false};
   const auto a = frc.decoding_coefficients(received);
   ASSERT_TRUE(a.has_value());
   const Vector ab = frc.coding_matrix().apply_transpose(*a);
   for (double v : ab) EXPECT_NEAR(v, 1.0, 1e-12);
-  EXPECT_EQ(frc.min_results_required(), 3u);
+  ASSERT_EQ(frc.quorums().size(), 1u);
+  EXPECT_TRUE(frc.quorums()[0].workers.empty());
+  EXPECT_EQ(frc.quorums()[0].need, 3u);
 }
 
 TEST(Fractional, FailsWhenBlockWipedOut) {
@@ -173,7 +177,7 @@ TEST(CodingScheme, RejectsSupportMismatch) {
   // Matrix support {0} but declared assignment {0,1}: constructor throws.
   class Broken : public CodingScheme {
    public:
-    Broken() : CodingScheme(Matrix{{1.0, 0.0}}, {{0, 1}}, 0) {}
+    Broken() : CodingScheme(Matrix{{1.0, 0.0}}, {{0, 1}}, 0, {{{}, 1}}) {}
     std::string name() const override { return "broken"; }
     std::optional<Vector> decoding_coefficients(
         const std::vector<bool>&) const override {
@@ -181,6 +185,24 @@ TEST(CodingScheme, RejectsSupportMismatch) {
     }
   };
   EXPECT_THROW(Broken{}, std::invalid_argument);
+}
+
+TEST(CodingScheme, RejectsMalformedQuorums) {
+  class WithQuorums : public CodingScheme {
+   public:
+    explicit WithQuorums(std::vector<DecodeQuorum> quorums)
+        : CodingScheme(Matrix{{1.0}, {1.0}}, {{0}, {0}}, 1,
+                       std::move(quorums)) {}
+    std::string name() const override { return "with-quorums"; }
+    std::optional<Vector> decoding_coefficients(
+        const std::vector<bool>&) const override {
+      return std::nullopt;
+    }
+  };
+  EXPECT_NO_THROW(WithQuorums({{{}, 1}, {{0, 1}, 2}}));
+  EXPECT_THROW(WithQuorums({}), std::invalid_argument);
+  EXPECT_THROW(WithQuorums({{{}, 0}}), std::invalid_argument);
+  EXPECT_THROW(WithQuorums({{{0, 2}, 1}}), std::invalid_argument);
 }
 
 }  // namespace
