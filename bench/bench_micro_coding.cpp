@@ -11,6 +11,8 @@
 // Cluster-D m=58), reporting mflops and — via the instrumented global
 // allocator below — allocs_per_iter, so the workspace layer's
 // zero-steady-state-allocation claim is measured, not asserted.
+// BM_EngineRound does the same for the event engine: one timing-only round
+// at 64 and 10,000 workers, whose allocation count must not grow with m.
 //
 // Flags: our own (`--json out.json` writes the google-benchmark JSON
 // report, for CI's perf-smoke floor check) parse through util/args with its
@@ -32,6 +34,8 @@
 #include "core/robustness.hpp"
 #include "core/scheme_cache.hpp"
 #include "core/scheme_factory.hpp"
+#include "engine/link.hpp"
+#include "engine/round.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/qr.hpp"
@@ -567,6 +571,35 @@ void BM_SparseDecode(benchmark::State& state) {
   allocs.report(state);  // steady state: just the returned vector
 }
 BENCHMARK(BM_SparseDecode)->Args({1000, 2})->Args({10000, 2});
+
+// ------------------------------------------------------- event engine --
+
+void BM_EngineRound(benchmark::State& state) {
+  // One timing-only heterogeneity-aware round on the engine's event loop
+  // (s = 2, two stragglers). Arrival closures fit std::function's inline
+  // buffer and the queue is reserved for m events, so allocs_per_iter is a
+  // small constant at any m instead of two allocations per event.
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const Cluster cluster = scale_cluster(m);
+  Rng rng(29);
+  const auto scheme = make_scheme(SchemeKind::kHeterAware,
+                                  cluster.throughputs(), m, 2, rng);
+  IterationConditions conditions;
+  conditions.speed_factor.assign(m, 1.0);
+  conditions.delay.assign(m, 0.0);
+  conditions.faulted.assign(m, false);
+  conditions.delay[0] = 1.0;
+  conditions.delay[m / 2] = 1.0;
+  engine::FixedLatencyLink link;
+  AllocCounter allocs;
+  for (auto _ : state) {
+    engine::RoundOutcome outcome =
+        engine::run_round(*scheme, cluster, conditions, link);
+    benchmark::DoNotOptimize(outcome);
+  }
+  allocs.report(state);
+}
+BENCHMARK(BM_EngineRound)->Arg(64)->Arg(10000);
 
 void BM_EncodeGradient(benchmark::State& state) {
   // Worker-side linear combination for a DNN-sized flat gradient.

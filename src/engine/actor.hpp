@@ -3,11 +3,8 @@
 // An actor is an object whose behavior advances by scheduling events on the
 // simulation it is bound to. The engine keeps actors deliberately thin: all
 // state lives in the derived class, and the base only pins down the binding
-// to a Simulation plus a diagnostic name.
+// to a Simulation.
 #pragma once
-
-#include <string>
-#include <utility>
 
 #include "engine/simulation.hpp"
 
@@ -16,20 +13,16 @@ namespace hgc::engine {
 /// Base class for typed simulation participants.
 class Actor {
  public:
-  Actor(Simulation& sim, std::string name)
-      : sim_(&sim), name_(std::move(name)) {}
+  explicit Actor(Simulation& sim) : sim_(&sim) {}
   virtual ~Actor() = default;
 
   Actor(const Actor&) = delete;
   Actor& operator=(const Actor&) = delete;
-  Actor(Actor&&) = default;  // actors may live in containers
 
   Simulation& sim() const { return *sim_; }
-  const std::string& name() const { return name_; }
 
  private:
   Simulation* sim_;
-  std::string name_;
 };
 
 }  // namespace hgc::engine

@@ -1,4 +1,4 @@
-// Binary-heap event queue for the discrete-event engine.
+// Event queue for the discrete-event engine.
 //
 // Events are ordered by (time, tag, insertion sequence). The tag is a
 // caller-supplied tie-break key — protocols that historically ordered
@@ -6,14 +6,19 @@
 // round's arrival ordering) pass the worker id as the tag and get exactly
 // that order back. Untagged events fire FIFO among equal times. The total
 // order makes every simulation deterministic — the property the experiment
-// fairness contract and all trainer determinism tests lean on. The heap is
-// hand-rolled rather than std::priority_queue so that cancelled events can
-// be dropped lazily without popping live ones.
+// fairness contract and all trainer determinism tests lean on.
+//
+// The heap holds 32-byte POD keys and sifts them by moving a hole (one copy
+// per level); the actions live in a slab of std::function slots recycled
+// through a free list, so a long-lived loop keeps the slab at its peak
+// pending count. Once reserve()d, push and pop allocate nothing for actions
+// that fit std::function's inline buffer (16 bytes in libstdc++: a
+// reference plus an id).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -21,10 +26,10 @@
 
 namespace hgc::engine {
 
-/// Handle to a scheduled event, usable with EventQueue::cancel.
+/// Insertion sequence number of an event: the final FIFO tie-break.
 using EventId = std::uint64_t;
 
-/// One scheduled callback.
+/// One scheduled callback, as returned by EventQueue::pop.
 struct Event {
   double time = 0.0;
   std::uint64_t tag = 0;  ///< caller tie-break; lower tags fire first
@@ -32,109 +37,101 @@ struct Event {
   std::function<void()> action;
 };
 
-/// Min-heap of events keyed by (time, tag, id), with lazy cancellation.
-/// The pending-id set is the single source of truth for liveness: an id in
-/// the heap but not in the set has been cancelled and is skipped on pop.
+/// Min-heap of event keys ordered by (time, tag, id) over a slab of actions.
 class EventQueue {
  public:
-  bool empty() const { return pending_.empty(); }
-  std::size_t size() const { return pending_.size(); }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
-  /// Schedule `action` at absolute `time`; returns a cancellation handle.
-  /// `tag` breaks ties among equal times (see the file comment).
+  /// Action slots, live or free: the peak pending count so far.
+  std::size_t slab_size() const { return slab_.size(); }
+
+  /// Pre-size for `n` simultaneously pending events.
+  void reserve(std::size_t n) {
+    heap_.reserve(n);
+    slab_.reserve(n);
+    free_.reserve(n);
+  }
+
+  /// Schedule `action` at absolute `time`; `tag` breaks ties among equal
+  /// times (see the file comment).
   EventId push(double time, std::function<void()> action,
                std::uint64_t tag = 0) {
-    const EventId id = next_id_++;
-    heap_.push_back({time, tag, id, std::move(action)});
-    sift_up(heap_.size() - 1);
-    pending_.insert(id);
-    return id;
+    std::size_t slot = slab_.size();
+    if (free_.empty()) {
+      slab_.push_back(std::move(action));
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+      slab_[slot] = std::move(action);
+    }
+    const Key key{time, tag, next_id_++, slot};
+    heap_.push_back(key);
+    sift_up(heap_.size() - 1, key);
+    return key.id;
   }
 
-  /// Cancel a pending event. Returns false when the event already ran,
-  /// was already cancelled, or never existed.
-  bool cancel(EventId id) {
-    if (pending_.erase(id) == 0) return false;
-    // Lazy removal parks cancelled entries in the heap until they surface
-    // at the root — but cancelled far-future timers sink to the leaves and
-    // would be retained (closures included) for the whole run. Compact once
-    // they outnumber live events.
-    if (heap_.size() >= 64 && 2 * pending_.size() < heap_.size()) compact();
-    return true;
-  }
-
-  /// Remove and return the earliest live event. Requires !empty().
+  /// Remove and return the earliest event. Requires !empty().
   Event pop() {
-    drop_cancelled();
     HGC_ASSERT(!heap_.empty(), "pop on an empty event queue");
-    Event out = std::move(heap_.front());
-    remove_root();
-    pending_.erase(out.id);
+    const Key top = heap_.front();
+    Event out{top.time, top.tag, top.id, std::move(slab_[top.slot])};
+    free_.push_back(top.slot);
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
     return out;
   }
 
-  /// Earliest live event's time. Requires !empty().
-  double next_time() {
-    drop_cancelled();
+  /// Earliest event's time. Requires !empty().
+  double next_time() const {
     HGC_ASSERT(!heap_.empty(), "next_time on an empty event queue");
     return heap_.front().time;
   }
 
  private:
-  static bool before(const Event& a, const Event& b) {
+  struct Key {
+    double time;
+    std::uint64_t tag;
+    EventId id;
+    std::size_t slot;  ///< index of the action in slab_
+  };
+  static_assert(sizeof(Key) == 32);
+
+  static bool before(const Key& a, const Key& b) {
     if (a.time != b.time) return a.time < b.time;
     if (a.tag != b.tag) return a.tag < b.tag;
     return a.id < b.id;
   }
 
-  void sift_up(std::size_t i) {
+  /// Place `key` at the hole `i`, moving larger ancestors down.
+  void sift_up(std::size_t i, const Key& key) {
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
-      if (!before(heap_[i], heap_[parent])) break;
-      std::swap(heap_[i], heap_[parent]);
+      if (!before(key, heap_[parent])) break;
+      heap_[i] = heap_[parent];
       i = parent;
     }
+    heap_[i] = key;
   }
 
-  void sift_down(std::size_t i) {
+  /// Place `key` at the hole `i`, moving smaller descendants up.
+  void sift_down(std::size_t i, const Key& key) {
     const std::size_t n = heap_.size();
     while (true) {
-      std::size_t smallest = i;
-      const std::size_t left = 2 * i + 1;
-      const std::size_t right = 2 * i + 2;
-      if (left < n && before(heap_[left], heap_[smallest])) smallest = left;
-      if (right < n && before(heap_[right], heap_[smallest])) smallest = right;
-      if (smallest == i) break;
-      std::swap(heap_[i], heap_[smallest]);
-      i = smallest;
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+      if (!before(heap_[child], key)) break;
+      heap_[i] = heap_[child];
+      i = child;
     }
+    heap_[i] = key;
   }
 
-  void remove_root() {
-    heap_.front() = std::move(heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-  }
-
-  void drop_cancelled() {
-    while (!heap_.empty() && pending_.count(heap_.front().id) == 0)
-      remove_root();
-  }
-
-  /// Drop every cancelled entry and re-heapify the survivors (Floyd).
-  void compact() {
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
-      if (pending_.count(heap_[i].id) == 0) continue;
-      if (keep != i) heap_[keep] = std::move(heap_[i]);
-      ++keep;
-    }
-    heap_.resize(keep);
-    for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
-  }
-
-  std::vector<Event> heap_;
-  std::unordered_set<EventId> pending_;  // scheduled, not yet run/cancelled
+  std::vector<Key> heap_;
+  std::vector<std::function<void()>> slab_;
+  std::vector<std::size_t> free_;  // slab slots whose action has been popped
   EventId next_id_ = 0;
 };
 

@@ -12,37 +12,47 @@
 namespace hgc::engine {
 
 MasterActor::MasterActor(Simulation& sim, const CodingScheme& scheme,
-                         DecodingCache* decoding_cache)
-    : Actor(sim, "master"), decoder_(scheme, decoding_cache) {}
-
-void MasterActor::begin_round(std::uint64_t iteration) {
-  decoder_.reset();
-  iteration_ = iteration;
-  decode_time_ = std::numeric_limits<double>::infinity();
-  results_used_ = 0;
-}
+                         const RoundOptions& options)
+    : Actor(sim),
+      decoder_(scheme, options.decoding_cache),
+      staged_payloads_(options.partition_gradients && !options.wire_frames
+                           ? scheme.num_workers()
+                           : 0),
+      staged_frames_(options.wire_frames ? scheme.num_workers() : 0),
+      iteration_(options.iteration) {}
 
 void MasterActor::receive_result(WorkerId w, Vector coded) {
   if (decoder_.ready()) return;  // late arrival after the barrier released
   if (decoder_.add_result(w, std::move(coded))) {
     decode_time_ = sim().now();
-    results_used_ = decoder_.results_received();
     // The BSP barrier is released; nothing later this round matters.
     sim().stop();
   }
 }
 
-void MasterActor::receive_frame(const std::vector<std::byte>& frame) {
-  GradientMessage message = decode_message(frame);
-  HGC_ASSERT(message.iteration == iteration_, "cross-iteration frame");
-  receive_result(message.worker, std::move(message.payload));
+std::size_t MasterActor::stage_payload(WorkerId w, Vector coded) {
+  staged_payloads_[w] = std::move(coded);
+  return staged_payloads_[w].size() * sizeof(double);
 }
 
-// The diagnostic name is the bare role, not "worker-<id>": run_round builds
-// m actors per round, and id'd names would mean m heap strings per round on
-// the scale-bench hot path. The id stays queryable via id().
+std::size_t MasterActor::stage_frame(WorkerId w,
+                                     std::vector<std::byte> frame) {
+  staged_frames_[w] = std::move(frame);
+  return staged_frames_[w].size();
+}
+
+void MasterActor::deliver(WorkerId w) {
+  if (!staged_frames_.empty()) {
+    GradientMessage message = decode_message(staged_frames_[w]);
+    HGC_ASSERT(message.iteration == iteration_, "cross-iteration frame");
+    return receive_result(message.worker, std::move(message.payload));
+  }
+  receive_result(w, staged_payloads_.empty() ? Vector{}
+                                             : std::move(staged_payloads_[w]));
+}
+
 WorkerActor::WorkerActor(Simulation& sim, WorkerId id, const WorkerSpec& spec)
-    : Actor(sim, "worker"), id_(id), spec_(spec) {}
+    : Actor(sim), id_(id), spec_(spec) {}
 
 double WorkerActor::begin_round(const CodingScheme& scheme,
                                 const IterationConditions& conditions,
@@ -74,22 +84,20 @@ double WorkerActor::begin_round(const CodingScheme& scheme,
                             base + sim().now() + compute,
                             conditions.delay[id_]);
 
-  // Build the payload now (the transmission carries real bytes); timing-only
-  // rounds ship an empty vector so only the event flow is exercised.
-  Vector payload;
-  std::vector<std::byte> frame;
+  // Build the payload now (the transmission carries real bytes) and stage
+  // it in the master; timing-only rounds stage nothing and deliver an empty
+  // vector, so only the event flow is exercised.
   std::size_t bytes = 0;
   if (options.partition_gradients) {
-    payload = encode_gradient(scheme, id_, *options.partition_gradients);
+    Vector payload = encode_gradient(scheme, id_, *options.partition_gradients);
     if (options.wire_frames) {
       GradientMessage message;
       message.worker = checked_cast<std::uint32_t>(id_);
       message.iteration = options.iteration;
       message.payload = std::move(payload);
-      frame = encode_message(message);
-      bytes = frame.size();
+      bytes = master.stage_frame(id_, encode_message(message));
     } else {
-      bytes = payload.size() * sizeof(double);
+      bytes = master.stage_payload(id_, std::move(payload));
     }
   }
 
@@ -104,19 +112,7 @@ double WorkerActor::begin_round(const CodingScheme& scheme,
                           *arrival - send_time);
   // Tag = worker id: simultaneous arrivals reach the master in worker
   // order, the historical (time, worker) sort of the pre-engine loops.
-  if (options.partition_gradients && options.wire_frames) {
-    sim().schedule_at(*arrival,
-                      [&master, frame = std::move(frame)] {
-                        master.receive_frame(frame);
-                      },
-                      id_);
-  } else {
-    sim().schedule_at(*arrival,
-                      [&master, w = id_, payload = std::move(payload)]() mutable {
-                        master.receive_result(w, std::move(payload));
-                      },
-                      id_);
-  }
+  sim().schedule_at(*arrival, [&master, w = id_] { master.deliver(w); }, id_);
   return compute;
 }
 
@@ -130,23 +126,21 @@ RoundOutcome run_round(const CodingScheme& scheme, const Cluster& cluster,
               "wire frames require partition gradients");
 
   Simulation sim;
-  MasterActor master(sim, scheme, options.decoding_cache);
-  master.begin_round(options.iteration);
+  sim.reserve(m);  // at most one arrival per worker is ever pending
+  MasterActor master(sim, scheme, options);
 
   RoundOutcome outcome;
   outcome.compute_times.assign(m, std::numeric_limits<double>::infinity());
 
   // Launch in worker-id order so the link's RNG draws stay in the same
-  // order as the pre-engine implementation.
-  std::vector<WorkerActor> workers;
-  workers.reserve(m);
+  // order as the pre-engine implementation. Arrivals target the master, so
+  // a worker is a temporary.
   const NodeId master_node = m;
-  for (WorkerId w = 0; w < m; ++w) {
-    workers.emplace_back(sim, w, cluster.worker(w));
-    outcome.compute_times[w] = workers.back().begin_round(
-        scheme, conditions, link, master_node, master, options,
-        outcome.dropped);
-  }
+  for (WorkerId w = 0; w < m; ++w)
+    outcome.compute_times[w] =
+        WorkerActor(sim, w, cluster.worker(w))
+            .begin_round(scheme, conditions, link, master_node, master,
+                         options, outcome.dropped);
 
   outcome.events_executed = sim.run();
 

@@ -12,7 +12,8 @@
 //   * timing-only (partition_gradients == nullptr): empty payloads; callers
 //     want the decode time, coefficients and resource usage (sim/).
 //   * real payloads, optionally wire-framed through net/wire with checksums
-//     and an iteration tag (net/, the networked trainer).
+//     and an iteration tag (net/, the networked trainer), staged in the
+//     master so that the arrival event carries only the worker id.
 #pragma once
 
 #include <cstdint>
@@ -74,31 +75,36 @@ struct RoundOutcome {
 /// sufficient set, then stops the simulation.
 class MasterActor : public Actor {
  public:
+  /// One master per round; `options` sets its cache, mode and frame tag.
   MasterActor(Simulation& sim, const CodingScheme& scheme,
-              DecodingCache* decoding_cache = nullptr);
+              const RoundOptions& options);
 
-  /// Arm for (another) round; resets the decoder. `iteration` is the tag
-  /// expected on incoming wire frames.
-  void begin_round(std::uint64_t iteration = 0);
+  /// Park worker w's encoded payload or serialized wire frame until its
+  /// arrival event calls deliver(w), so that every arrival closure fits
+  /// std::function's inline buffer. Returns the message size in bytes.
+  std::size_t stage_payload(WorkerId w, Vector coded);
+  std::size_t stage_frame(WorkerId w, std::vector<std::byte> frame);
 
-  /// Deliver worker w's coded result at the current virtual time. The
-  /// payload may be empty in timing-only rounds.
-  void receive_result(WorkerId w, Vector coded);
-
-  /// Deliver a serialized frame: parse, check the iteration tag, decode.
-  void receive_frame(const std::vector<std::byte>& frame);
+  /// Worker w's staged frame (parsed, iteration tag checked) or payload
+  /// arrives now; timing-only rounds stage nothing and deliver it empty.
+  void deliver(WorkerId w);
 
   bool decoded() const { return decoder_.ready(); }
   double decode_time() const { return decode_time_; }
-  std::size_t results_used() const { return results_used_; }
+  /// Results received so far; once decoded, the ones the decode used.
+  std::size_t results_used() const { return decoder_.results_received(); }
   const Vector& coefficients() const { return decoder_.coefficients(); }
   Vector aggregate() const { return decoder_.aggregate(); }
 
  private:
+  void receive_result(WorkerId w, Vector coded);
+
   StreamingDecoder decoder_;
-  std::uint64_t iteration_ = 0;
+  // One slot per worker in the round's payload mode, empty otherwise.
+  std::vector<Vector> staged_payloads_;
+  std::vector<std::vector<std::byte>> staged_frames_;
+  std::uint64_t iteration_;
   double decode_time_ = std::numeric_limits<double>::infinity();
-  std::size_t results_used_ = 0;
 };
 
 /// Worker side of a round: compute the partition share, wait out the injected
@@ -106,8 +112,6 @@ class MasterActor : public Actor {
 class WorkerActor : public Actor {
  public:
   WorkerActor(Simulation& sim, WorkerId id, const WorkerSpec& spec);
-
-  WorkerId id() const { return id_; }
 
   /// Launch this worker's part of one round starting at the current virtual
   /// time. Faulted and zero-load workers do nothing. Returns the pure

@@ -22,7 +22,6 @@ bool Simulation::step() {
   if (stopped_ || queue_.empty()) return false;
   Event event = queue_.pop();
   now_ = event.time;
-  ++executed_;
   event.action();
   return true;
 }

@@ -30,8 +30,8 @@ class Simulation {
   EventId schedule_after(double delay, std::function<void()> action,
                          std::uint64_t tag = 0);
 
-  /// Cancel a pending event (timers). False when it already ran.
-  bool cancel(EventId id) { return queue_.cancel(id); }
+  /// Pre-size the queue for `n` simultaneously pending events.
+  void reserve(std::size_t n) { queue_.reserve(n); }
 
   /// Run the next event. Returns false when the queue is empty or the
   /// simulation was stopped.
@@ -48,17 +48,14 @@ class Simulation {
   /// Halt the loop; pending events stay queued. resume() re-arms it.
   void stop() { stopped_ = true; }
   void resume() { stopped_ = false; }
-  bool stopped() const { return stopped_; }
 
   bool idle() const { return queue_.empty(); }
   std::size_t pending_events() const { return queue_.size(); }
-  std::size_t events_executed() const { return executed_; }
 
  private:
   EventQueue queue_;
   double now_ = 0.0;
   bool stopped_ = false;
-  std::size_t executed_ = 0;
 };
 
 }  // namespace hgc::engine

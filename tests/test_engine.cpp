@@ -2,6 +2,9 @@
 // channel adapters, and the actor-based coded round.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -13,9 +16,12 @@
 #include "engine/simulation.hpp"
 #include "sim/iteration.hpp"
 
+#include "util/alloc_instrument.hpp"  // instruments this whole binary
+
 namespace hgc {
 namespace {
 
+using engine::Event;
 using engine::EventQueue;
 using engine::FixedLatencyLink;
 using engine::NetworkLink;
@@ -63,42 +69,128 @@ TEST(EventQueue, TagsBreakTimeTiesBeforeInsertionOrder) {
   EXPECT_EQ(order, (std::vector<int>{9, 3, 5, 7}));
 }
 
-TEST(EventQueue, CancelRemovesPendingEvent) {
-  EventQueue queue;
-  bool ran = false;
-  const auto id = queue.push(1.0, [&] { ran = true; });
-  queue.push(2.0, [] {});
-  EXPECT_EQ(queue.size(), 2u);
-  EXPECT_TRUE(queue.cancel(id));
-  EXPECT_EQ(queue.size(), 1u);
-  EXPECT_FALSE(queue.cancel(id));  // second cancel is a no-op
-  EXPECT_DOUBLE_EQ(queue.pop().time, 2.0);
-  EXPECT_TRUE(queue.empty());
-  EXPECT_FALSE(ran);
+// Reference model for the property tests: one scheduled event's ordering
+// key. Sorting a log of these with std::stable_sort by (time, tag) leaves
+// equal keys in insertion order — the queue's documented total order.
+struct LoggedEvent {
+  double time;
+  std::uint64_t tag;
+  std::size_t seq;  // insertion order
+};
+
+void stable_sort_by_time_tag(std::vector<LoggedEvent>& log) {
+  std::stable_sort(log.begin(), log.end(),
+                   [](const LoggedEvent& a, const LoggedEvent& b) {
+                     if (a.time != b.time) return a.time < b.time;
+                     return a.tag < b.tag;
+                   });
 }
 
-TEST(EventQueue, MassCancellationCompactsWithoutDisturbingOrder) {
-  // Cancel enough far-future timers to trigger heap compaction, then check
-  // the surviving events still fire in exact (time, id) order.
-  EventQueue queue;
-  std::vector<engine::EventId> doomed;
-  for (int i = 0; i < 150; ++i)
-    doomed.push_back(queue.push(1e6 + i, [] {}));
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i)
-    queue.push(static_cast<double>(i), [&order, i] { order.push_back(i); });
-  for (engine::EventId id : doomed) EXPECT_TRUE(queue.cancel(id));
-  EXPECT_EQ(queue.size(), 10u);
-  while (!queue.empty()) queue.pop().action();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+TEST(EventQueue, RandomPushPopInterleavingMatchesStableSortReference) {
+  // Few distinct times and tags force heavy (time, tag) collisions, so the
+  // insertion-order tie-break decides most pops.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    EventQueue queue;
+    std::vector<LoggedEvent> pending;  // reference: live events, by seq
+    std::size_t fired = 0;
+    std::size_t next_seq = 0;
+    std::size_t last_fired = 0;
+    for (int op = 0; op < 2000 || !pending.empty(); ++op) {
+      if (op < 2000 && (pending.empty() || rng.bernoulli(0.55))) {
+        const LoggedEvent e{static_cast<double>(rng.uniform_int(0, 7)),
+                            static_cast<std::uint64_t>(rng.uniform_int(0, 3)),
+                            next_seq++};
+        queue.push(e.time, [&last_fired, seq = e.seq] { last_fired = seq; },
+                   e.tag);
+        pending.push_back(e);
+        continue;
+      }
+      std::vector<LoggedEvent> sorted = pending;
+      stable_sort_by_time_tag(sorted);
+      const LoggedEvent want = sorted.front();
+      std::erase_if(pending,
+                    [&](const LoggedEvent& e) { return e.seq == want.seq; });
+      ASSERT_EQ(queue.size(), pending.size() + 1);
+      Event got = queue.pop();
+      got.action();
+      ++fired;
+      ASSERT_EQ(last_fired, want.seq) << "seed " << seed << ", pop " << fired;
+      ASSERT_EQ(got.time, want.time);
+      ASSERT_EQ(got.tag, want.tag);
+    }
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(fired, next_seq);
+  }
 }
 
-TEST(EventQueue, CancelAfterPopReturnsFalse) {
+TEST(Simulation, HandlerSchedulingMatchesStableSortReference) {
+  // Handlers schedule follow-ups the way SSP restarts a worker. A follow-up
+  // never sorts before the running event — a zero delay keeps a tag at least
+  // the parent's — so the whole run must fire in the order of one stable
+  // sort of every event ever scheduled.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    Simulation sim;
+    std::vector<LoggedEvent> log;
+    std::vector<std::size_t> fired;
+    std::function<void(std::size_t)> handler;
+    auto schedule = [&](double time, std::uint64_t tag) {
+      const std::size_t seq = log.size();
+      log.push_back({time, tag, seq});
+      sim.schedule_at(time, [&handler, seq] { handler(seq); }, tag);
+    };
+    handler = [&](std::size_t seq) {
+      fired.push_back(seq);
+      const std::uint64_t tag = log[seq].tag;
+      for (int child = 0; child < 2 && log.size() < 3000; ++child) {
+        if (!rng.bernoulli(0.5)) continue;
+        const auto delay = static_cast<double>(rng.uniform_int(0, 2));
+        const auto lo = static_cast<std::int64_t>(delay == 0.0 ? tag : 0);
+        schedule(sim.now() + delay,
+                 static_cast<std::uint64_t>(rng.uniform_int(lo, 3)));
+      }
+    };
+    for (int i = 0; i < 200; ++i)
+      schedule(static_cast<double>(rng.uniform_int(0, 5)),
+               static_cast<std::uint64_t>(rng.uniform_int(0, 3)));
+    sim.run();
+
+    stable_sort_by_time_tag(log);
+    std::vector<std::size_t> want;
+    for (const LoggedEvent& e : log) want.push_back(e.seq);
+    EXPECT_EQ(fired, want) << "seed " << seed;
+  }
+}
+
+TEST(EventQueue, SlabStaysWithinPeakPendingOverLongRun) {
+  // A long-lived loop (SSP's shape): 16 self-rescheduling chains for 100k
+  // events. Popped slots are recycled, so the slab never outgrows the peak
+  // number of simultaneously pending events.
   EventQueue queue;
-  const auto id = queue.push(1.0, [] {});
-  queue.pop();
-  EXPECT_FALSE(queue.cancel(id));
-  EXPECT_FALSE(queue.cancel(12345));  // never existed
+  std::size_t peak = 0;
+  std::size_t runs = 0;
+  std::function<void()> reschedule;
+  auto push = [&](double time, std::uint64_t tag) {
+    queue.push(time, [&] { reschedule(); }, tag);
+    peak = std::max(peak, queue.size());
+  };
+  double now = 0.0;
+  std::uint64_t chain = 0;
+  reschedule = [&] {
+    if (++runs < 100000)
+      push(now + 1.0 + static_cast<double>(chain % 3), chain);
+  };
+  for (std::uint64_t c = 0; c < 16; ++c) push(static_cast<double>(c), c);
+  while (!queue.empty()) {
+    Event event = queue.pop();
+    now = event.time;
+    chain = event.tag;
+    event.action();
+  }
+  EXPECT_EQ(runs, 100000u + 15u);
+  EXPECT_EQ(peak, 16u);
+  EXPECT_LE(queue.slab_size(), peak);
 }
 
 TEST(Simulation, ClockFollowsEventTimes) {
@@ -303,6 +395,33 @@ TEST(EngineRound, DeterministicAcrossCalls) {
   EXPECT_DOUBLE_EQ(a.time, b.time);
   EXPECT_EQ(a.results_used, b.results_used);
   EXPECT_EQ(a.events_executed, b.events_executed);
+}
+
+TEST(EngineRound, TimingOnlyRoundAllocationsDoNotGrowWithWorkers) {
+  // Every timing-only arrival closure fits std::function's inline buffer
+  // and run_round reserves the queue for m events, so a round allocates a
+  // fixed handful of buffers (outcome vectors, decoder state) at any m.
+  auto allocations_per_round = [](std::size_t m) {
+    const Cluster cluster = scale_cluster(m);
+    Rng rng(91);
+    const auto scheme = make_scheme(SchemeKind::kHeterAware,
+                                    cluster.throughputs(), m, 2, rng);
+    auto cond = clean_conditions(m);
+    cond.delay[0] = 1.0;  // two stragglers, absorbed by s = 2
+    cond.delay[m / 2] = 1.0;
+    FixedLatencyLink link;
+    engine::run_round(*scheme, cluster, cond, link);  // warm-up
+    const std::size_t before = alloc_instrument::allocation_count();
+    const RoundOutcome round = engine::run_round(*scheme, cluster, cond, link);
+    const std::size_t allocations =
+        alloc_instrument::allocation_count() - before;
+    EXPECT_TRUE(round.decoded) << "m = " << m;
+    return allocations;
+  };
+  const std::size_t small = allocations_per_round(64);
+  const std::size_t large = allocations_per_round(10000);
+  EXPECT_LE(large, small + 8)
+      << "m = 64: " << small << " allocations, m = 10000: " << large;
 }
 
 TEST(EngineRound, RejectsMismatchedSizes) {
