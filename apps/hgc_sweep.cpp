@@ -58,9 +58,9 @@ void print_usage(std::ostream& os) {
         "  --cache/--no-cache share constructed schemes across cells and\n"
         "                     cache decoding coefficients per cell (default\n"
         "                     on; output is byte-identical either way; hit\n"
-        "                     rates go to stderr; applies to the built-in\n"
-        "                     static/churn/trace cell bodies — custom-\n"
-        "                     bodied presets like fig4 bypass it)\n"
+        "                     rates go to stderr; shared schemes reach\n"
+        "                     every built-in cell without churn events —\n"
+        "                     custom-bodied presets like fig4 bypass it)\n"
         "  --csv PATH         write CSV to PATH ('-' = stdout; the default)\n"
         "  --json PATH        write JSON to PATH ('-' = stdout)\n"
         "  --metrics-out F    write the merged metrics-registry snapshot\n"

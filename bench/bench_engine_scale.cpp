@@ -12,6 +12,8 @@
 //      re-instantiates the scheme each time membership changes.
 //   4. A trace-replay scenario driven end to end from a CSV delay trace
 //      written and loaded on the spot.
+// Parts 3 and 4 are scenario scripts run by sim::run_experiment, the same
+// driver behind every sweep cell.
 //
 // Usage: bench_engine_scale [--workers=1000] [--big-workers=10000]
 //                           [--rounds=20] [--big-rounds=5] [--s=2]
@@ -23,6 +25,7 @@
 #include "engine/link.hpp"
 #include "engine/round.hpp"
 #include "engine/scenario.hpp"
+#include "sim/experiment.hpp"
 #include "sim/iteration.hpp"
 #include "util/args.hpp"
 #include "util/stats.hpp"
@@ -105,7 +108,7 @@ void bench_churn(std::size_t s) {
   std::cout << "--- 3) worker churn (200 workers, leaves + joins) ---\n\n";
   const Cluster cluster = big_cluster(200);
 
-  engine::ChurnConfig config;
+  ExperimentConfig config;
   config.iterations = 400;
   config.s = s;
   config.model.num_stragglers = s;
@@ -113,21 +116,22 @@ void bench_churn(std::size_t s) {
   config.model.fluctuation_sigma = 0.05;
   // A rolling outage: five fast workers die early, three replacements come
   // back later, then two slow workers retire.
+  engine::ScenarioScript script;
   const double t0 = ideal_iteration_time(cluster, s);
   for (std::size_t i = 0; i < 5; ++i)
-    config.events.push_back({20.0 * t0, false, 150 + i, {}});
+    script.churn.push_back({20.0 * t0, false, 150 + i, {}});
   for (std::size_t i = 0; i < 3; ++i)
-    config.events.push_back({120.0 * t0, true, 0, {8, 8.0}});
-  config.events.push_back({240.0 * t0, false, 0, {}});
-  config.events.push_back({240.0 * t0, false, 1, {}});
+    script.churn.push_back({120.0 * t0, true, 0, {8, 8.0}});
+  script.churn.push_back({240.0 * t0, false, 0, {}});
+  script.churn.push_back({240.0 * t0, false, 1, {}});
 
   Stopwatch watch;
-  const engine::ChurnResult result =
-      engine::run_churn_scenario(SchemeKind::kHeterAware, cluster, config);
+  const SchemeSummary result =
+      run_experiment(SchemeKind::kHeterAware, cluster, config, script);
   const double ms = watch.milliseconds();
 
   TablePrinter table({"metric", "value"});
-  table.add_row({"iterations", std::to_string(result.iterations_run)});
+  table.add_row({"iterations", std::to_string(result.iterations)});
   table.add_row({"scheme re-instantiations",
                  std::to_string(result.reinstantiations)});
   std::string epochs;
@@ -169,13 +173,20 @@ void bench_trace_replay(std::size_t s) {
   const engine::DelayTrace trace = engine::load_delay_trace_csv(path);
   std::remove(path.c_str());
 
-  engine::TraceReplayConfig config;
+  // One pass over the trace, replayed as a splice on clean rounds; every
+  // scheme reseeds from the same config, so the same trace row drives each
+  // scheme's iteration i.
+  ExperimentConfig config;
+  config.iterations = trace.num_iterations();
   config.s = s;
+  engine::ScenarioScript script;
+  script.splice = trace;
+  script.splice_repeat = 0;
   Stopwatch watch;
-  const auto results = engine::replay_trace_comparison(
-      {SchemeKind::kNaive, SchemeKind::kCyclic, SchemeKind::kHeterAware,
-       SchemeKind::kGroupBased},
-      cluster, trace, config);
+  std::vector<SchemeSummary> results;
+  for (SchemeKind kind : {SchemeKind::kNaive, SchemeKind::kCyclic,
+                          SchemeKind::kHeterAware, SchemeKind::kGroupBased})
+    results.push_back(run_experiment(kind, cluster, config, script));
   const double ms = watch.milliseconds();
 
   TablePrinter table(

@@ -3,11 +3,12 @@
 //
 // Scheme construction (Alg. 1's least-squares per worker, the group search)
 // is a deterministic function of (kind, k, s, estimated throughputs,
-// construction seed): run_experiment always seeds a fresh Rng from the
-// experiment seed before calling make_scheme. Sweep cells that differ only
-// in axes the construction never sees (straggler model, fluctuation,
-// iteration count — and, for the deterministic schemes, the seed) therefore
-// rebuild byte-identical B matrices from scratch. This cache interns them:
+// construction seed): run_experiment seeds a fresh Rng from the experiment
+// seed before its first make_scheme, and reads this cache only for runs
+// without churn events, where that first build is the only one. Sweep cells
+// that differ only in axes the construction never sees (straggler model,
+// fluctuation, iteration count — and, for the deterministic schemes, the
+// seed) therefore rebuild byte-identical B matrices from scratch. This cache interns them:
 // one shared_ptr<const CodingScheme> per distinct construction input, safe
 // to share read-only across pool threads.
 //

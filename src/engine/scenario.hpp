@@ -1,40 +1,33 @@
-// Scenario drivers on top of the discrete-event engine.
+// Scenario-script vocabulary: what a run can do to a cluster beyond the iid
+// conditions of a StragglerModel.
 //
-// The analytic harness in sim/experiment.hpp replays iid conditions on a
-// fixed cluster; real clusters misbehave in richer ways. Three drivers cover
-// the gap:
+// Real clusters misbehave in richer ways than iid stragglers. A
+// ScenarioScript composes the ways this repo models into one value:
 //
 //   * Worker churn — workers leave and join mid-training. The master reacts
 //     the only way gradient coding allows: it re-instantiates the coding
 //     scheme over the surviving membership (a scheme's B matrix is bound to
-//     a fixed worker set), repartitions, and carries on. The driver reports
-//     how often that happened and what it did to round latency.
+//     a fixed worker set), repartitions, and carries on.
 //
-//   * Trace replay — per-worker delays come from a recorded DelayTrace
-//     instead of a stochastic model, so a real cluster's straggler log can
-//     be replayed under any coding scheme. Replay conditions are
-//     deterministic, which makes scheme comparisons exactly fair by
-//     construction (the same trace row drives every scheme's round).
+//   * A spliced delay trace — per-worker delays come from a recorded
+//     DelayTrace, so a real cluster's straggler log can be replayed under
+//     any coding scheme. The same trace row drives every scheme's round,
+//     which keeps scheme comparisons exactly fair.
 //
-//   * Scenario scripts — a ScenarioScript composes churn, per-worker speed
-//     drift, correlated straggler bursts, and a spliced delay trace into one
-//     run. Scripts are what the operator-authored text DSL (scenario/dsl.hpp)
-//     compiles to, so new failure narratives are data, not C++.
+//   * Per-worker speed drift and correlated straggler bursts.
 //
-// All drivers run timing-level rounds (engine::run_round over a
-// FixedLatencyLink), the same granularity as the paper-figure experiments.
+// Scripts are what the operator-authored text DSL (scenario/dsl.hpp)
+// compiles to, so new failure narratives are data, not C++. One driver runs
+// them all: sim::run_experiment (sim/experiment.hpp), where a static run is
+// the empty script, a churn run sets only `churn`, and a trace replay sets
+// only `splice` with `splice_repeat = 0`.
 #pragma once
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "cluster/straggler.hpp"
-#include "core/scheme_factory.hpp"
 #include "engine/delay_trace.hpp"
-#include "sim/iteration.hpp"
-#include "util/stats.hpp"
 
 namespace hgc::engine {
 
@@ -48,80 +41,6 @@ struct ChurnEvent {
   WorkerSpec spec;         ///< join only: the new worker's hardware
 };
 
-/// Configuration of a churn run.
-struct ChurnConfig {
-  std::size_t iterations = 100;
-  std::size_t s = 1;   ///< straggler tolerance, re-used for every epoch
-  std::size_t k = 0;   ///< partitions; 0 = 2 × active workers, per epoch
-  StragglerModel model;
-  SimParams sim;
-  std::uint64_t seed = 42;
-  std::vector<ChurnEvent> events;  ///< must be sorted by time, ascending
-  /// Decoding-coefficient LRU capacity; 0 = solve every round. The cache is
-  /// bound to the scheme, so churn rebuilds it with every re-instantiation.
-  std::size_t decoding_cache_capacity = 0;
-};
-
-/// Outcome of a churn run.
-struct ChurnResult {
-  std::string scheme;
-  std::size_t iterations_run = 0;
-  std::size_t failures = 0;          ///< undecodable rounds (clock unchanged)
-  std::size_t reinstantiations = 0;  ///< scheme rebuilds after churn
-  double total_time = 0.0;
-  RunningStats iteration_time;
-  ReservoirQuantiles latency{1024};  ///< p50/p95/p99 round latency
-  /// Active worker count per membership epoch, initial epoch first.
-  std::vector<std::size_t> epoch_sizes;
-  /// Decoding-cache traffic summed over epochs (0/0 when disabled).
-  std::size_t decode_hits = 0;
-  std::size_t decode_misses = 0;
-};
-
-/// Run `kind` on `initial` while applying the configured membership events.
-/// Every epoch needs at least s + 2 active workers (a scheme must keep at
-/// least one non-straggler plus room to drop s).
-ChurnResult run_churn_scenario(SchemeKind kind, const Cluster& initial,
-                               const ChurnConfig& config);
-
-/// Configuration of a trace replay.
-struct TraceReplayConfig {
-  std::size_t iterations = 0;  ///< 0 = one pass over the trace
-  std::size_t s = 1;
-  std::size_t k = 0;           ///< 0 = 2m
-  SimParams sim;
-  std::uint64_t seed = 42;     ///< scheme-construction randomness only
-  /// Decoding-coefficient LRU capacity; 0 = solve every round.
-  std::size_t decoding_cache_capacity = 0;
-};
-
-/// Outcome of replaying one scheme against a trace.
-struct TraceReplayResult {
-  std::string scheme;
-  std::size_t iterations = 0;
-  std::size_t failures = 0;
-  double total_time = 0.0;
-  RunningStats iteration_time;
-  ReservoirQuantiles latency{1024};
-  /// Decoding-cache traffic (0/0 when disabled).
-  std::size_t decode_hits = 0;
-  std::size_t decode_misses = 0;
-};
-
-/// Replay `trace` (one row per iteration, wrapping) under `kind` on
-/// `cluster`. The trace must have exactly one column per cluster worker.
-TraceReplayResult replay_trace(SchemeKind kind, const Cluster& cluster,
-                               const DelayTrace& trace,
-                               const TraceReplayConfig& config);
-
-/// Replay several schemes against the same trace. Fairness is structural:
-/// every scheme's iteration i runs under the identical trace row.
-std::vector<TraceReplayResult> replay_trace_comparison(
-    const std::vector<SchemeKind>& kinds, const Cluster& cluster,
-    const DelayTrace& trace, const TraceReplayConfig& config);
-
-// --- Scenario scripts ----------------------------------------------------
-
 /// A linear per-worker speed ramp (the DSL's `drift W speed a -> b over
 /// [t0,t1]`). The named worker's speed factor is multiplied by `from`
 /// before t0, by the linear interpolation inside [t0,t1], and by `to` from
@@ -134,7 +53,12 @@ struct DriftWindow {
   double t0 = 0.0;
   double t1 = 0.0;
 
-  double factor_at(double time) const;
+  double factor_at(double time) const {
+    if (time <= t0) return from;
+    if (time >= t1) return to;
+    const double alpha = (time - t0) / (t1 - t0);
+    return from + alpha * (to - from);
+  }
 };
 
 /// One correlated-straggler process (the DSL's `correlated stragglers {..}
@@ -151,11 +75,11 @@ struct CorrelatedStragglers {
   bool fault = false;                ///< fail-stop instead of delaying
 };
 
-/// A compiled operator-authored scenario: everything the text DSL
-/// (scenario/dsl.hpp) can express, in one runnable value. Conditions
-/// compose per iteration: the run's StragglerModel draws the base, then the
-/// splice row adds its delays (negative = fault), drift windows scale speed
-/// factors, and active bursts add theirs on top.
+/// A compiled scenario: everything the text DSL (scenario/dsl.hpp) can
+/// express, in one runnable value. Conditions compose per iteration: the
+/// run's StragglerModel draws the base, then the splice row adds its delays
+/// (negative = fault), drift windows scale speed factors, and active bursts
+/// add theirs on top. The default value is the static scenario.
 struct ScenarioScript {
   /// Declared initial cluster size; the driver rejects a mismatched
   /// cluster. 0 = accept any (hand-built scripts only; the DSL always
@@ -171,46 +95,5 @@ struct ScenarioScript {
   /// forever.
   std::size_t splice_repeat = 1;
 };
-
-/// Configuration of a script run.
-struct ScriptConfig {
-  std::size_t iterations = 100;
-  std::size_t s = 1;   ///< straggler tolerance, re-used for every epoch
-  std::size_t k = 0;   ///< partitions; 0 = 2 × active workers, per epoch
-  /// Base conditions the script composes onto (fluctuation, iid
-  /// stragglers); default = clean rounds.
-  StragglerModel model;
-  SimParams sim;
-  std::uint64_t seed = 42;
-  /// Decoding-coefficient LRU capacity; 0 = solve every round.
-  std::size_t decoding_cache_capacity = 0;
-};
-
-/// Outcome of a script run.
-struct ScriptResult {
-  std::string scheme;
-  std::size_t iterations_run = 0;
-  std::size_t failures = 0;          ///< undecodable rounds
-  std::size_t reinstantiations = 0;  ///< scheme rebuilds after churn
-  std::size_t bursts_started = 0;    ///< correlated bursts that fired
-  double total_time = 0.0;
-  RunningStats iteration_time;
-  ReservoirQuantiles latency{1024};  ///< p50/p95/p99 round latency
-  /// Active worker count per membership epoch, initial epoch first.
-  std::vector<std::size_t> epoch_sizes;
-  /// Decoding-cache traffic summed over epochs (0/0 when disabled).
-  std::size_t decode_hits = 0;
-  std::size_t decode_misses = 0;
-};
-
-/// Run `kind` on `initial` under `script`. Time-keyed effects (drift
-/// windows, burst expiry, churn) follow the virtual clock; an undecodable
-/// round advances it by the epoch's ideal iteration time (the master's
-/// give-up timeout) so a faulting burst cannot freeze the clock and pin the
-/// run inside its own window. All randomness (base model, burst starts)
-/// derives from config.seed, so runs are deterministic.
-ScriptResult run_script_scenario(SchemeKind kind, const Cluster& initial,
-                                 const ScenarioScript& script,
-                                 const ScriptConfig& config);
 
 }  // namespace hgc::engine

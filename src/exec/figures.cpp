@@ -515,7 +515,7 @@ FigureSweep make_figure(const std::string& name, std::size_t iterations) {
   if (name == "adaptive") return adaptive_sweep(iters(300));
   if (name == "scenarios")
     return {name,
-            "engine scenario drivers (static/churn/trace) as a sweep axis",
+            "scenarios (static/churn/trace) as a sweep axis",
             scenarios_grid(iters(150)), nullptr};
   throw std::invalid_argument("unknown figure: " + name);
 }

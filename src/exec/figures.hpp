@@ -69,7 +69,7 @@ FigureSweep layerwise_sweep(std::size_t iterations);
 FigureSweep adaptive_sweep(std::size_t iterations);
 
 /// Scenario-axis demo: the four schemes × {static, churn, trace} on
-/// Cluster-A — the engine's scenario drivers as one more sweep axis.
+/// Cluster-A — scenario scripts as one more sweep axis.
 SweepGrid scenarios_grid(std::size_t iterations);
 
 // --- Scenario building blocks -------------------------------------------

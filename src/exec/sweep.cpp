@@ -98,8 +98,8 @@ std::vector<Cell> expand(const SweepGrid& grid) {
                     ExperimentConfig& config = cell.experiment;
                     config.s = s;
                     // k = 0 means "the figures' exact partition count" for
-                    // static cells; scenario drivers keep their own 0
-                    // semantics (2 × active workers).
+                    // static cells; the other scenarios keep
+                    // run_experiment's 0 (2 × active workers, per epoch).
                     config.k = (k == 0 && scenario.kind ==
                                               ScenarioKind::kStatic)
                                    ? exact_partition_count(cluster, s)
@@ -179,91 +179,54 @@ std::uint32_t cell_trace_track(const Cell& cell) {
                               : 0;
 }
 
-CellResult run_static_cell(const Cell& cell, const SweepOptions& opts) {
+/// The script a scenario runs: static is the empty script, churn sets only
+/// the membership events, and trace replay splices the trace forever.
+engine::ScenarioScript script_of(const ScenarioSpec& scenario) {
+  engine::ScenarioScript script;
+  switch (scenario.kind) {
+    case ScenarioKind::kStatic:
+      break;
+    case ScenarioKind::kChurn:
+      script.churn = scenario.churn_events;
+      break;
+    case ScenarioKind::kTraceReplay:
+      script.splice = scenario.trace;
+      script.splice_repeat = 0;
+      break;
+    case ScenarioKind::kScript:
+      script = scenario.script;
+      break;
+  }
+  return script;
+}
+
+/// The built-in cell body. Every scenario runs through run_experiment; the
+/// scenario kind only chooses which columns the row reports.
+CellResult run_builtin_cell(const Cell& cell, ScenarioKind kind,
+                            const engine::ScenarioScript& script,
+                            const SweepOptions& opts) {
   ExperimentConfig config = cell.experiment;
   config.scheme_cache = opts.scheme_cache;
   config.decoding_cache_capacity = opts.decoding_cache_capacity;
   config.sim.trace_track = cell_trace_track(cell);
-  const SchemeSummary summary =
-      run_experiment(cell.scheme, *cell.cluster, config);
-  CellResult result;
-  result.stats.emplace_back("time", summary.iteration_time);
-  result.stats.emplace_back("usage", summary.resource_usage);
-  result.metrics.emplace_back("failures",
-                              static_cast<double>(summary.failures));
-  if (summary.ever_failed()) result.note = "fail";
-  return result;
-}
-
-CellResult run_churn_cell(const Cell& cell, const ScenarioSpec& scenario,
-                          const SweepOptions& opts) {
-  engine::ChurnConfig config;
-  config.iterations = cell.experiment.iterations;
-  config.s = cell.experiment.s;
-  config.k = cell.experiment.k;
-  config.model = cell.experiment.model;
-  config.sim = cell.experiment.sim;
-  config.seed = cell.experiment.seed;
-  config.events = scenario.churn_events;
-  config.decoding_cache_capacity = opts.decoding_cache_capacity;
-  config.sim.trace_track = cell_trace_track(cell);
-  const engine::ChurnResult churn =
-      engine::run_churn_scenario(cell.scheme, *cell.cluster, config);
-  CellResult result;
-  result.stats.emplace_back("time", churn.iteration_time);
-  result.quantiles.emplace_back("latency", churn.latency);
-  result.metrics.emplace_back("failures",
-                              static_cast<double>(churn.failures));
-  result.metrics.emplace_back("reinstantiations",
-                              static_cast<double>(churn.reinstantiations));
-  result.metrics.emplace_back("total_time", churn.total_time);
-  return result;
-}
-
-CellResult run_script_cell(const Cell& cell, const ScenarioSpec& scenario,
-                           const SweepOptions& opts) {
-  engine::ScriptConfig config;
-  config.iterations = cell.experiment.iterations;
-  config.s = cell.experiment.s;
-  config.k = cell.experiment.k;
-  config.model = cell.experiment.model;
-  config.sim = cell.experiment.sim;
-  config.seed = cell.experiment.seed;
-  config.decoding_cache_capacity = opts.decoding_cache_capacity;
-  config.sim.trace_track = cell_trace_track(cell);
-  const engine::ScriptResult run = engine::run_script_scenario(
-      cell.scheme, *cell.cluster, scenario.script, config);
+  const SchemeSummary run =
+      run_experiment(cell.scheme, *cell.cluster, config, script);
   CellResult result;
   result.stats.emplace_back("time", run.iteration_time);
+  result.metrics.emplace_back("failures", static_cast<double>(run.failures));
+  if (kind == ScenarioKind::kStatic) {
+    result.stats.emplace_back("usage", run.resource_usage);
+    if (run.ever_failed()) result.note = "fail";
+    return result;
+  }
   result.quantiles.emplace_back("latency", run.latency);
-  result.metrics.emplace_back("failures",
-                              static_cast<double>(run.failures));
-  result.metrics.emplace_back("reinstantiations",
-                              static_cast<double>(run.reinstantiations));
-  result.metrics.emplace_back("bursts",
-                              static_cast<double>(run.bursts_started));
+  if (kind != ScenarioKind::kTraceReplay)
+    result.metrics.emplace_back("reinstantiations",
+                                static_cast<double>(run.reinstantiations));
+  if (kind == ScenarioKind::kScript)
+    result.metrics.emplace_back("bursts",
+                                static_cast<double>(run.bursts_started));
   result.metrics.emplace_back("total_time", run.total_time);
-  return result;
-}
-
-CellResult run_trace_cell(const Cell& cell, const ScenarioSpec& scenario,
-                          const SweepOptions& opts) {
-  engine::TraceReplayConfig config;
-  config.iterations = cell.experiment.iterations;
-  config.s = cell.experiment.s;
-  config.k = cell.experiment.k;
-  config.sim = cell.experiment.sim;
-  config.seed = cell.experiment.seed;
-  config.decoding_cache_capacity = opts.decoding_cache_capacity;
-  config.sim.trace_track = cell_trace_track(cell);
-  const engine::TraceReplayResult replay = engine::replay_trace(
-      cell.scheme, *cell.cluster, scenario.trace, config);
-  CellResult result;
-  result.stats.emplace_back("time", replay.iteration_time);
-  result.quantiles.emplace_back("latency", replay.latency);
-  result.metrics.emplace_back("failures",
-                              static_cast<double>(replay.failures));
-  result.metrics.emplace_back("total_time", replay.total_time);
   return result;
 }
 
@@ -343,19 +306,13 @@ ResultTable run_sweep(const SweepGrid& grid, const CellFn& fn,
 }
 
 ResultTable run_sweep(const SweepGrid& grid, const SweepOptions& opts) {
-  const CellFn fn = [&grid, &opts](const Cell& cell) {
-    const ScenarioSpec& scenario = grid.scenarios[cell.scenario_index];
-    switch (scenario.kind) {
-      case ScenarioKind::kChurn:
-        return run_churn_cell(cell, scenario, opts);
-      case ScenarioKind::kTraceReplay:
-        return run_trace_cell(cell, scenario, opts);
-      case ScenarioKind::kScript:
-        return run_script_cell(cell, scenario, opts);
-      case ScenarioKind::kStatic:
-        break;
-    }
-    return run_static_cell(cell, opts);
+  std::vector<engine::ScenarioScript> scripts;
+  scripts.reserve(grid.scenarios.size());
+  for (const ScenarioSpec& scenario : grid.scenarios)
+    scripts.push_back(script_of(scenario));
+  const CellFn fn = [&grid, &scripts, &opts](const Cell& cell) {
+    return run_builtin_cell(cell, grid.scenarios[cell.scenario_index].kind,
+                            scripts[cell.scenario_index], opts);
   };
   return run_sweep(grid, fn, opts);
 }

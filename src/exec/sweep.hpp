@@ -57,8 +57,8 @@ struct StragglerAxis {
   std::string name() const;  ///< label, or an auto-description of the knobs
 };
 
-/// What a cell runs: the analytic experiment harness or one of the engine's
-/// scenario drivers.
+/// Which scenario a cell runs; every kind is a ScenarioScript run by
+/// sim::run_experiment, and the kind picks the columns the row reports.
 enum class ScenarioKind { kStatic, kChurn, kTraceReplay, kScript };
 
 /// One point on the scenario axis.
@@ -182,14 +182,15 @@ std::vector<Cell> expand(const SweepGrid& grid);
 ResultTable run_sweep(const SweepGrid& grid, const CellFn& fn,
                       const SweepOptions& opts = {});
 
-/// run_sweep with the built-in cell body, dispatching on the cell's
-/// scenario: kStatic → sim/experiment (stats: time, usage; "fail" note when
-/// any iteration was undecodable), kChurn → engine churn driver (stats:
-/// time; quantiles: latency; metrics: reinstantiations, failures),
-/// kTraceReplay → engine trace replay (stats: time; quantiles: latency),
-/// kScript → engine script driver (adds a bursts metric; the cell's
-/// straggler-model axis supplies the base conditions the script composes
-/// onto).
+/// run_sweep with the built-in cell body: every cell maps its scenario to
+/// an engine::ScenarioScript (static = empty, churn = events, trace replay =
+/// a splice that wraps forever, script = as compiled) and runs it once
+/// through sim::run_experiment on top of the cell's straggler model and
+/// estimation error. The scenario kind only picks the row's columns:
+/// kStatic → stats time, usage; metrics failures; "fail" note when any
+/// iteration was undecodable. The engine kinds → stats time; quantiles
+/// latency; metrics failures, reinstantiations (not kTraceReplay), bursts
+/// (kScript only), total_time.
 ResultTable run_sweep(const SweepGrid& grid, const SweepOptions& opts = {});
 
 }  // namespace hgc::exec

@@ -1,10 +1,31 @@
 #include "sim/experiment.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <optional>
+#include <utility>
 
+#include "engine/link.hpp"
+#include "engine/round.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
+namespace {
+
+/// Roster entry: stable id + hardware.
+struct RosterEntry {
+  std::size_t id;
+  WorkerSpec spec;
+};
+
+/// position_of's answer for a worker that is not (or no longer) active.
+constexpr std::size_t kGone = static_cast<std::size_t>(-1);
+
+}  // namespace
 
 std::size_t resolve_partitions(const ExperimentConfig& config,
                                std::size_t num_workers) {
@@ -33,64 +54,212 @@ std::size_t exact_partition_count(const Cluster& cluster, std::size_t s,
 
 SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
                              const ExperimentConfig& config,
+                             const engine::ScenarioScript& script,
                              std::vector<IterationConditions>* conditions_log) {
   HGC_REQUIRE(config.iterations > 0, "need at least one iteration");
-  const std::size_t m = cluster.size();
-  const std::size_t k = resolve_partitions(config, m);
+  HGC_REQUIRE(script.workers == 0 || script.workers == cluster.size(),
+              "scenario script declares " + std::to_string(script.workers) +
+                  " workers but the cluster has " +
+                  std::to_string(cluster.size()));
+  HGC_REQUIRE(std::is_sorted(script.churn.begin(), script.churn.end(),
+                             [](const engine::ChurnEvent& a,
+                                const engine::ChurnEvent& b) {
+                               return a.time < b.time;
+                             }),
+              "churn events must be sorted by time");
+  const std::size_t splice_rows = script.splice.num_iterations();
+  HGC_REQUIRE(splice_rows == 0 ||
+                  script.splice.num_workers() == cluster.size(),
+              "spliced trace must have one column per initial worker");
+
+  // Stable roster ids: scripted effects name them, conditions are
+  // positional. Joins take the next id.
+  std::vector<RosterEntry> roster;
+  roster.reserve(cluster.size());
+  for (std::size_t id = 0; id < cluster.size(); ++id)
+    roster.push_back({id, cluster.worker(id)});
+  std::size_t next_stable_id = cluster.size();
+  const auto position_of = [&](std::size_t id) -> std::size_t {
+    for (std::size_t p = 0; p < roster.size(); ++p)
+      if (roster[p].id == id) return p;
+    return kGone;
+  };
 
   // Three independent, seed-derived streams so that (a) per-iteration
   // conditions are identical across schemes, (b) construction randomness and
-  // estimation noise do not perturb the condition stream.
+  // estimation noise do not perturb the condition stream. Rebuilds after
+  // churn continue the construction stream, so only churn-free runs may
+  // share schemes: there construction is a pure function of the cache key,
+  // which keeps cached and uncached runs byte-identical.
+  Rng construction_rng(config.seed);
   Rng estimation_rng(config.seed + 0x9e37);
   Rng condition_rng(config.seed + 0x79b9);
-
-  const Throughputs truth = cluster.throughputs();
-  const Throughputs estimated =
-      estimate_throughputs(truth, config.estimation_sigma, estimation_rng);
-  // Construction is a deterministic function of (kind, estimated, k, s,
-  // seed), which is what makes the shared cache result-transparent; the
-  // uncached path below is what the cache replays on a miss.
-  std::shared_ptr<const CodingScheme> scheme;
-  if (config.scheme_cache) {
-    scheme = config.scheme_cache->get_or_create(kind, estimated, k, config.s,
-                                                config.seed);
-  } else {
-    Rng construction_rng(config.seed);
-    scheme = make_scheme(kind, estimated, k, config.s, construction_rng);
-  }
-
-  std::optional<DecodingCache> decoding_cache;
-  if (config.decoding_cache_capacity > 0)
-    decoding_cache.emplace(*scheme, config.decoding_cache_capacity);
+  SchemeCache* const scheme_cache =
+      script.churn.empty() ? config.scheme_cache : nullptr;
 
   SchemeSummary summary;
-  summary.scheme = scheme->name();
   summary.iterations = config.iterations;
-  // Accumulated virtual time, only for laying iterations out end-to-end on
-  // the trace's virtual-clock track; results never read it.
-  double trace_clock = 0.0;
+  const Cluster* active = &cluster;
+  std::optional<Cluster> churned;  // membership after the latest churn
+  std::shared_ptr<const CodingScheme> scheme;
+  // The decoding cache keys on the scheme's receive patterns, so every
+  // re-instantiation invalidates it wholesale.
+  std::optional<DecodingCache> decoding_cache;
+  const auto harvest_decode_cache = [&] {
+    if (!decoding_cache) return;
+    summary.decode_hits += decoding_cache->hits();
+    summary.decode_misses += decoding_cache->misses();
+    decoding_cache.reset();
+  };
+  const auto rebuild = [&] {
+    HGC_REQUIRE(script.churn.empty() || active->size() >= config.s + 2,
+                "churn left too few workers for tolerance s");
+    harvest_decode_cache();
+    const Throughputs estimated = estimate_throughputs(
+        active->throughputs(), config.estimation_sigma, estimation_rng);
+    const std::size_t k = resolve_partitions(config, active->size());
+    if (scheme_cache)
+      scheme = scheme_cache->get_or_create(kind, estimated, k, config.s,
+                                           config.seed);
+    else
+      scheme = make_scheme(kind, estimated, k, config.s, construction_rng);
+    if (config.decoding_cache_capacity > 0)
+      decoding_cache.emplace(*scheme, config.decoding_cache_capacity);
+    summary.epoch_sizes.push_back(active->size());
+  };
+  rebuild();
+  summary.scheme = scheme->name();
+
+  double clock = 0.0;
+  std::size_t next_event = 0;
+  std::vector<double> burst_until(script.bursts.size(),
+                                  -std::numeric_limits<double>::infinity());
+  engine::FixedLatencyLink link(config.sim.comm_latency);
+  engine::RoundOptions round_options;
+  round_options.trace_track = config.sim.trace_track;
+
   for (std::size_t iter = 0; iter < config.iterations; ++iter) {
-    const IterationConditions conditions = config.model.draw(m, condition_rng);
+    // Apply every membership change that has come due, then re-instantiate
+    // the scheme once — the master cannot decode a B matrix built for a
+    // worker set that no longer exists.
+    bool membership_changed = false;
+    while (next_event < script.churn.size() &&
+           script.churn[next_event].time <= clock) {
+      const engine::ChurnEvent& event = script.churn[next_event++];
+      if (event.join) {
+        roster.push_back({next_stable_id++, event.spec});
+      } else {
+        const std::size_t p = position_of(event.worker);
+        HGC_REQUIRE(p != kGone,
+                    "churn leave names a worker not in the roster");
+        roster.erase(roster.begin() + static_cast<std::ptrdiff_t>(p));
+      }
+      membership_changed = true;
+    }
+    if (membership_changed) {
+      std::vector<WorkerSpec> specs;
+      specs.reserve(roster.size());
+      for (const RosterEntry& entry : roster) specs.push_back(entry.spec);
+      churned.emplace("churn-epoch-" +
+                          std::to_string(summary.reinstantiations + 1),
+                      std::move(specs));
+      active = &*churned;
+      rebuild();
+      ++summary.reinstantiations;
+      if (obs::metrics_enabled()) {
+        static const obs::Counter reinstantiations =
+            obs::Registry::global().counter("engine.reinstantiations");
+        reinstantiations.add();
+      }
+      obs::trace_virtual_instant(config.sim.trace_track, 0, "reinstantiate",
+                                 "scenario", clock,
+                                 static_cast<std::int64_t>(roster.size()));
+    }
+
+    IterationConditions conditions =
+        config.model.draw(active->size(), condition_rng);
+
+    // Splice row: base per-worker delays recorded against the initial
+    // roster (column = stable id; joined workers take none).
+    if (splice_rows > 0 &&
+        (script.splice_repeat == 0 ||
+         iter < splice_rows * script.splice_repeat)) {
+      const auto& row = script.splice.rows()[iter % splice_rows];
+      for (std::size_t p = 0; p < roster.size(); ++p) {
+        if (roster[p].id >= row.size()) continue;
+        const double v = row[roster[p].id];
+        if (v < 0.0)
+          conditions.faulted[p] = true;
+        else
+          conditions.delay[p] += v;
+      }
+    }
+
+    // Drift windows: scale speed factors by the ramp value at the current
+    // virtual time.
+    for (const engine::DriftWindow& drift : script.drifts) {
+      const std::size_t p = position_of(drift.worker);
+      if (p != kGone) conditions.speed_factor[p] *= drift.factor_at(clock);
+    }
+
+    // Correlated bursts: each idle process makes one Bernoulli draw per
+    // iteration; active ones draw nothing until their window expires.
+    for (std::size_t b = 0; b < script.bursts.size(); ++b) {
+      const engine::CorrelatedStragglers& burst = script.bursts[b];
+      if (clock >= burst_until[b] &&
+          condition_rng.bernoulli(burst.probability)) {
+        burst_until[b] = clock + burst.duration;
+        ++summary.bursts_started;
+        if (obs::metrics_enabled()) {
+          static const obs::Counter bursts =
+              obs::Registry::global().counter("engine.bursts");
+          bursts.add();
+        }
+        obs::trace_virtual_instant(config.sim.trace_track, 0, "burst",
+                                   "scenario", clock,
+                                   static_cast<std::int64_t>(b));
+      }
+      if (clock >= burst_until[b]) continue;
+      for (std::size_t id : burst.workers) {
+        const std::size_t p = position_of(id);
+        if (p == kGone) continue;
+        if (burst.fault)
+          conditions.faulted[p] = true;
+        else
+          conditions.delay[p] += burst.delay;
+      }
+    }
     if (conditions_log) conditions_log->push_back(conditions);
-    const IterationResult result =
-        simulate_iteration(*scheme, cluster, conditions, config.sim,
-                           decoding_cache ? &*decoding_cache : nullptr,
-                           trace_clock);
-    if (!result.decoded) {
+
+    round_options.decoding_cache =
+        decoding_cache ? &*decoding_cache : nullptr;
+    round_options.trace_time_base = clock;
+    const engine::RoundOutcome round =
+        engine::run_round(*scheme, *active, conditions, link, round_options);
+    if (!round.decoded) {
       ++summary.failures;
-      // Advance the trace clock past the failed round anyway so its
-      // undecodable marker does not pile onto the next iteration's span.
-      trace_clock += ideal_iteration_time(cluster, config.s);
+      // The master gives up after the epoch's ideal round time; without the
+      // timeout a fault burst would freeze the clock inside its own window
+      // and fail every remaining iteration.
+      const double timeout = ideal_iteration_time(*active, config.s);
+      if (obs::metrics_enabled()) {
+        static const obs::Counter giveups =
+            obs::Registry::global().counter("engine.giveups");
+        giveups.add();
+      }
+      obs::trace_virtual_span(config.sim.trace_track, 0, "giveup",
+                              "scenario", clock, timeout);
+      clock += timeout;
       continue;
     }
-    trace_clock += result.time;
-    summary.iteration_time.add(result.time);
-    summary.resource_usage.add(result.resource_usage);
+    clock += round.time;
+    summary.iteration_time.add(round.time);
+    summary.resource_usage.add(round.resource_usage);
+    summary.latency.add(round.time);
   }
-  if (decoding_cache) {
-    summary.decode_hits = decoding_cache->hits();
-    summary.decode_misses = decoding_cache->misses();
-  }
+
+  harvest_decode_cache();
+  summary.total_time = clock;
   return summary;
 }
 

@@ -1,9 +1,11 @@
-// Multi-iteration experiment harness: builds a scheme from (possibly noisy)
-// throughput estimates, replays many iterations under a straggler model, and
-// aggregates the metrics the paper's figures report. Fairness contract: when
-// comparing schemes, every scheme sees the *same* per-iteration conditions
-// (same victims, same fluctuations), achieved by drawing conditions from a
-// dedicated RNG stream reset per scheme.
+// The experiment driver: the one per-iteration loop behind every sweep cell.
+// It builds a scheme from (possibly noisy) throughput estimates, replays
+// many iterations under a straggler model composed with a ScenarioScript
+// (churn, spliced delay trace, drift, correlated bursts; empty = static),
+// and aggregates the metrics the paper's figures report. Fairness contract:
+// when comparing schemes, every scheme sees the *same* per-iteration
+// conditions (same victims, same fluctuations), achieved by drawing
+// conditions from a dedicated RNG stream reset per scheme.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +16,7 @@
 #include "cluster/straggler.hpp"
 #include "core/scheme_cache.hpp"
 #include "core/scheme_factory.hpp"
+#include "engine/scenario.hpp"
 #include "sim/iteration.hpp"
 #include "util/stats.hpp"
 
@@ -21,21 +24,27 @@ namespace hgc {
 
 /// Everything that defines one experiment cell (one bar/point in a figure).
 struct ExperimentConfig {
-  std::size_t k = 0;  ///< partitions for heterogeneity-aware schemes; 0 = 2m
-  std::size_t s = 1;  ///< provisioned straggler tolerance
+  /// Partitions for heterogeneity-aware schemes; 0 = 2 × active workers,
+  /// resolved again at every churn re-instantiation.
+  std::size_t k = 0;
+  std::size_t s = 1;  ///< provisioned straggler tolerance, every epoch
   StragglerModel model;
-  /// Throughput-estimation error σ (Section V motivation); 0 = exact.
+  /// Throughput-estimation error σ (Section V motivation); 0 = exact. Drawn
+  /// afresh at every (re)build of the scheme.
   double estimation_sigma = 0.0;
   std::size_t iterations = 300;
   std::uint64_t seed = 42;
   SimParams sim;
   /// Shared, thread-safe scheme-construction cache; nullptr = construct
   /// from scratch. Result-transparent: the cache builds missing entries
-  /// exactly like the uncached path (Rng(seed) into make_scheme).
+  /// exactly like the uncached path (Rng(seed) into make_scheme). Runs whose
+  /// script has churn events ignore it, because their rebuilds continue the
+  /// construction stream instead of reseeding it.
   SchemeCache* scheme_cache = nullptr;
   /// Capacity of the per-run decoding-coefficient LRU (paper Section III-B
   /// "regular stragglers"); 0 disables it. The cache lives for the duration
-  /// of one run_experiment call, so it is never shared across threads.
+  /// of one run_experiment call, so it is never shared across threads, and
+  /// every churn re-instantiation rebuilds it.
   std::size_t decoding_cache_capacity = 0;
 };
 
@@ -44,11 +53,19 @@ struct SchemeSummary {
   std::string scheme;
   RunningStats iteration_time;  ///< decoded iterations only
   RunningStats resource_usage;
+  ReservoirQuantiles latency{1024};  ///< p50/p95/p99 of decoded rounds
   std::size_t failures = 0;     ///< iterations that could not decode
   std::size_t iterations = 0;
-  /// Decoding-cache traffic (both 0 when the cache was disabled). Reported
-  /// out of band — never part of the figure metrics, so cached and uncached
-  /// runs stay byte-identical.
+  std::size_t reinstantiations = 0;  ///< scheme rebuilds after churn
+  std::size_t bursts_started = 0;    ///< correlated bursts that fired
+  /// Virtual time of the whole run: decoded rounds plus one give-up timeout
+  /// per undecodable round.
+  double total_time = 0.0;
+  /// Active worker count per membership epoch, initial epoch first.
+  std::vector<std::size_t> epoch_sizes;
+  /// Decoding-cache traffic summed over epochs (both 0 when the cache was
+  /// disabled). Reported out of band — never part of the figure metrics, so
+  /// cached and uncached runs stay byte-identical.
   std::size_t decode_hits = 0;
   std::size_t decode_misses = 0;
 
@@ -57,20 +74,27 @@ struct SchemeSummary {
   bool ever_failed() const { return failures > 0; }
 };
 
-/// Run one scheme through the experiment. When `conditions_log` is non-null
-/// the per-iteration conditions are appended to it, which is how tests pin
-/// down the fairness contract (identical logs across schemes).
-SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
-                             const ExperimentConfig& config,
-                             std::vector<IterationConditions>* conditions_log =
-                                 nullptr);
+/// Run one scheme on `cluster` under `script` (default: the static
+/// scenario). Time-keyed script effects (drift windows, burst expiry, churn)
+/// follow the virtual clock; an undecodable round advances it by the
+/// epoch's ideal iteration time (the master's give-up timeout) so a
+/// faulting burst cannot freeze the clock and pin the run inside its own
+/// window. All randomness derives from config.seed. When `conditions_log`
+/// is non-null the composed per-iteration conditions are appended to it,
+/// which is how tests pin down the fairness contract (identical logs across
+/// schemes).
+SchemeSummary run_experiment(
+    SchemeKind kind, const Cluster& cluster, const ExperimentConfig& config,
+    const engine::ScenarioScript& script = {},
+    std::vector<IterationConditions>* conditions_log = nullptr);
 
 /// Run several schemes under identical per-iteration conditions.
 std::vector<SchemeSummary> compare_schemes(
     const std::vector<SchemeKind>& kinds, const Cluster& cluster,
     const ExperimentConfig& config);
 
-/// Resolve the partition-count default (k = 2m when config.k == 0).
+/// Resolve the partition-count default (k = 2m when config.k == 0) for `m`
+/// active workers.
 std::size_t resolve_partitions(const ExperimentConfig& config,
                                std::size_t num_workers);
 

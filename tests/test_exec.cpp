@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -436,6 +437,67 @@ TEST(GridSpec, TracePathFeedsTheTraceScenarioAndLiftsTheMultiSBan) {
   EXPECT_EQ(grid.scenarios[0].kind, ScenarioKind::kTraceReplay);
   EXPECT_EQ(grid.scenarios[0].trace.num_iterations(), 2u);
   std::remove(path.c_str());
+}
+
+// --- Scenario cells honour every grid axis -----------------------------
+
+/// Every value column of the row at `where`, in column order, so two rows
+/// compare as wholes.
+std::vector<double> row_values(
+    const ResultTable& table,
+    const std::vector<std::pair<std::string, std::string>>& where) {
+  std::vector<double> values;
+  const ResultRow* row = table.find(where);
+  EXPECT_NE(row, nullptr);
+  if (row == nullptr) return values;
+  for (const std::string& column : table.columns()) {
+    double v = 0.0;
+    if (row->value(column, v)) values.push_back(v);
+  }
+  return values;
+}
+
+/// A file under the repository's examples/ directory.
+std::string example_path(const std::string& name) {
+  return (std::filesystem::path(__FILE__).parent_path().parent_path() /
+          "examples" / name)
+      .string();
+}
+
+TEST(ScenarioAxes, ChurnAndScriptCellsApplyEstimationError) {
+  // Regression: churn and script cells built their schemes from the exact
+  // throughputs, so every sigma produced byte-identical rows.
+  const std::vector<std::string> specs = {
+      "schemes=heter,group;sigmas=0,0.3;iters=40;scenarios=churn",
+      "schemes=heter,group;sigmas=0,0.3;iters=40;scenario_file=" +
+          example_path("churn_drift.scn")};
+  for (const std::string& spec : specs) {
+    const ResultTable table = run_sweep(parse_grid_spec(spec), {.threads = 2});
+    for (const char* scheme : {"heter-aware", "group-based"})
+      EXPECT_NE(row_values(table, {{"sigma", "0"}, {"scheme", scheme}}),
+                row_values(table, {{"sigma", "0.3"}, {"scheme", scheme}}))
+          << spec << ", " << scheme;
+  }
+}
+
+TEST(ScenarioAxes, TraceCellsComposeOntoTheStragglerModel) {
+  // Regression: trace cells replayed the trace alone, so the delayed and
+  // fault models produced the same rows as the model-free one.
+  const ResultTable table = run_sweep(
+      parse_grid_spec(
+          "schemes=naive,heter;delay_factors=0,4;fault=1;iters=40;"
+          "scenarios=trace"),
+      {.threads = 2});
+  for (const char* scheme : {"naive", "heter-aware"}) {
+    const auto none = row_values(table, {{"model", "none"}, {"scheme", scheme}});
+    const auto delayed =
+        row_values(table, {{"model", "4.0x ideal"}, {"scheme", scheme}});
+    const auto fault =
+        row_values(table, {{"model", "fault"}, {"scheme", scheme}});
+    EXPECT_NE(none, delayed) << scheme;
+    EXPECT_NE(none, fault) << scheme;
+    EXPECT_NE(delayed, fault) << scheme;
+  }
 }
 
 // --- Figure presets -----------------------------------------------------

@@ -1,20 +1,38 @@
-// Tests for the engine scenario drivers: delay-trace replay and worker churn.
+// Tests for delay traces and for scenario scripts run by the experiment
+// driver: trace replay (a splice that wraps forever), worker churn, drift
+// and correlated bursts.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "core/scheme_cache.hpp"
 #include "engine/delay_trace.hpp"
 #include "engine/scenario.hpp"
+#include "sim/experiment.hpp"
 
 namespace hgc {
 namespace {
 
-using engine::ChurnConfig;
-using engine::ChurnEvent;
 using engine::DelayTrace;
-using engine::TraceReplayConfig;
+using engine::ScenarioScript;
+
+/// The trace-replay scenario: every iteration takes the next trace row,
+/// wrapping around the trace.
+ScenarioScript replay_of(const DelayTrace& trace) {
+  ScenarioScript script;
+  script.splice = trace;
+  script.splice_repeat = 0;
+  return script;
+}
+
+/// The churn scenario: only membership events.
+ScenarioScript churn_of(std::vector<engine::ChurnEvent> events) {
+  ScenarioScript script;
+  script.churn = std::move(events);
+  return script;
+}
 
 TEST(DelayTrace, ParsesCsvWithCommentsAndBlankLines) {
   std::istringstream in(
@@ -109,11 +127,12 @@ TEST(TraceReplay, AbsorbsTracedStragglersLikeTheModel) {
   for (auto& row : rows) row[3] = 5.0;
   const DelayTrace trace(std::move(rows));
 
-  TraceReplayConfig config;
+  ExperimentConfig config;
+  config.iterations = 10;
   config.s = 1;
   config.k = 24;
-  const auto result =
-      engine::replay_trace(SchemeKind::kHeterAware, cluster, trace, config);
+  const auto result = run_experiment(SchemeKind::kHeterAware, cluster, config,
+                                     replay_of(trace));
   EXPECT_EQ(result.iterations, 10u);
   EXPECT_EQ(result.failures, 0u);
   EXPECT_NEAR(result.iteration_time.mean(), ideal_iteration_time(cluster, 1),
@@ -125,48 +144,51 @@ TEST(TraceReplay, FaultRowsKillNaiveButNotCoded) {
   const Cluster cluster = cluster_a();
   std::vector<std::vector<double>> rows(6, std::vector<double>(8, 0.0));
   rows[2][5] = -1.0;  // worker 5 faults on iteration 2 only
-  const DelayTrace trace(std::move(rows));
+  const ScenarioScript script = replay_of(DelayTrace(std::move(rows)));
 
-  TraceReplayConfig config;
+  ExperimentConfig config;
+  config.iterations = 6;
   config.s = 1;
-  const auto results = engine::replay_trace_comparison(
-      {SchemeKind::kNaive, SchemeKind::kHeterAware}, cluster, trace, config);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].failures, 1u);  // naive loses exactly the fault row
-  EXPECT_EQ(results[1].failures, 0u);
+  const auto naive = run_experiment(SchemeKind::kNaive, cluster, config,
+                                    script);
+  const auto coded = run_experiment(SchemeKind::kHeterAware, cluster, config,
+                                    script);
+  EXPECT_EQ(naive.failures, 1u);  // naive loses exactly the fault row
+  EXPECT_EQ(coded.failures, 0u);
 }
 
-TEST(TraceReplay, IterationCountDefaultsToTraceLengthAndWraps) {
+TEST(TraceReplay, WrapsAroundTheTrace) {
   const Cluster cluster = cluster_a();
-  const DelayTrace trace(
-      std::vector<std::vector<double>>(4, std::vector<double>(8, 0.0)));
-  TraceReplayConfig config;
+  const ScenarioScript script = replay_of(DelayTrace(
+      std::vector<std::vector<double>>(4, std::vector<double>(8, 0.0))));
+  ExperimentConfig config;
+  config.iterations = 4;  // one pass
   const auto one_pass =
-      engine::replay_trace(SchemeKind::kCyclic, cluster, trace, config);
+      run_experiment(SchemeKind::kCyclic, cluster, config, script);
   EXPECT_EQ(one_pass.iterations, 4u);
 
   config.iterations = 10;  // wraps around the 4-row trace
   const auto wrapped =
-      engine::replay_trace(SchemeKind::kCyclic, cluster, trace, config);
+      run_experiment(SchemeKind::kCyclic, cluster, config, script);
   EXPECT_EQ(wrapped.iterations, 10u);
   EXPECT_NEAR(wrapped.total_time, 2.5 * one_pass.total_time, 1e-9);
 }
 
 TEST(TraceReplay, RejectsWidthMismatch) {
   const Cluster cluster = cluster_a();  // 8 workers
-  const DelayTrace trace({{0.0, 0.0, 0.0}});
-  EXPECT_THROW(engine::replay_trace(SchemeKind::kCyclic, cluster, trace, {}),
+  EXPECT_THROW(run_experiment(SchemeKind::kCyclic, cluster, {},
+                              replay_of(DelayTrace({{0.0, 0.0, 0.0}}))),
                std::invalid_argument);
 }
 
 TEST(Churn, StableMembershipNeverReinstantiates) {
-  ChurnConfig config;
+  ExperimentConfig config;
   config.iterations = 20;
   config.model.num_stragglers = 1;
   config.model.delay_seconds = 0.2;
   const auto result =
-      engine::run_churn_scenario(SchemeKind::kHeterAware, cluster_a(), config);
-  EXPECT_EQ(result.iterations_run, 20u);
+      run_experiment(SchemeKind::kHeterAware, cluster_a(), config, {});
+  EXPECT_EQ(result.iterations, 20u);
   EXPECT_EQ(result.failures, 0u);
   EXPECT_EQ(result.reinstantiations, 0u);
   EXPECT_EQ(result.epoch_sizes, (std::vector<std::size_t>{8}));
@@ -176,62 +198,53 @@ TEST(Churn, StableMembershipNeverReinstantiates) {
 }
 
 TEST(Churn, LeaveAndJoinEachReinstantiate) {
-  ChurnConfig config;
+  ExperimentConfig config;
   config.iterations = 30;
   // After ~5 virtual seconds worker 7 (the fast one) leaves; later two fresh
   // workers join.
-  config.events.push_back({0.05, false, 7, {}});
-  config.events.push_back({0.30, true, 0, {4, 4.0}});
-  config.events.push_back({0.30, true, 0, {2, 2.0}});
-  const auto result =
-      engine::run_churn_scenario(SchemeKind::kHeterAware, cluster_a(), config);
+  const auto result = run_experiment(
+      SchemeKind::kHeterAware, cluster_a(), config,
+      churn_of({{0.05, false, 7, {}},
+                {0.30, true, 0, {4, 4.0}},
+                {0.30, true, 0, {2, 2.0}}}));
   EXPECT_EQ(result.reinstantiations, 2u);  // both joins land in one rebuild
   EXPECT_EQ(result.epoch_sizes, (std::vector<std::size_t>{8, 7, 9}));
   EXPECT_EQ(result.failures, 0u);
-  EXPECT_EQ(result.iterations_run, 30u);
+  EXPECT_EQ(result.iterations, 30u);
 }
 
 TEST(Churn, DepartedWorkerCanBeNamedByStableId) {
-  ChurnConfig config;
+  ExperimentConfig config;
   config.iterations = 10;
-  config.events.push_back({0.0, true, 0, {8, 8.0}});   // joins as id 8
-  config.events.push_back({0.10, false, 8, {}});       // and leaves again
-  const auto result =
-      engine::run_churn_scenario(SchemeKind::kCyclic, cluster_a(), config);
+  const auto result = run_experiment(
+      SchemeKind::kCyclic, cluster_a(), config,
+      churn_of({{0.0, true, 0, {8, 8.0}},      // joins as id 8
+                {0.10, false, 8, {}}}));       // and leaves again
   EXPECT_EQ(result.reinstantiations, 2u);
   EXPECT_EQ(result.epoch_sizes, (std::vector<std::size_t>{8, 9, 8}));
 }
 
 TEST(Churn, RejectsBadEventStreams) {
-  ChurnConfig config;
+  ExperimentConfig config;
   config.iterations = 5;
-  config.events.push_back({1.0, false, 3, {}});
-  config.events.push_back({0.5, false, 4, {}});  // unsorted
-  EXPECT_THROW(
-      engine::run_churn_scenario(SchemeKind::kCyclic, cluster_a(), config),
-      std::invalid_argument);
-
-  ChurnConfig unknown;
-  unknown.iterations = 5;
-  unknown.events.push_back({0.0, false, 42, {}});  // no such worker
-  EXPECT_THROW(
-      engine::run_churn_scenario(SchemeKind::kCyclic, cluster_a(), unknown),
-      std::invalid_argument);
+  EXPECT_THROW(run_experiment(SchemeKind::kCyclic, cluster_a(), config,
+                              churn_of({{1.0, false, 3, {}},
+                                        {0.5, false, 4, {}}})),  // unsorted
+               std::invalid_argument);
+  EXPECT_THROW(run_experiment(SchemeKind::kCyclic, cluster_a(), config,
+                              churn_of({{0.0, false, 42, {}}})),  // no such id
+               std::invalid_argument);
 }
 
 TEST(Churn, RefusesToShrinkBelowTolerance) {
   const Cluster tiny("tiny", {{1, 1.0}, {1, 1.0}, {1, 1.0}});
-  ChurnConfig config;
+  ExperimentConfig config;
   config.iterations = 5;
   config.s = 1;
-  config.events.push_back({0.0, false, 0, {}});  // 2 left < s + 2
-  EXPECT_THROW(
-      engine::run_churn_scenario(SchemeKind::kCyclic, tiny, config),
-      std::invalid_argument);
+  EXPECT_THROW(run_experiment(SchemeKind::kCyclic, tiny, config,
+                              churn_of({{0.0, false, 0, {}}})),  // 2 < s + 2
+               std::invalid_argument);
 }
-
-using engine::ScenarioScript;
-using engine::ScriptConfig;
 
 TEST(ScenarioScript, DriftRampInterpolatesLinearly) {
   engine::DriftWindow drift;
@@ -248,69 +261,88 @@ TEST(ScenarioScript, DriftRampInterpolatesLinearly) {
 }
 
 TEST(ScenarioScript, EmptyScriptMatchesChurnlessRun) {
-  // A script with no statements beyond the worker count is exactly the
-  // churn driver with no events.
+  // A script with no statements beyond the worker count is exactly a churn
+  // run whose only event never comes due.
   const Cluster cluster = cluster_a();
   ScenarioScript script;
   script.workers = 8;
-  ScriptConfig config;
+  ExperimentConfig config;
   config.iterations = 15;
   config.model.num_stragglers = 1;
   config.model.delay_seconds = 0.2;
-  const auto run = engine::run_script_scenario(SchemeKind::kHeterAware,
-                                               cluster, script, config);
-  ChurnConfig churn_config;
-  churn_config.iterations = 15;
-  churn_config.model = config.model;
-  const auto churn = engine::run_churn_scenario(SchemeKind::kHeterAware,
-                                                cluster, churn_config);
+  const auto run =
+      run_experiment(SchemeKind::kHeterAware, cluster, config, script);
+  const auto churn =
+      run_experiment(SchemeKind::kHeterAware, cluster, config,
+                     churn_of({{1e9, false, 0, {}}}));
   EXPECT_DOUBLE_EQ(run.total_time, churn.total_time);
   EXPECT_EQ(run.failures, churn.failures);
+  EXPECT_EQ(churn.reinstantiations, 0u);
   EXPECT_EQ(run.bursts_started, 0u);
 }
 
 TEST(ScenarioScript, RejectsWorkerCountMismatch) {
   ScenarioScript script;
   script.workers = 4;  // Cluster-A has 8
-  EXPECT_THROW(engine::run_script_scenario(SchemeKind::kCyclic, cluster_a(),
-                                           script, {}),
+  EXPECT_THROW(run_experiment(SchemeKind::kCyclic, cluster_a(), {}, script),
                std::invalid_argument);
   ScenarioScript wide_splice;
   wide_splice.workers = 8;
   wide_splice.splice = DelayTrace({{0.0, 0.0, 0.0}});  // 3 columns
-  EXPECT_THROW(engine::run_script_scenario(SchemeKind::kCyclic, cluster_a(),
-                                           wide_splice, {}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      run_experiment(SchemeKind::kCyclic, cluster_a(), {}, wide_splice),
+      std::invalid_argument);
 }
 
 TEST(ScenarioScript, SpliceOnlyScriptReplaysExactlyLikeTraceReplay) {
-  // With a clean base model, a splice-only script must be the trace-replay
-  // driver: same trace row, same virtual times, iteration for iteration.
+  // With a clean base model, a splice-only script is trace replay: every
+  // iteration is one round under the next trace row, and an undecodable
+  // round costs the master's give-up timeout (the ideal iteration time).
   const Cluster cluster = cluster_a();
   std::vector<std::vector<double>> rows(6, std::vector<double>(8, 0.0));
   for (std::size_t r = 0; r < rows.size(); ++r) rows[r][r % 8] = 0.3;
   rows[2][5] = -1.0;
   const DelayTrace trace(rows);
 
-  ScenarioScript script;
+  ScenarioScript script = replay_of(trace);
   script.workers = 8;
-  script.splice = trace;
-  script.splice_repeat = 0;  // wrap like the replay driver
-  ScriptConfig config;
+  ExperimentConfig config;
   config.iterations = 10;
   config.s = 1;
-  const auto scripted = engine::run_script_scenario(SchemeKind::kHeterAware,
-                                                    cluster, script, config);
+  const double ideal = ideal_iteration_time(cluster, 1);
+  for (SchemeKind kind : {SchemeKind::kHeterAware, SchemeKind::kNaive}) {
+    const auto scripted = run_experiment(kind, cluster, config, script);
 
-  TraceReplayConfig replay_config;
-  replay_config.iterations = 10;
-  replay_config.s = 1;
-  const auto replayed = engine::replay_trace(SchemeKind::kHeterAware,
-                                             cluster, trace, replay_config);
-  EXPECT_EQ(scripted.failures, replayed.failures);
-  EXPECT_DOUBLE_EQ(scripted.iteration_time.mean(),
-                   replayed.iteration_time.mean());
-  EXPECT_DOUBLE_EQ(scripted.total_time, replayed.total_time);
+    Rng construction_rng(config.seed);
+    const auto scheme =
+        make_scheme(kind, cluster.throughputs(), 2 * cluster.size(), config.s,
+                    construction_rng);
+    RunningStats times;
+    std::size_t failures = 0;
+    double total_time = 0.0;
+    for (std::size_t i = 0; i < config.iterations; ++i) {
+      const IterationResult round =
+          simulate_iteration(*scheme, cluster, trace.conditions(i));
+      if (!round.decoded) {
+        ++failures;
+        total_time += ideal;
+        continue;
+      }
+      times.add(round.time);
+      total_time += round.time;
+    }
+    EXPECT_EQ(scripted.failures, failures) << to_string(kind);
+    EXPECT_EQ(scripted.iteration_time, times) << to_string(kind);
+    EXPECT_DOUBLE_EQ(scripted.total_time, total_time) << to_string(kind);
+    if (kind == SchemeKind::kNaive) {
+      // Rows 2 and 8 fault worker 5, which naive cannot mask; each one
+      // adds exactly one give-up timeout to the decoded rounds' time.
+      EXPECT_EQ(scripted.failures, 2u);
+      EXPECT_NEAR(scripted.total_time, times.sum() + 2.0 * ideal, 1e-12);
+    } else {
+      EXPECT_EQ(scripted.failures, 0u);
+    }
+  }
 }
 
 TEST(ScenarioScript, SpliceRepeatStopsContributingAfterItsPasses) {
@@ -325,21 +357,21 @@ TEST(ScenarioScript, SpliceRepeatStopsContributingAfterItsPasses) {
   once.workers = 8;
   once.splice = DelayTrace({row});
   once.splice_repeat = 1;
-  ScriptConfig config;
+  ExperimentConfig config;
   config.iterations = 4;
   config.s = 1;
   config.k = 24;
-  const auto one_pass = engine::run_script_scenario(SchemeKind::kNaive,
-                                                    cluster, once, config);
+  const auto one_pass =
+      run_experiment(SchemeKind::kNaive, cluster, config, once);
 
   ScenarioScript forever = once;
   forever.splice_repeat = 0;
-  const auto wrapped = engine::run_script_scenario(SchemeKind::kNaive,
-                                                   cluster, forever, config);
+  const auto wrapped =
+      run_experiment(SchemeKind::kNaive, cluster, config, forever);
   ScenarioScript clean;
   clean.workers = 8;
-  const auto baseline = engine::run_script_scenario(SchemeKind::kNaive,
-                                                    cluster, clean, config);
+  const auto baseline =
+      run_experiment(SchemeKind::kNaive, cluster, config, clean);
   // Naive cannot mask the straggler: every wrapped round pays the delayed
   // time D, while one pass pays D once and the clean time C three times.
   const double d = wrapped.total_time / 4.0;
@@ -362,16 +394,16 @@ TEST(ScenarioScript, DriftSlowsTheDriftedWorker) {
   drift.t1 = 1.0;
   script.drifts = {drift};
 
-  ScriptConfig config;
+  ExperimentConfig config;
   config.iterations = 8;
   config.s = 1;
   config.k = 24;
-  const auto drifted = engine::run_script_scenario(SchemeKind::kNaive,
-                                                   cluster, script, config);
+  const auto drifted =
+      run_experiment(SchemeKind::kNaive, cluster, config, script);
   ScenarioScript clean;
   clean.workers = 8;
-  const auto baseline = engine::run_script_scenario(SchemeKind::kNaive,
-                                                    cluster, clean, config);
+  const auto baseline =
+      run_experiment(SchemeKind::kNaive, cluster, config, clean);
   EXPECT_GT(drifted.iteration_time.mean(),
             5.0 * baseline.iteration_time.mean());
 }
@@ -391,11 +423,11 @@ TEST(ScenarioScript, CorrelatedFaultBurstOverwhelmsToleranceButNotTimeout) {
   burst.fault = true;
   script.bursts = {burst};
 
-  ScriptConfig config;
+  ExperimentConfig config;
   config.iterations = 6;
   config.s = 1;
-  const auto run = engine::run_script_scenario(SchemeKind::kHeterAware,
-                                               cluster, script, config);
+  const auto run =
+      run_experiment(SchemeKind::kHeterAware, cluster, config, script);
   EXPECT_EQ(run.failures, 6u);
   EXPECT_EQ(run.bursts_started, 1u);
   EXPECT_NEAR(run.total_time, 6.0 * ideal_iteration_time(cluster, 1), 1e-9);
@@ -414,20 +446,20 @@ TEST(ScenarioScript, CorrelatedDelayBurstIsAbsorbedWithinTolerance) {
   burst.delay = 10.0;
   script.bursts = {burst};
 
-  ScriptConfig config;
+  ExperimentConfig config;
   config.iterations = 10;
   config.s = 1;
   config.k = 24;
-  const auto run = engine::run_script_scenario(SchemeKind::kHeterAware,
-                                               cluster, script, config);
+  const auto run =
+      run_experiment(SchemeKind::kHeterAware, cluster, config, script);
   EXPECT_EQ(run.failures, 0u);
   EXPECT_EQ(run.bursts_started, 1u);
   EXPECT_NEAR(run.iteration_time.mean(), ideal_iteration_time(cluster, 1),
               1e-9);
 }
 
-TEST(ScenarioScript, DeterministicForFixedSeed) {
-  const Cluster cluster = cluster_a();
+/// A script exercising every feature: bursts, drift and one churn leave.
+ScenarioScript busy_script() {
   ScenarioScript script;
   script.workers = 8;
   engine::CorrelatedStragglers burst;
@@ -444,15 +476,20 @@ TEST(ScenarioScript, DeterministicForFixedSeed) {
   drift.t1 = 0.5;
   script.drifts = {drift};
   script.churn.push_back({0.2, false, 7, {}});
+  return script;
+}
 
-  ScriptConfig config;
+TEST(ScenarioScript, DeterministicForFixedSeed) {
+  const Cluster cluster = cluster_a();
+  const ScenarioScript script = busy_script();
+  ExperimentConfig config;
   config.iterations = 25;
   config.model.fluctuation_sigma = 0.05;
   config.seed = 7;
-  const auto a = engine::run_script_scenario(SchemeKind::kHeterAware,
-                                             cluster, script, config);
-  const auto b = engine::run_script_scenario(SchemeKind::kHeterAware,
-                                             cluster, script, config);
+  const auto a = run_experiment(SchemeKind::kHeterAware, cluster, config,
+                                script);
+  const auto b = run_experiment(SchemeKind::kHeterAware, cluster, config,
+                                script);
   EXPECT_DOUBLE_EQ(a.total_time, b.total_time);
   EXPECT_EQ(a.bursts_started, b.bursts_started);
   EXPECT_EQ(a.reinstantiations, 1u);
@@ -460,18 +497,66 @@ TEST(ScenarioScript, DeterministicForFixedSeed) {
 }
 
 TEST(Churn, DeterministicForFixedSeed) {
-  ChurnConfig config;
+  ExperimentConfig config;
   config.iterations = 25;
   config.model.num_stragglers = 1;
   config.model.fluctuation_sigma = 0.05;
-  config.events.push_back({0.10, false, 2, {}});
+  const ScenarioScript script = churn_of({{0.10, false, 2, {}}});
   const auto a =
-      engine::run_churn_scenario(SchemeKind::kHeterAware, cluster_a(), config);
+      run_experiment(SchemeKind::kHeterAware, cluster_a(), config, script);
   const auto b =
-      engine::run_churn_scenario(SchemeKind::kHeterAware, cluster_a(), config);
+      run_experiment(SchemeKind::kHeterAware, cluster_a(), config, script);
   EXPECT_DOUBLE_EQ(a.total_time, b.total_time);
   EXPECT_EQ(a.reinstantiations, b.reinstantiations);
   EXPECT_DOUBLE_EQ(a.latency.p95(), b.latency.p95());
+}
+
+/// Every SchemeSummary field, compared exactly.
+void expect_same_summary(const SchemeSummary& a, const SchemeSummary& b) {
+  EXPECT_EQ(a.scheme, b.scheme);
+  EXPECT_EQ(a.iteration_time, b.iteration_time);
+  EXPECT_EQ(a.resource_usage, b.resource_usage);
+  EXPECT_EQ(a.latency, b.latency);
+  EXPECT_EQ(a.failures, b.failures);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.reinstantiations, b.reinstantiations);
+  EXPECT_EQ(a.bursts_started, b.bursts_started);
+  EXPECT_EQ(a.total_time, b.total_time);
+  EXPECT_EQ(a.epoch_sizes, b.epoch_sizes);
+  EXPECT_EQ(a.decode_hits, b.decode_hits);
+  EXPECT_EQ(a.decode_misses, b.decode_misses);
+}
+
+TEST(ScenarioScript, SchemeCacheIsTransparentWithAndWithoutChurn) {
+  // A churn-free script reads its scheme from the shared cache; a churn
+  // script bypasses it (its rebuilds continue the construction stream).
+  // Either way the summary must equal the cache-off run field for field,
+  // with estimation noise on so the cache key carries drawn estimates.
+  const Cluster cluster = cluster_a();
+  ExperimentConfig config;
+  config.iterations = 30;
+  config.model.num_stragglers = 1;
+  config.model.delay_seconds = 0.1;
+  config.model.fluctuation_sigma = 0.05;
+  config.estimation_sigma = 0.2;
+  config.decoding_cache_capacity = 16;
+  ScenarioScript no_churn = busy_script();
+  no_churn.churn.clear();
+  const ScenarioScript churn = busy_script();
+
+  SchemeCache cache;
+  ExperimentConfig cached = config;
+  cached.scheme_cache = &cache;
+  for (SchemeKind kind : {SchemeKind::kCyclic, SchemeKind::kHeterAware,
+                          SchemeKind::kGroupBased}) {
+    const std::size_t misses = cache.misses();
+    expect_same_summary(run_experiment(kind, cluster, cached, no_churn),
+                        run_experiment(kind, cluster, config, no_churn));
+    EXPECT_EQ(cache.misses(), misses + 1) << to_string(kind);
+    expect_same_summary(run_experiment(kind, cluster, cached, churn),
+                        run_experiment(kind, cluster, config, churn));
+    EXPECT_EQ(cache.misses(), misses + 1) << to_string(kind);
+  }
 }
 
 }  // namespace

@@ -214,13 +214,13 @@ TEST(Experiment, FairnessContractIdenticalConditionsAcrossSchemes) {
   config.estimation_sigma = 0.2;
 
   std::vector<IterationConditions> base_log;
-  run_experiment(SchemeKind::kNaive, cluster, config, &base_log);
+  run_experiment(SchemeKind::kNaive, cluster, config, {}, &base_log);
   ASSERT_EQ(base_log.size(), 40u);
 
   for (SchemeKind kind : {SchemeKind::kCyclic, SchemeKind::kHeterAware,
                           SchemeKind::kGroupBased}) {
     std::vector<IterationConditions> log;
-    run_experiment(kind, cluster, config, &log);
+    run_experiment(kind, cluster, config, {}, &log);
     ASSERT_EQ(log.size(), base_log.size()) << to_string(kind);
     for (std::size_t i = 0; i < log.size(); ++i) {
       EXPECT_EQ(log[i].speed_factor, base_log[i].speed_factor)
