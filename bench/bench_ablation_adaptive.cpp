@@ -9,7 +9,11 @@
 //  (1) cold start: the master knows nothing (uniform estimates) and must
 //      learn Cluster-A's heterogeneity from per-iteration telemetry;
 //  (2) drift: the 12-vCPU worker permanently slows 4× mid-run while
-//      transient stragglers keep contending for the straggler budget.
+//      transient stragglers keep contending for the straggler budget. The
+//      slowdown is a virtual-time engine::DriftWindow in the run's
+//      ScenarioScript, opening after iters/3 ideal iterations' worth of time.
+// Every cell is one sim::run_experiment with an AdaptiveRecoder hook; a
+// single round is engine::run_round.
 #include <iostream>
 
 #include "exec/figures.hpp"
@@ -39,7 +43,11 @@ int main(int argc, char** argv) {
 
   const exec::ResultTable table =
       exec::run_figure(exec::adaptive_sweep(iterations), options);
-  const std::size_t w = iterations / 5;
+  // The five windows partition [0, iterations).
+  const auto window = [iterations](std::size_t i) {
+    return std::to_string(i * iterations / 5) + ".." +
+           std::to_string((i + 1) * iterations / 5);
+  };
 
   {
     std::cout << "--- Cold start: uniform initial estimates, EWMA telemetry, "
@@ -49,7 +57,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < 5; ++i) {
       const std::string metric = "w" + std::to_string(i);
       printer.add_row(
-          {std::to_string(i * w) + ".." + std::to_string((i + 1) * w),
+          {window(i),
            TablePrinter::num(
                window_metric(table, "cold-start", "static", metric), 4),
            TablePrinter::num(
@@ -66,13 +74,15 @@ int main(int argc, char** argv) {
 
   {
     std::cout << "--- Drift: worker " << cluster.size() - 1
-              << " (12 vCPUs) slows 4x at iteration " << iterations / 3
-              << ", transient straggler every iteration ---\n\n";
+              << " (12 vCPUs) slows 4x at virtual time "
+              << TablePrinter::num(
+                     static_cast<double>(iterations / 3) * ideal, 3)
+              << " s, transient straggler every iteration ---\n\n";
     TablePrinter printer({"window (iters)", "static", "adaptive"});
     for (std::size_t i = 0; i < 5; ++i) {
       const std::string metric = "w" + std::to_string(i);
       printer.add_row(
-          {std::to_string(i * w) + ".." + std::to_string((i + 1) * w),
+          {window(i),
            TablePrinter::num(window_metric(table, "drift", "static", metric),
                              4),
            TablePrinter::num(

@@ -1,7 +1,8 @@
 // One coded aggregation round as a cast of engine actors.
 //
-// This is the event-driven replacement for the bespoke sort-and-scan loops
-// that used to live in sim/iteration.cpp and net/coded_round.cpp: every
+// This is the one round call: sim::run_experiment (and the coded trainer
+// hooked onto it), the networked trainer and the `loss` figure cell all run
+// their rounds through run_round. Every
 // WorkerActor computes, waits out its injected delay, and ships its coded
 // result through a Link; the MasterActor feeds arrivals to a StreamingDecoder
 // and stops the clock at the first decodable prefix. Equal arrival times

@@ -9,12 +9,14 @@
 
 #include "ml/dataset.hpp"
 #include "ml/model.hpp"
-#include "net/coded_round.hpp"
+#include "engine/link.hpp"
+#include "engine/round.hpp"
 #include "net/network.hpp"
 #include "runtime/sim_trainer.hpp"
 #include "runtime/ssp_trainer.hpp"
 #include "scenario/dsl.hpp"
 #include "sim/adaptive.hpp"
+#include "sim/experiment.hpp"
 #include "sim/iteration.hpp"
 #include "sim/layerwise.hpp"
 #include "util/args.hpp"
@@ -29,10 +31,9 @@ namespace {
 /// Curve points → flat metrics (t<i>, loss<i>), plus the final summary.
 void emit_trace(const LossTrace& trace, CellResult& result) {
   for (std::size_t i = 0; i < trace.points.size(); ++i) {
-    result.metrics.emplace_back("t" + std::to_string(i),
-                                trace.points[i].time);
-    result.metrics.emplace_back("loss" + std::to_string(i),
-                                trace.points[i].loss);
+    const std::string index = std::to_string(i);
+    result.metrics.emplace_back("t" + index, trace.points[i].time);
+    result.metrics.emplace_back("loss" + index, trace.points[i].loss);
   }
   result.metrics.emplace_back("final_time", trace.total_time());
   result.metrics.emplace_back("final_loss", trace.final_loss());
@@ -290,6 +291,10 @@ FigureSweep loss_sweep(std::size_t iterations) {
     std::vector<Vector> local = grads;
     local.resize(scheme->num_partitions(), Vector(8, 0.1));
     SimulatedNetwork network(m + 1, {0.001, 1e8, drop}, Rng(31));
+    // Real wire frames over the lossy network.
+    engine::NetworkLink link(network);
+    engine::RoundOptions options{.partition_gradients = &local,
+                                 .wire_frames = true};
     StragglerModel model;
     model.fluctuation_sigma = 0.02;
     Rng condition_rng(37);
@@ -299,8 +304,9 @@ FigureSweep loss_sweep(std::size_t iterations) {
     const std::size_t iters = cell.experiment.iterations;
     for (std::size_t iter = 0; iter < iters; ++iter) {
       const auto cond = model.draw(m, condition_rng);
+      options.iteration = iter;
       const auto round =
-          run_coded_round(*scheme, cluster, cond, local, network, iter);
+          engine::run_round(*scheme, cluster, cond, link, options);
       if (round.decoded)
         times.add(round.time);
       else
@@ -376,30 +382,35 @@ FigureSweep adaptive_sweep(std::size_t iterations) {
   figure.fn = [](const Cell& cell) {
     const Cluster& cluster = *cell.cluster;
     const std::size_t iters = cell.experiment.iterations;
-    const bool drift = cell.custom.at(0) > 0.5;
-    const bool adaptive = cell.custom.at(1) > 0.5;
-    AdaptiveConfig config;
+    ExperimentConfig config;
     config.iterations = iters;
     config.k = 48;
-    config.recode_every = adaptive ? 10 : 0;
     config.seed = cell.experiment.seed;
-    if (drift) {
-      config.initial_estimates = cluster.throughputs();
+    AdaptivePolicy policy;
+    policy.recode_every = cell.custom.at(1) > 0.5 ? 10 : 0;
+    engine::ScenarioScript script;
+    if (cell.custom.at(0) > 0.5) {
+      // Warm start; the fastest worker slows 4x once a third of the ideal
+      // run has elapsed on the virtual clock.
+      const double ideal = ideal_iteration_time(cluster, config.s);
+      policy.initial_estimates = cluster.throughputs();
       config.model.num_stragglers = 1;
-      config.model.delay_seconds =
-          4.0 * ideal_iteration_time(cluster, config.s);
-      config.drift.at_iteration = iters / 3;
-      config.drift.worker = cluster.size() - 1;
-      config.drift.factor = 0.25;
+      config.model.delay_seconds = 4.0 * ideal;
+      const double at = static_cast<double>(iters / 3) * ideal;
+      script.drifts = {{cluster.size() - 1, 1.0, 0.25, at, at}};
     }
-    const AdaptiveResult run = run_adaptive(cluster, config);
+    AdaptiveRecoder recoder(policy, cluster.size());
+    const SchemeSummary run =
+        run_experiment(cell.scheme, cluster, config, script, recoder.hook());
     CellResult result;
-    const std::size_t w = std::max<std::size_t>(1, iters / 5);
+    // Five windows partitioning [0, iters); NaN where none decoded.
     for (std::size_t i = 0; i < 5; ++i)
-      result.metrics.emplace_back("w" + std::to_string(i),
-                                  run.window_mean(i * w, (i + 1) * w));
+      result.metrics.emplace_back(
+          "w" + std::to_string(i),
+          window_mean(recoder.iteration_times(), i * iters / 5,
+                      (i + 1) * iters / 5));
     result.metrics.emplace_back("recodes",
-                                static_cast<double>(run.recodes));
+                                static_cast<double>(run.reinstantiations));
     result.metrics.emplace_back("failures",
                                 static_cast<double>(run.failures));
     return result;

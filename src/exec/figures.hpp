@@ -57,7 +57,7 @@ FigureSweep table2_sweep();
 SweepGrid sigma_grid(std::size_t iterations, std::size_t num_seeds);
 
 /// Message-loss ablation: drop probability × schemes over the real wire
-/// stack (custom cell body running net/coded_round).
+/// stack (custom cell body running engine::run_round over wire frames).
 FigureSweep loss_sweep(std::size_t iterations);
 
 /// Layerwise ablation: transfer/compute ratio × layer count, heter-aware on

@@ -2,8 +2,9 @@
 //
 // Message loss is one more way a result can "straggle forever": gradient
 // coding absorbs up to s lost results per iteration with zero retransmission
-// machinery, which run_coded_round() demonstrates end to end (serialize →
-// transmit → maybe drop → parse → streaming decode).
+// machinery, which engine::run_round over an engine::NetworkLink with wire
+// frames demonstrates end to end (serialize → transmit → maybe drop → parse
+// → streaming decode).
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include "runtime/networked_trainer.hpp"
 
-#include "net/coded_round.hpp"
+#include "engine/link.hpp"
+#include "engine/round.hpp"
 #include "sim/iteration.hpp"
 #include "util/error.hpp"
 
@@ -25,6 +26,8 @@ NetworkedTrainingResult train_bsp_networked(
       partition_rows(data.size(), scheme->num_partitions());
 
   SimulatedNetwork network(m + 1, config.link, Rng(config.seed + 0x2222));
+  engine::NetworkLink link(network);
+  engine::RoundOptions options{.wire_frames = true};
 
   Vector params = model.init_params(init_rng);
   SgdOptimizer optimizer(config.sgd, params.size());
@@ -38,14 +41,16 @@ NetworkedTrainingResult train_bsp_networked(
   for (std::size_t iter = 1; iter <= config.iterations; ++iter) {
     const auto grads =
         all_partition_gradients(model, data, partitions, params);
+    options.partition_gradients = &grads;
+    options.iteration = iter;
 
     bool stepped = false;
     for (std::size_t attempt = 0; attempt < config.max_round_retries;
          ++attempt) {
       const IterationConditions conditions =
           config.straggler_model.draw(m, condition_rng);
-      const NetworkRoundResult round = run_coded_round(
-          *scheme, cluster, conditions, grads, network, iter);
+      const engine::RoundOutcome round =
+          engine::run_round(*scheme, cluster, conditions, link, options);
       result.messages_dropped += round.dropped;
       if (!round.decoded) {
         ++result.rounds_retried;

@@ -1,8 +1,11 @@
 #include "runtime/sim_trainer.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "core/coding_scheme.hpp"
+#include "sim/experiment.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
@@ -11,21 +14,15 @@ BspTrainingResult train_bsp_coded(SchemeKind kind, const Cluster& cluster,
                                   const Model& model, const Dataset& data,
                                   std::size_t k, std::size_t s,
                                   const BspTrainingConfig& config) {
-  const std::size_t m = cluster.size();
-  HGC_REQUIRE(config.iterations > 0, "need at least one iteration");
   HGC_REQUIRE(config.record_every > 0, "record_every must be positive");
-
-  Rng construction_rng(config.seed);
-  Rng estimation_rng(config.seed + 0x9e37);
-  Rng condition_rng(config.seed + 0x79b9);
-
-  const Throughputs truth = cluster.throughputs();
-  const Throughputs estimated =
-      estimate_throughputs(truth, config.estimation_sigma, estimation_rng);
-  const auto scheme = make_scheme(kind, estimated, k, s, construction_rng);
-  // Baselines choose their own partition count (naive/cyclic use k = m).
-  const std::size_t scheme_k = scheme->num_partitions();
-  const auto partitions = partition_rows(data.size(), scheme_k);
+  ExperimentConfig experiment;
+  experiment.k = k;
+  experiment.s = s;
+  experiment.model = config.straggler_model;
+  experiment.estimation_sigma = config.estimation_sigma;
+  experiment.iterations = config.iterations;
+  experiment.seed = config.seed;
+  experiment.sim = config.sim;
 
   Rng init_rng(config.seed + 0x1111);
   Vector params = model.init_params(init_rng);
@@ -33,39 +30,46 @@ BspTrainingResult train_bsp_coded(SchemeKind kind, const Cluster& cluster,
   const double inv_n = 1.0 / static_cast<double>(data.size());
 
   BspTrainingResult result;
-  result.trace.label = scheme->name();
   double clock = 0.0;
   result.trace.points.push_back({0.0, mean_loss(model, data, params), 0});
+  std::vector<std::vector<std::size_t>> partitions;
 
-  for (std::size_t iter = 1; iter <= config.iterations; ++iter) {
-    const IterationConditions conditions =
-        config.straggler_model.draw(m, condition_rng);
-    const IterationResult sim_result =
-        simulate_iteration(*scheme, cluster, conditions, config.sim);
-    if (!sim_result.decoded) {
-      // The iteration never completes (e.g. naive + fault): the clock would
-      // stall forever, so the run ends here.
+  RoundHook hook;
+  hook.after_round =
+      [&](const RoundView& round) -> std::optional<Throughputs> {
+    // An undecodable iteration never completes (e.g. naive + fault): the
+    // clock would stall forever, so training ends at the first one.
+    if (result.failed_iterations > 0) return std::nullopt;
+    if (!round.outcome.decoded) {
       ++result.failed_iterations;
-      break;
+      return std::nullopt;
     }
-    clock += sim_result.time;
+    clock += round.outcome.time;
 
     // Real coded exchange: partition gradients -> worker encodings ->
-    // master combination with the decode-time coefficients.
+    // master combination with the decode-time coefficients. Baselines
+    // choose their own partition count (naive/cyclic use k = m).
+    const CodingScheme& scheme = round.scheme;
+    if (partitions.empty())
+      partitions = partition_rows(data.size(), scheme.num_partitions());
     const auto grads =
         all_partition_gradients(model, data, partitions, params);
-    std::vector<Vector> coded(m);
-    const Vector& coefficients = *sim_result.coefficients;
-    for (WorkerId w = 0; w < m; ++w)
-      if (coefficients[w] != 0.0) coded[w] = encode_gradient(*scheme, w, grads);
+    std::vector<Vector> coded(scheme.num_workers());
+    const Vector& coefficients = *round.outcome.coefficients;
+    for (WorkerId w = 0; w < coded.size(); ++w)
+      if (coefficients[w] != 0.0) coded[w] = encode_gradient(scheme, w, grads);
     Vector aggregate = combine_coded_gradients(coefficients, coded);
     scale(inv_n, aggregate);  // sum over samples -> mean gradient
     optimizer.step(params, aggregate);
 
+    const std::size_t iter = round.iteration + 1;
     if (iter % config.record_every == 0 || iter == config.iterations)
       result.trace.points.push_back(
           {clock, mean_loss(model, data, params), iter});
-  }
+    return std::nullopt;
+  };
+  result.trace.label =
+      run_experiment(kind, cluster, experiment, {}, hook).scheme;
 
   result.final_accuracy =
       model.accuracy(data, all_rows(data.size()), params);

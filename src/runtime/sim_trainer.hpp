@@ -4,7 +4,9 @@
 // worker's coded message is a genuine linear combination of its partition
 // gradients at the current parameters, the master combines the messages that
 // had arrived at the simulated decode time — while the clock advances by the
-// simulator's iteration time. BSP exactness means every scheme follows the
+// simulator's iteration time. The coded trainer is a RoundHook on
+// sim::run_experiment, so its rounds are that loop's rounds (same seed
+// streams, same conditions). BSP exactness means every scheme follows the
 // same loss-per-iteration path; schemes differ in how fast the clock moves,
 // which is precisely the effect Fig. 4 plots.
 #pragma once
@@ -42,7 +44,7 @@ struct BspTrainingResult {
 };
 
 /// Train `model` on `data` under `kind`'s coding scheme on `cluster` with k
-/// partitions and straggler tolerance s.
+/// partitions (0 = 2m) and straggler tolerance s.
 BspTrainingResult train_bsp_coded(SchemeKind kind, const Cluster& cluster,
                                   const Model& model, const Dataset& data,
                                   std::size_t k, std::size_t s,

@@ -1,87 +1,65 @@
 #include "sim/adaptive.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "util/error.hpp"
+#include "util/stats.hpp"
 
 namespace hgc {
 
-double AdaptiveResult::window_mean(std::size_t begin, std::size_t end) const {
-  HGC_REQUIRE(begin <= end && end <= iteration_times.size(),
-              "window out of range");
-  RunningStats stats;
-  for (std::size_t i = begin; i < end; ++i)
-    if (std::isfinite(iteration_times[i])) stats.add(iteration_times[i]);
-  return stats.mean();
+AdaptiveRecoder::AdaptiveRecoder(const AdaptivePolicy& policy,
+                                 std::size_t num_workers)
+    : policy_(policy),
+      estimator_(policy.initial_estimates.empty()
+                     ? Throughputs(num_workers, 1.0)
+                     : policy.initial_estimates,
+                 policy.ewma_smoothing),
+      basis_(estimator_.estimates()) {
+  HGC_REQUIRE(basis_.size() == num_workers, "initial estimates size mismatch");
 }
 
-AdaptiveResult run_adaptive(const Cluster& cluster,
-                            const AdaptiveConfig& config) {
-  const std::size_t m = cluster.size();
-  HGC_REQUIRE(config.iterations > 0, "need at least one iteration");
-  const std::size_t k = config.k == 0 ? 2 * m : config.k;
+RoundHook AdaptiveRecoder::hook() {
+  return {basis_, [this](const RoundView& round) { return after_round(round); }};
+}
 
-  Rng construction_rng(config.seed);
-  Rng condition_rng(config.seed + 0x79b9);
+std::optional<Throughputs> AdaptiveRecoder::after_round(
+    const RoundView& round) {
+  const engine::RoundOutcome& outcome = round.outcome;
+  const CodingScheme& scheme = round.scheme;
+  HGC_REQUIRE(scheme.num_workers() == estimator_.num_workers(),
+              "adaptive re-coding needs a fixed worker set");
+  times_.push_back(outcome.decoded ? outcome.time
+                                   : std::numeric_limits<double>::infinity());
 
-  // The master's belief about worker speeds; cold start = uniform.
-  Throughputs initial = config.initial_estimates;
-  if (initial.empty()) initial.assign(m, 1.0);
-  HGC_REQUIRE(initial.size() == m, "initial estimates size mismatch");
-  ThroughputEstimator estimator(initial, config.ewma_smoothing);
-
-  Throughputs scheme_basis = estimator.estimates();
-  auto scheme =
-      make_scheme(config.kind, scheme_basis, k, config.s, construction_rng);
-
-  AdaptiveResult result;
-  result.iteration_times.reserve(config.iterations);
-
-  for (std::size_t iter = 1; iter <= config.iterations; ++iter) {
-    IterationConditions conditions = config.model.draw(m, condition_rng);
-    // Apply the permanent drift on top of the transient fluctuation.
-    if (config.drift.at_iteration > 0 && iter >= config.drift.at_iteration) {
-      HGC_REQUIRE(config.drift.worker < m, "drift worker out of range");
-      conditions.speed_factor[config.drift.worker] *= config.drift.factor;
-    }
-
-    const IterationResult sim_result =
-        simulate_iteration(*scheme, cluster, conditions, config.sim);
-    if (!sim_result.decoded) {
-      ++result.failures;
-      result.iteration_times.push_back(
-          std::numeric_limits<double>::infinity());
-    } else {
-      result.iteration_times.push_back(sim_result.time);
-      result.overall.add(sim_result.time);
-    }
-
-    // Telemetry: observed compute durations update the estimator (workers
-    // report their own compute time with the result / heartbeat).
-    for (WorkerId w = 0; w < m; ++w) {
-      const double seconds = sim_result.compute_times[w];
-      if (!std::isfinite(seconds)) continue;
-      const double fraction = static_cast<double>(scheme->load(w)) /
-                              static_cast<double>(scheme->num_partitions());
-      estimator.observe(w, fraction, seconds);
-    }
-
-    // Periodic re-code when the belief drifted enough.
-    if (config.recode_every > 0 && iter % config.recode_every == 0) {
-      if (estimator.relative_deviation(scheme_basis) >
-          config.recode_threshold) {
-        scheme_basis = estimator.estimates();
-        scheme = make_scheme(config.kind, scheme_basis, k, config.s,
-                             construction_rng);
-        ++result.recodes;
-      }
-    }
+  // Telemetry: observed compute durations update the estimator (workers
+  // report their own compute time with the result / heartbeat).
+  for (WorkerId w = 0; w < scheme.num_workers(); ++w) {
+    const double seconds = outcome.compute_times[w];
+    if (!std::isfinite(seconds)) continue;
+    const double fraction = static_cast<double>(scheme.load(w)) /
+                            static_cast<double>(scheme.num_partitions());
+    estimator_.observe(w, fraction, seconds);
   }
 
-  result.final_estimates = estimator.estimates();
-  return result;
+  // Periodic re-code when the belief drifted enough.
+  const bool check = policy_.recode_every > 0 &&
+                     (round.iteration + 1) % policy_.recode_every == 0;
+  if (!check ||
+      !(estimator_.relative_deviation(basis_) > policy_.recode_threshold))
+    return std::nullopt;
+  basis_ = estimator_.estimates();
+  return basis_;
+}
+
+double window_mean(const std::vector<double>& times, std::size_t begin,
+                   std::size_t end) {
+  HGC_REQUIRE(begin <= end && end <= times.size(), "window out of range");
+  RunningStats stats;
+  for (std::size_t i = begin; i < end; ++i)
+    if (std::isfinite(times[i])) stats.add(times[i]);
+  return stats.count() == 0 ? std::numeric_limits<double>::quiet_NaN()
+                            : stats.mean();
 }
 
 }  // namespace hgc

@@ -4,36 +4,23 @@
 // adds the operational layer a deployment needs: start from *no knowledge*
 // (uniform estimates), observe per-iteration compute times, update an EWMA
 // estimator, and periodically rebuild the heterogeneity-aware code when the
-// estimates have drifted past a threshold. Handles both cold start (learning
-// the cluster's heterogeneity from scratch) and drift (a worker permanently
-// slowing mid-run, e.g. a noisy neighbor).
+// estimates have drifted past a threshold. It is a RoundHook on
+// run_experiment, so an adaptive run draws the same conditions as a static
+// one; drift (a worker slowing mid-run, e.g. a noisy neighbour) is a
+// virtual-time engine::DriftWindow in the run's ScenarioScript.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
+#include <optional>
 #include <vector>
 
-#include "cluster/cluster.hpp"
 #include "cluster/estimator.hpp"
-#include "cluster/straggler.hpp"
-#include "core/scheme_factory.hpp"
-#include "sim/iteration.hpp"
-#include "util/stats.hpp"
+#include "sim/experiment.hpp"
 
 namespace hgc {
 
-/// A permanent mid-run change to one worker's true speed.
-struct DriftEvent {
-  std::size_t at_iteration = 0;  ///< 0 = no drift
-  WorkerId worker = 0;
-  double factor = 1.0;  ///< multiplies the worker's true throughput
-};
-
-/// Configuration of an adaptive run.
-struct AdaptiveConfig {
-  std::size_t iterations = 300;
-  std::size_t s = 1;
-  std::size_t k = 0;  ///< 0 = 2m
-  SchemeKind kind = SchemeKind::kHeterAware;
+/// When and how the master re-codes.
+struct AdaptivePolicy {
   /// Re-examine the estimates every this many iterations (0 = never, i.e. a
   /// static scheme built from the initial estimates).
   std::size_t recode_every = 20;
@@ -43,28 +30,38 @@ struct AdaptiveConfig {
   double ewma_smoothing = 0.25;
   /// Initial throughput estimates; empty = uniform (cold start).
   Throughputs initial_estimates;
-  StragglerModel model;
-  SimParams sim;
-  DriftEvent drift;
-  std::uint64_t seed = 42;
 };
 
-/// Outcome of an adaptive run.
-struct AdaptiveResult {
-  std::vector<double> iteration_times;  ///< +inf where undecodable
-  RunningStats overall;                 ///< decodable iterations only
-  std::size_t recodes = 0;              ///< scheme rebuilds performed
-  std::size_t failures = 0;
-  Throughputs final_estimates;
+/// The adaptive re-coding state of one run over `num_workers` workers: an
+/// EWMA ThroughputEstimator fed with every round's compute times, and the
+/// per-round times it saw.
+class AdaptiveRecoder {
+ public:
+  AdaptiveRecoder(const AdaptivePolicy& policy, std::size_t num_workers);
+  AdaptiveRecoder(const AdaptiveRecoder&) = delete;  // hooks point at it
+  AdaptiveRecoder& operator=(const AdaptiveRecoder&) = delete;
 
-  /// Mean iteration time over [begin, end) of the run (skips failures).
-  double window_mean(std::size_t begin, std::size_t end) const;
+  /// The hook to pass to run_experiment; it refers to this recoder, which
+  /// must outlive the run.
+  RoundHook hook();
+
+  /// Per-round decode times so far; +inf where undecodable.
+  const std::vector<double>& iteration_times() const { return times_; }
+  /// The master's current belief about worker speeds.
+  const Throughputs& estimates() const { return estimator_.estimates(); }
+
+ private:
+  std::optional<Throughputs> after_round(const RoundView& round);
+
+  AdaptivePolicy policy_;
+  ThroughputEstimator estimator_;
+  Throughputs basis_;  ///< the estimates the current scheme was built from
+  std::vector<double> times_;
 };
 
-/// Run the adaptive executor on `cluster` (true speeds, unknown to the
-/// master). With recode_every = 0 this measures the static baseline under
-/// identical conditions.
-AdaptiveResult run_adaptive(const Cluster& cluster,
-                            const AdaptiveConfig& config);
+/// Mean of the finite entries of times[begin, end); NaN when the window
+/// holds none (empty, or every round undecodable).
+double window_mean(const std::vector<double>& times, std::size_t begin,
+                   std::size_t end);
 
 }  // namespace hgc

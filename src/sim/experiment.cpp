@@ -55,7 +55,7 @@ std::size_t exact_partition_count(const Cluster& cluster, std::size_t s,
 SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
                              const ExperimentConfig& config,
                              const engine::ScenarioScript& script,
-                             std::vector<IterationConditions>* conditions_log) {
+                             const RoundHook& hook) {
   HGC_REQUIRE(config.iterations > 0, "need at least one iteration");
   HGC_REQUIRE(script.workers == 0 || script.workers == cluster.size(),
               "scenario script declares " + std::to_string(script.workers) +
@@ -88,14 +88,17 @@ SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
   // Three independent, seed-derived streams so that (a) per-iteration
   // conditions are identical across schemes, (b) construction randomness and
   // estimation noise do not perturb the condition stream. Rebuilds after
-  // churn continue the construction stream, so only churn-free runs may
-  // share schemes: there construction is a pure function of the cache key,
-  // which keeps cached and uncached runs byte-identical.
+  // churn or at a hook's request continue the construction stream, so only
+  // churn-free, unhooked runs may share schemes: there construction is a
+  // pure function of the cache key, which keeps cached and uncached runs
+  // byte-identical.
   Rng construction_rng(config.seed);
   Rng estimation_rng(config.seed + 0x9e37);
   Rng condition_rng(config.seed + 0x79b9);
   SchemeCache* const scheme_cache =
-      script.churn.empty() ? config.scheme_cache : nullptr;
+      script.churn.empty() && !hook.after_round && hook.initial_basis.empty()
+          ? config.scheme_cache
+          : nullptr;
 
   SchemeSummary summary;
   summary.iterations = config.iterations;
@@ -111,26 +114,42 @@ SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
     summary.decode_misses += decoding_cache->misses();
     decoding_cache.reset();
   };
-  const auto rebuild = [&] {
+  double clock = 0.0;
+  // Builds from `basis`, or from noisy estimates of the truth when empty.
+  // Every build after the first is a re-instantiation.
+  const auto rebuild = [&](Throughputs basis) {
     HGC_REQUIRE(script.churn.empty() || active->size() >= config.s + 2,
                 "churn left too few workers for tolerance s");
     harvest_decode_cache();
-    const Throughputs estimated = estimate_throughputs(
-        active->throughputs(), config.estimation_sigma, estimation_rng);
+    if (basis.empty())
+      basis = estimate_throughputs(active->throughputs(),
+                                   config.estimation_sigma, estimation_rng);
+    HGC_REQUIRE(basis.size() == active->size(),
+                "hook basis must have one throughput per active worker");
     const std::size_t k = resolve_partitions(config, active->size());
+    if (scheme) {
+      ++summary.reinstantiations;
+      if (obs::metrics_enabled()) {
+        static const obs::Counter reinstantiations =
+            obs::Registry::global().counter("engine.reinstantiations");
+        reinstantiations.add();
+      }
+      obs::trace_virtual_instant(config.sim.trace_track, 0, "reinstantiate",
+                                 "scenario", clock,
+                                 static_cast<std::int64_t>(roster.size()));
+    }
     if (scheme_cache)
-      scheme = scheme_cache->get_or_create(kind, estimated, k, config.s,
+      scheme = scheme_cache->get_or_create(kind, basis, k, config.s,
                                            config.seed);
     else
-      scheme = make_scheme(kind, estimated, k, config.s, construction_rng);
+      scheme = make_scheme(kind, basis, k, config.s, construction_rng);
     if (config.decoding_cache_capacity > 0)
       decoding_cache.emplace(*scheme, config.decoding_cache_capacity);
     summary.epoch_sizes.push_back(active->size());
   };
-  rebuild();
+  rebuild(hook.initial_basis);
   summary.scheme = scheme->name();
 
-  double clock = 0.0;
   std::size_t next_event = 0;
   std::vector<double> burst_until(script.bursts.size(),
                                   -std::numeric_limits<double>::infinity());
@@ -164,16 +183,7 @@ SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
                           std::to_string(summary.reinstantiations + 1),
                       std::move(specs));
       active = &*churned;
-      rebuild();
-      ++summary.reinstantiations;
-      if (obs::metrics_enabled()) {
-        static const obs::Counter reinstantiations =
-            obs::Registry::global().counter("engine.reinstantiations");
-        reinstantiations.add();
-      }
-      obs::trace_virtual_instant(config.sim.trace_track, 0, "reinstantiate",
-                                 "scenario", clock,
-                                 static_cast<std::int64_t>(roster.size()));
+      rebuild({});
     }
 
     IterationConditions conditions =
@@ -229,14 +239,18 @@ SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
           conditions.delay[p] += burst.delay;
       }
     }
-    if (conditions_log) conditions_log->push_back(conditions);
 
     round_options.decoding_cache =
         decoding_cache ? &*decoding_cache : nullptr;
     round_options.trace_time_base = clock;
     const engine::RoundOutcome round =
         engine::run_round(*scheme, *active, conditions, link, round_options);
-    if (!round.decoded) {
+    if (round.decoded) {
+      clock += round.time;
+      summary.iteration_time.add(round.time);
+      summary.resource_usage.add(round.resource_usage);
+      summary.latency.add(round.time);
+    } else {
       ++summary.failures;
       // The master gives up after the epoch's ideal round time; without the
       // timeout a fault burst would freeze the clock inside its own window
@@ -250,12 +264,10 @@ SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
       obs::trace_virtual_span(config.sim.trace_track, 0, "giveup",
                               "scenario", clock, timeout);
       clock += timeout;
-      continue;
     }
-    clock += round.time;
-    summary.iteration_time.add(round.time);
-    summary.resource_usage.add(round.resource_usage);
-    summary.latency.add(round.time);
+    if (!hook.after_round) continue;
+    if (auto basis = hook.after_round({iter, conditions, *scheme, round}))
+      rebuild(std::move(*basis));
   }
 
   harvest_decode_cache();

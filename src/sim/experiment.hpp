@@ -5,10 +5,15 @@
 // and aggregates the metrics the paper's figures report. Fairness contract:
 // when comparing schemes, every scheme sees the *same* per-iteration
 // conditions (same victims, same fluctuations), achieved by drawing
-// conditions from a dedicated RNG stream reset per scheme.
+// conditions from a dedicated RNG stream reset per scheme. An optional
+// RoundHook sees every round and may rebuild the code: adaptive re-coding
+// (sim/adaptive.hpp) and the coded BSP trainer (runtime/sim_trainer.hpp)
+// are hooks on this loop.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +21,7 @@
 #include "cluster/straggler.hpp"
 #include "core/scheme_cache.hpp"
 #include "core/scheme_factory.hpp"
+#include "engine/round.hpp"
 #include "engine/scenario.hpp"
 #include "sim/iteration.hpp"
 #include "util/stats.hpp"
@@ -38,8 +44,8 @@ struct ExperimentConfig {
   /// Shared, thread-safe scheme-construction cache; nullptr = construct
   /// from scratch. Result-transparent: the cache builds missing entries
   /// exactly like the uncached path (Rng(seed) into make_scheme). Runs whose
-  /// script has churn events ignore it, because their rebuilds continue the
-  /// construction stream instead of reseeding it.
+  /// script has churn events, and hooked runs, ignore it, because their
+  /// rebuilds continue the construction stream instead of reseeding it.
   SchemeCache* scheme_cache = nullptr;
   /// Capacity of the per-run decoding-coefficient LRU (paper Section III-B
   /// "regular stragglers"); 0 disables it. The cache lives for the duration
@@ -56,12 +62,13 @@ struct SchemeSummary {
   ReservoirQuantiles latency{1024};  ///< p50/p95/p99 of decoded rounds
   std::size_t failures = 0;     ///< iterations that could not decode
   std::size_t iterations = 0;
-  std::size_t reinstantiations = 0;  ///< scheme rebuilds after churn
+  /// Scheme rebuilds after churn or at a hook's request.
+  std::size_t reinstantiations = 0;
   std::size_t bursts_started = 0;    ///< correlated bursts that fired
   /// Virtual time of the whole run: decoded rounds plus one give-up timeout
   /// per undecodable round.
   double total_time = 0.0;
-  /// Active worker count per membership epoch, initial epoch first.
+  /// Active worker count per scheme epoch, initial epoch first.
   std::vector<std::size_t> epoch_sizes;
   /// Decoding-cache traffic summed over epochs (both 0 when the cache was
   /// disabled). Reported out of band — never part of the figure metrics, so
@@ -74,19 +81,38 @@ struct SchemeSummary {
   bool ever_failed() const { return failures > 0; }
 };
 
+/// What run_experiment shows its RoundHook after each round.
+struct RoundView {
+  std::size_t iteration;                  ///< 0-based round index
+  const IterationConditions& conditions;  ///< composed: model + script
+  const CodingScheme& scheme;             ///< the code the round ran
+  const engine::RoundOutcome& outcome;    ///< decoded or not
+};
+
+/// A per-round hook on run_experiment: it observes every round and may
+/// steer the code. The default value is no hook.
+struct RoundHook {
+  /// Basis of the first build, used as is; empty = the cluster's
+  /// throughputs under config.estimation_sigma noise.
+  Throughputs initial_basis;
+  /// Called after every round, decoded or not. A returned basis rebuilds
+  /// the scheme from it before the next round (empty = the noisy truth);
+  /// the rebuild counts in reinstantiations and continues the construction
+  /// stream, as a churn rebuild does.
+  std::function<std::optional<Throughputs>(const RoundView&)> after_round;
+};
+
 /// Run one scheme on `cluster` under `script` (default: the static
 /// scenario). Time-keyed script effects (drift windows, burst expiry, churn)
 /// follow the virtual clock; an undecodable round advances it by the
 /// epoch's ideal iteration time (the master's give-up timeout) so a
 /// faulting burst cannot freeze the clock and pin the run inside its own
-/// window. All randomness derives from config.seed. When `conditions_log`
-/// is non-null the composed per-iteration conditions are appended to it,
-/// which is how tests pin down the fairness contract (identical logs across
-/// schemes).
-SchemeSummary run_experiment(
-    SchemeKind kind, const Cluster& cluster, const ExperimentConfig& config,
-    const engine::ScenarioScript& script = {},
-    std::vector<IterationConditions>* conditions_log = nullptr);
+/// window. All randomness derives from config.seed. A hooked run never
+/// reads the shared scheme cache, because its hook may rebuild.
+SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
+                             const ExperimentConfig& config,
+                             const engine::ScenarioScript& script = {},
+                             const RoundHook& hook = {});
 
 /// Run several schemes under identical per-iteration conditions.
 std::vector<SchemeSummary> compare_schemes(

@@ -1,39 +1,6 @@
 #include "sim/iteration.hpp"
 
-#include <utility>
-
-#include "engine/link.hpp"
-#include "engine/round.hpp"
-#include "util/error.hpp"
-
 namespace hgc {
-
-IterationResult simulate_iteration(const CodingScheme& scheme,
-                                   const Cluster& cluster,
-                                   const IterationConditions& conditions,
-                                   const SimParams& params,
-                                   DecodingCache* decoding_cache,
-                                   double trace_time_base) {
-  HGC_REQUIRE(params.comm_latency >= 0.0, "latency must be non-negative");
-
-  // Timing-only round on the event engine over a constant-latency link.
-  engine::FixedLatencyLink link(params.comm_latency);
-  engine::RoundOptions options;
-  options.decoding_cache = decoding_cache;
-  options.trace_track = params.trace_track;
-  options.trace_time_base = trace_time_base;
-  engine::RoundOutcome round =
-      engine::run_round(scheme, cluster, conditions, link, options);
-
-  IterationResult result;
-  result.decoded = round.decoded;
-  result.time = round.time;
-  result.results_used = round.results_used;
-  result.resource_usage = round.resource_usage;
-  result.coefficients = std::move(round.coefficients);
-  result.compute_times = std::move(round.compute_times);
-  return result;
-}
 
 double ideal_iteration_time(const Cluster& cluster, std::size_t s) {
   return static_cast<double>(s + 1) / cluster.total_throughput();

@@ -1,21 +1,20 @@
-// Single-iteration discrete-event simulation of the master/worker protocol.
+// Platform parameters of a simulated master/worker round, and the paper's
+// ideal round time.
 //
-// Workers start computing at t = 0. Worker w holding load(w) of the k
-// partitions finishes computing at (load/k) / (throughput·speed_factor),
-// then its coded result reaches the master after its injected delay plus the
-// communication latency. The master processes arrivals in time order and
-// stops at the first decodable prefix — exactly the T(B, S) semantics of
-// Section III-C generalized to delayed (not just full) stragglers.
+// A round itself is engine::run_round (engine/round.hpp): workers start
+// computing at t = 0, worker w holding load(w) of the k partitions finishes
+// computing at (load/k) / (throughput·speed_factor), then its coded result
+// reaches the master after its injected delay plus the communication
+// latency (an engine::FixedLatencyLink). The master processes arrivals in
+// time order and stops at the first decodable prefix — exactly the T(B, S)
+// semantics of Section III-C generalized to delayed (not just full)
+// stragglers. sim::run_experiment is the multi-round loop.
 #pragma once
 
-#include <limits>
-#include <optional>
-#include <vector>
+#include <cstddef>
+#include <cstdint>
 
 #include "cluster/cluster.hpp"
-#include "cluster/straggler.hpp"
-#include "core/coding_scheme.hpp"
-#include "core/decoding_cache.hpp"
 
 namespace hgc {
 
@@ -28,39 +27,6 @@ struct SimParams {
   /// (sweep cells use cell.index + 1); 0 = no virtual trace events.
   std::uint32_t trace_track = 0;
 };
-
-/// Outcome of one simulated iteration.
-struct IterationResult {
-  bool decoded = false;
-  /// Master decode time (seconds); +inf when the iteration cannot complete
-  /// (e.g. naive scheme with a faulted worker).
-  double time = std::numeric_limits<double>::infinity();
-  /// Results that had arrived when decoding succeeded.
-  std::size_t results_used = 0;
-  /// Fig. 5 metric: Σ busy_i / (m · T). A worker is busy while computing
-  /// (waiting in a delay queue is not busy); faulted workers contribute 0;
-  /// workers still computing at T are clipped to T.
-  double resource_usage = 0.0;
-  /// Decoding coefficients at the stop time (supp ⊆ arrived workers,
-  /// a·B = 1); trainers combine real coded gradients with them.
-  std::optional<Vector> coefficients;
-  /// Per-worker pure compute durations this iteration (+inf for faulted or
-  /// idle workers); feeds online throughput estimation.
-  std::vector<double> compute_times;
-};
-
-/// Simulate one iteration of `scheme` on `cluster` under `conditions`.
-/// `decoding_cache`, when non-null, must wrap `scheme`; callers replaying
-/// many iterations share it so recurring straggler patterns decode from the
-/// LRU instead of re-solving (result-transparent either way).
-/// `trace_time_base` is the caller's accumulated virtual clock, placing this
-/// iteration on the params.trace_track timeline (observability only).
-IterationResult simulate_iteration(const CodingScheme& scheme,
-                                   const Cluster& cluster,
-                                   const IterationConditions& conditions,
-                                   const SimParams& params = {},
-                                   DecodingCache* decoding_cache = nullptr,
-                                   double trace_time_base = 0.0);
 
 /// The balanced-optimum iteration time (s+1)/Σw of Theorem 5 translated to
 /// cluster units (datasets/second); what heter-aware achieves with exact

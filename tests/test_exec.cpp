@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -509,6 +510,25 @@ TEST(Figures, EveryPresetBuilds) {
     EXPECT_GT(figure.grid.num_cells(), 0u) << name;
   }
   EXPECT_THROW(make_figure("fig99"), std::invalid_argument);
+}
+
+TEST(Figures, AdaptiveWindowsPartitionShortRuns) {
+  // The five windows partition [0, iters) exactly, so short runs neither
+  // index past the end nor drop their tail; an empty window reads NaN.
+  for (std::size_t iters : {3, 7}) {
+    const ResultTable table =
+        run_figure(make_figure("adaptive", iters), {.threads = 1});
+    ASSERT_EQ(table.size(), 4u) << iters;
+    for (const ResultRow& row : table.rows()) {
+      EXPECT_EQ(row.note, "") << iters;
+      double w0 = 0.0;
+      double w4 = 0.0;
+      ASSERT_TRUE(row.value("w0", w0)) << iters;
+      ASSERT_TRUE(row.value("w4", w4)) << iters;
+      EXPECT_EQ(std::isnan(w0), iters < 5) << iters;  // [0, iters/5) empty
+      EXPECT_FALSE(std::isnan(w4)) << iters;          // tail round counted
+    }
+  }
 }
 
 TEST(Figures, Table2MatchesClusterProperties) {

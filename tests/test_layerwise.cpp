@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/scheme_factory.hpp"
+#include "engine/link.hpp"
+#include "engine/round.hpp"
 #include "sim/layerwise.hpp"
 
 namespace hgc {
@@ -41,7 +43,8 @@ TEST_F(LayerwiseTest, MonolithicMatchesPlainSimulatorWithoutComm) {
   LayerwiseParams params;  // single layer, no comm cost
   const auto layered =
       simulate_layerwise_iteration(*scheme_, cluster_, clean(8), params);
-  const auto plain = simulate_iteration(*scheme_, cluster_, clean(8));
+  engine::FixedLatencyLink link;
+  const auto plain = engine::run_round(*scheme_, cluster_, clean(8), link);
   ASSERT_TRUE(layered.decoded);
   ASSERT_TRUE(plain.decoded);
   EXPECT_NEAR(layered.time, plain.time, 1e-12);

@@ -5,7 +5,8 @@
 #include <cmath>
 
 #include "core/scheme_factory.hpp"
-#include "net/coded_round.hpp"
+#include "engine/link.hpp"
+#include "engine/round.hpp"
 #include "net/network.hpp"
 #include "net/wire.hpp"
 
@@ -141,6 +142,15 @@ class CodedRoundTest : public ::testing::Test {
     conditions_.faulted.assign(8, false);
   }
 
+  /// One round of real wire frames over `network`.
+  engine::RoundOutcome wire_round(SimulatedNetwork& network) {
+    engine::NetworkLink link(network);
+    engine::RoundOptions options;
+    options.partition_gradients = &grads_;
+    options.wire_frames = true;
+    return engine::run_round(*scheme_, cluster_, conditions_, link, options);
+  }
+
   Cluster cluster_;
   Rng rng_;
   std::unique_ptr<CodingScheme> scheme_;
@@ -151,8 +161,7 @@ class CodedRoundTest : public ::testing::Test {
 
 TEST_F(CodedRoundTest, LosslessRoundRecoversExactAggregate) {
   SimulatedNetwork net(9, {0.001, 1e9, 0.0}, Rng(5));
-  const auto result =
-      run_coded_round(*scheme_, cluster_, conditions_, grads_, net);
+  const auto result = wire_round(net);
   ASSERT_TRUE(result.decoded);
   ASSERT_EQ(result.aggregate.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i)
@@ -164,8 +173,7 @@ TEST_F(CodedRoundTest, SurvivesOneDroppedMessage) {
   // Deterministically drop the fastest worker's link.
   SimulatedNetwork net(9, {0.001, 1e9, 0.0}, Rng(6));
   net.set_link(7, 8, {0.001, 1e9, 1.0});
-  const auto result =
-      run_coded_round(*scheme_, cluster_, conditions_, grads_, net);
+  const auto result = wire_round(net);
   ASSERT_TRUE(result.decoded);
   EXPECT_EQ(result.dropped, 1u);
   for (std::size_t i = 0; i < 4; ++i)
@@ -176,8 +184,7 @@ TEST_F(CodedRoundTest, FailsBeyondTolerance) {
   SimulatedNetwork net(9, {0.001, 1e9, 0.0}, Rng(7));
   net.set_link(6, 8, {0.001, 1e9, 1.0});
   net.set_link(7, 8, {0.001, 1e9, 1.0});
-  const auto result =
-      run_coded_round(*scheme_, cluster_, conditions_, grads_, net);
+  const auto result = wire_round(net);
   EXPECT_FALSE(result.decoded);
   EXPECT_EQ(result.dropped, 2u);
 }
@@ -186,18 +193,15 @@ TEST_F(CodedRoundTest, FaultAndDropCombine) {
   conditions_.faulted[0] = true;  // one fault
   SimulatedNetwork net(9, {0.001, 1e9, 0.0}, Rng(8));
   net.set_link(5, 8, {0.001, 1e9, 1.0});  // plus one drop: 2 > s = 1
-  const auto result =
-      run_coded_round(*scheme_, cluster_, conditions_, grads_, net);
+  const auto result = wire_round(net);
   EXPECT_FALSE(result.decoded);
 }
 
 TEST_F(CodedRoundTest, SlowLinkDelaysDecode) {
   SimulatedNetwork fast(9, {0.0, 1e9, 0.0}, Rng(9));
-  const auto quick =
-      run_coded_round(*scheme_, cluster_, conditions_, grads_, fast);
+  const auto quick = wire_round(fast);
   SimulatedNetwork slow(9, {0.05, 1e9, 0.0}, Rng(9));
-  const auto delayed =
-      run_coded_round(*scheme_, cluster_, conditions_, grads_, slow);
+  const auto delayed = wire_round(slow);
   ASSERT_TRUE(quick.decoded);
   ASSERT_TRUE(delayed.decoded);
   EXPECT_NEAR(delayed.time - quick.time, 0.05, 1e-9);
@@ -205,9 +209,7 @@ TEST_F(CodedRoundTest, SlowLinkDelaysDecode) {
 
 TEST_F(CodedRoundTest, RequiresMasterNode) {
   SimulatedNetwork too_small(8, {}, Rng(10));
-  EXPECT_THROW(
-      run_coded_round(*scheme_, cluster_, conditions_, grads_, too_small),
-      std::invalid_argument);
+  EXPECT_THROW(wire_round(too_small), std::invalid_argument);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include "core/group_based.hpp"
 #include "core/robustness.hpp"
 #include "core/scheme_factory.hpp"
+#include "engine/link.hpp"
+#include "engine/round.hpp"
 #include "sim/experiment.hpp"
 
 namespace hgc {
@@ -77,7 +79,8 @@ TEST_P(PaperScale, SimulatorAgreesWithCompletionTime) {
   cond.speed_factor.assign(c.size(), 1.0);
   cond.delay.assign(c.size(), 0.0);
   cond.faulted.assign(c.size(), false);
-  const auto sim = simulate_iteration(*scheme, c, cond);
+  engine::FixedLatencyLink link;
+  const auto sim = engine::run_round(*scheme, c, cond, link);
   ASSERT_TRUE(sim.decoded);
 
   // completion_time works in partition units; convert to seconds.

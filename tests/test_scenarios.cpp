@@ -9,7 +9,10 @@
 
 #include "core/scheme_cache.hpp"
 #include "engine/delay_trace.hpp"
+#include "engine/link.hpp"
+#include "engine/round.hpp"
 #include "engine/scenario.hpp"
+#include "sim/adaptive.hpp"
 #include "sim/experiment.hpp"
 
 namespace hgc {
@@ -321,8 +324,9 @@ TEST(ScenarioScript, SpliceOnlyScriptReplaysExactlyLikeTraceReplay) {
     std::size_t failures = 0;
     double total_time = 0.0;
     for (std::size_t i = 0; i < config.iterations; ++i) {
-      const IterationResult round =
-          simulate_iteration(*scheme, cluster, trace.conditions(i));
+      engine::FixedLatencyLink link;
+      const engine::RoundOutcome round =
+          engine::run_round(*scheme, cluster, trace.conditions(i), link);
       if (!round.decoded) {
         ++failures;
         total_time += ideal;
@@ -529,7 +533,8 @@ void expect_same_summary(const SchemeSummary& a, const SchemeSummary& b) {
 
 TEST(ScenarioScript, SchemeCacheIsTransparentWithAndWithoutChurn) {
   // A churn-free script reads its scheme from the shared cache; a churn
-  // script bypasses it (its rebuilds continue the construction stream).
+  // script, or an adaptive hook that may rebuild, bypasses it (their
+  // rebuilds continue the construction stream).
   // Either way the summary must equal the cache-off run field for field,
   // with estimation noise on so the cache key carries drawn estimates.
   const Cluster cluster = cluster_a();
@@ -555,6 +560,17 @@ TEST(ScenarioScript, SchemeCacheIsTransparentWithAndWithoutChurn) {
     EXPECT_EQ(cache.misses(), misses + 1) << to_string(kind);
     expect_same_summary(run_experiment(kind, cluster, cached, churn),
                         run_experiment(kind, cluster, config, churn));
+    EXPECT_EQ(cache.misses(), misses + 1) << to_string(kind);
+    AdaptivePolicy policy;
+    policy.recode_every = 5;  // cold start: rebuilds fire
+    AdaptiveRecoder with_cache(policy, cluster.size());
+    AdaptiveRecoder without_cache(policy, cluster.size());
+    const SchemeSummary adaptive =
+        run_experiment(kind, cluster, cached, no_churn, with_cache.hook());
+    expect_same_summary(adaptive, run_experiment(kind, cluster, config,
+                                                 no_churn,
+                                                 without_cache.hook()));
+    EXPECT_GT(adaptive.reinstantiations, 0u) << to_string(kind);
     EXPECT_EQ(cache.misses(), misses + 1) << to_string(kind);
   }
 }
