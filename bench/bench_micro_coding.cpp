@@ -13,6 +13,8 @@
 // zero-steady-state-allocation claim is measured, not asserted.
 // BM_EngineRound does the same for the event engine: one timing-only round
 // at 64 and 10,000 workers, whose allocation count must not grow with m.
+// BM_GroupSearch times Alg. 2's group search at 10,000 workers, where a
+// return to per-worker k-bit partition masks would cost ~5x.
 //
 // Flags: our own (`--json out.json` writes the google-benchmark JSON
 // report, for CI's perf-smoke floor check) parse through util/args with its
@@ -25,11 +27,14 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.hpp"
+#include "core/allocation.hpp"
 #include "core/decoder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "core/decoding_cache.hpp"
 #include "core/group_based.hpp"
+#include "core/groups.hpp"
 #include "core/heter_aware.hpp"
 #include "core/robustness.hpp"
 #include "core/scheme_cache.hpp"
@@ -41,6 +46,7 @@
 #include "linalg/qr.hpp"
 #include "linalg/sparse.hpp"
 #include "linalg/workspace.hpp"
+#include "sim/experiment.hpp"
 #include "util/args.hpp"
 #include "util/rng.hpp"
 
@@ -311,17 +317,43 @@ BENCHMARK(BM_HeterAwareConstruction)
     ->Args({58, 1})
     ->Args({58, 3});
 
-void BM_GroupBasedConstruction(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const Throughputs c = spread_throughputs(m);
+void BM_GroupBasedConstruction(benchmark::State& state, const Throughputs& c,
+                               std::size_t k, std::size_t s) {
   std::uint64_t seed = 0;
   for (auto _ : state) {
     Rng rng(++seed);
-    GroupBasedScheme scheme(c, 2 * m, 1, rng);
+    GroupBasedScheme scheme(c, k, s, rng);
     benchmark::DoNotOptimize(scheme.coding_matrix());
   }
 }
+
+void BM_GroupBasedConstruction(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  BM_GroupBasedConstruction(state, spread_throughputs(m), 2 * m, 1);
+}
 BENCHMARK(BM_GroupBasedConstruction)->Arg(8)->Arg(16)->Arg(32)->Arg(58);
+
+// Table II Cluster-D at s = 2 with the exact Eq. 5 k (108): it has 28,561
+// exact covers, so the group search stops at its 256-cover cap.
+BENCHMARK_CAPTURE(BM_GroupBasedConstruction, cluster_d_s2,
+                  cluster_d().throughputs(),
+                  exact_partition_count(cluster_d(), 2), 2);
+
+void BM_GroupSearch(benchmark::State& state) {
+  // Alg. 2 alone (find_all_groups + prune_groups) on scale_cluster(m) at
+  // s = 2, k = 2m: the search a group-based scheme repeats on every churn
+  // rebuild of the 10k-worker grid. The 256-cover cap binds, so this times
+  // a DFS cut off at 256 emitted covers of ~0.57m workers each.
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const std::size_t k = 2 * m;
+  const Assignment assignment = cyclic_assignment(
+      heter_aware_counts(scale_cluster(m).throughputs(), k, 2), k);
+  for (auto _ : state) {
+    std::vector<Group> groups = prune_groups(find_all_groups(assignment, k));
+    benchmark::DoNotOptimize(groups);
+  }
+}
+BENCHMARK(BM_GroupSearch)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 void BM_DecodeVectorSolve(benchmark::State& state) {
   // The real-time decoding path for an irregular straggler pattern: a

@@ -3,100 +3,100 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
+#include <string>
 
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
 namespace {
 
-/// Fixed-size bitset over k partitions backed by 64-bit words.
-class PartitionMask {
- public:
-  explicit PartitionMask(std::size_t bits)
-      : bits_(bits), words_((bits + 63) / 64, 0) {}
-
-  void set(std::size_t i) { words_[i / 64] |= std::uint64_t{1} << (i % 64); }
-
-  bool any_overlap(const PartitionMask& other) const {
-    for (std::size_t w = 0; w < words_.size(); ++w)
-      if (words_[w] & other.words_[w]) return true;
-    return false;
-  }
-
-  bool is_subset_of(const PartitionMask& other) const {
-    for (std::size_t w = 0; w < words_.size(); ++w)
-      if (words_[w] & ~other.words_[w]) return false;
-    return true;
-  }
-
-  bool test(std::size_t i) const {
-    return (words_[i / 64] >> (i % 64)) & 1;
-  }
-
-  void add(const PartitionMask& other) {
-    for (std::size_t w = 0; w < words_.size(); ++w)
-      words_[w] |= other.words_[w];
-  }
-
-  void remove(const PartitionMask& other) {
-    for (std::size_t w = 0; w < words_.size(); ++w)
-      words_[w] &= ~other.words_[w];
-  }
-
-  bool empty() const {
-    for (std::uint64_t w : words_)
-      if (w) return false;
-    return true;
-  }
-
-  /// Index of the lowest set bit; bits_ if none.
-  std::size_t lowest() const {
-    for (std::size_t w = 0; w < words_.size(); ++w)
-      if (words_[w])
-        return w * 64 +
-               static_cast<std::size_t>(std::countr_zero(words_[w]));
-    return bits_;
-  }
-
- private:
-  std::size_t bits_;
-  std::vector<std::uint64_t> words_;
-};
-
+/// Exact-cover DFS over one `covered` byte per partition. A worker fits iff
+/// none of its partitions is covered yet, so a fit check and a mark/unmark
+/// cost O(|support|), independent of k.
 struct GroupSearch {
-  const std::vector<PartitionMask>& worker_masks;
-  const std::vector<std::vector<WorkerId>>& holders;
+  const Assignment& assignment;
+  /// holders[holder_begin[p] .. holder_begin[p+1]): workers holding
+  /// partition p, ascending.
+  std::span<const std::size_t> holder_begin;
+  std::span<const WorkerId> holders;
   const GroupSearchLimits& limits;
-  std::vector<Group>& out;
+  std::vector<std::uint8_t> covered;    // per partition, on the current path
+  std::vector<std::uint8_t> in_cover;   // per worker, scratch for emit()
+  Group chosen = {};
+  std::vector<Group> out = {};
   std::size_t nodes = 0;
 
   bool exhausted() const {
     return out.size() >= limits.max_groups || nodes >= limits.max_nodes;
   }
 
-  void dfs(PartitionMask& remaining, Group& chosen) {
+  bool fits(WorkerId w) const {
+    for (PartitionId p : assignment[w])
+      if (covered[p]) return false;
+    return true;
+  }
+
+  void mark(WorkerId w, std::uint8_t value) {
+    for (PartitionId p : assignment[w]) covered[p] = value;
+  }
+
+  /// Append `chosen` sorted ascending: mark it in the worker bitmap and
+  /// scan [min, max], which is linear where a comparison sort of ~m/2 ids
+  /// per cover is not.
+  void emit() {
+    const auto [lo, hi] = std::minmax_element(chosen.begin(), chosen.end());
+    const WorkerId first = *lo, last = *hi;
+    for (WorkerId w : chosen) in_cover[w] = 1;
+    Group& group = out.emplace_back();
+    group.reserve(chosen.size());
+    for (WorkerId w = first; w <= last; ++w) {
+      if (!in_cover[w]) continue;
+      in_cover[w] = 0;
+      group.push_back(w);
+    }
+  }
+
+  /// `lowest` is a lower bound on the lowest uncovered partition: every
+  /// partition below it is covered on the current path.
+  void dfs(std::size_t lowest) {
     if (exhausted()) return;
     ++nodes;
-    if (remaining.empty()) {
+    while (lowest < covered.size() && covered[lowest]) ++lowest;
+    if (lowest == covered.size()) {
       // All partitions covered: `chosen` is an exact cover.
-      out.push_back(chosen);
+      emit();
       return;
     }
-    const std::size_t lowest = remaining.lowest();
     // Branch on the lowest uncovered partition: exactly one worker in any
     // cover supplies it, so every cover is enumerated exactly once.
-    for (WorkerId w : holders[lowest]) {
-      const PartitionMask& mask = worker_masks[w];
-      if (!mask.is_subset_of(remaining)) continue;
+    for (std::size_t i = holder_begin[lowest]; i < holder_begin[lowest + 1];
+         ++i) {
+      const WorkerId w = holders[i];
+      if (!fits(w)) continue;
       chosen.push_back(w);
-      remaining.remove(mask);
-      dfs(remaining, chosen);
-      remaining.add(mask);
+      mark(w, 1);
+      dfs(lowest + 1);
+      mark(w, 0);
       chosen.pop_back();
       if (exhausted()) return;
     }
   }
 };
+
+bool intersects(const Group& a, const Group& b) {
+  // Both sorted: linear merge scan.
+  std::size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) return true;
+    if (a[i] < b[j])
+      ++i;
+    else
+      ++j;
+  }
+  return false;
+}
 
 }  // namespace
 
@@ -106,71 +106,94 @@ std::vector<Group> find_all_groups(const Assignment& assignment,
   HGC_REQUIRE(k > 0, "need at least one partition");
   const std::size_t m = assignment.size();
 
-  std::vector<PartitionMask> worker_masks;
-  worker_masks.reserve(m);
-  for (std::size_t w = 0; w < m; ++w) {
-    PartitionMask mask(k);
-    for (PartitionId p : assignment[w]) {
+  // Holders of each partition as one CSR array (counting sort by partition),
+  // filled in worker order so each partition's list is ascending.
+  std::vector<std::size_t> holder_begin(k + 1, 0);
+  for (const auto& partitions : assignment)
+    for (PartitionId p : partitions) {
       HGC_REQUIRE(p < k, "partition id out of range");
-      mask.set(p);
+      ++holder_begin[p + 1];
     }
-    worker_masks.push_back(std::move(mask));
+  for (std::size_t p = 0; p < k; ++p) holder_begin[p + 1] += holder_begin[p];
+  std::vector<WorkerId> holders(holder_begin[k]);
+  std::vector<std::size_t> next(holder_begin.begin(), holder_begin.end() - 1);
+  for (WorkerId w = 0; w < m; ++w)
+    for (PartitionId p : assignment[w]) {
+      // The last holder filled for p is w only if w lists p twice.
+      HGC_REQUIRE(next[p] == holder_begin[p] || holders[next[p] - 1] != w,
+                  "worker " + std::to_string(w) + " lists partition " +
+                      std::to_string(p) + " more than once");
+      holders[next[p]++] = w;
+    }
+
+  GroupSearch search{assignment, holder_begin, holders, limits,
+                     std::vector<std::uint8_t>(k, 0),
+                     std::vector<std::uint8_t>(m, 0)};
+  search.dfs(0);
+  // The search stopped at a cap, so covers past it may be missing.
+  if (search.exhausted() && obs::metrics_enabled()) {
+    static const obs::Counter truncated =
+        obs::Registry::global().counter("groups.search_truncated");
+    truncated.add();
   }
 
-  std::vector<std::vector<WorkerId>> holders(k);
-  for (std::size_t w = 0; w < m; ++w)
-    for (PartitionId p : assignment[w]) holders[p].push_back(w);
-
-  std::vector<Group> groups;
-  PartitionMask remaining(k);
-  for (std::size_t p = 0; p < k; ++p) remaining.set(p);
-  Group chosen;
-  GroupSearch search{worker_masks, holders, limits, groups};
-  search.dfs(remaining, chosen);
-
-  for (Group& g : groups) std::sort(g.begin(), g.end());
-  std::sort(groups.begin(), groups.end());
+  // The DFS often emits covers already in order (it does on scale_cluster(m)
+  // from m = 100 up); checking first skips a sort whose comparisons walk
+  // thousand-id common prefixes.
+  std::vector<Group> groups = std::move(search.out);
+  if (!std::is_sorted(groups.begin(), groups.end()))
+    std::sort(groups.begin(), groups.end());
   return groups;
 }
 
 std::vector<Group> prune_groups(std::vector<Group> groups) {
-  auto intersects = [](const Group& a, const Group& b) {
-    // Both sorted: linear merge scan.
-    std::size_t i = 0, j = 0;
-    while (i < a.size() && j < b.size()) {
-      if (a[i] == b[j]) return true;
-      if (a[i] < b[j])
-        ++i;
-      else
-        ++j;
-    }
-    return false;
-  };
+  // Conflicts are computed once into an n×n bit matrix (row i, bit j: groups
+  // i and j share a worker); each removal then decrements its neighbours'
+  // counts, so pruning costs one pass over pairs plus O(n) per removal.
+  const std::size_t n = groups.size();
+  const std::size_t words = (n + 63) / 64;
+  std::vector<std::uint64_t> conflict(n * words, 0);
+  std::vector<std::size_t> conflicts(n, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j)
+      if (intersects(groups[i], groups[j])) {
+        conflict[i * words + j / 64] |= std::uint64_t{1} << (j % 64);
+        conflict[j * words + i / 64] |= std::uint64_t{1} << (i % 64);
+        ++conflicts[i];
+        ++conflicts[j];
+      }
 
+  std::vector<std::uint8_t> removed(n, 0);
   while (true) {
-    const std::size_t n = groups.size();
-    std::vector<std::size_t> conflicts(n, 0);
-    bool any = false;
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = i + 1; j < n; ++j)
-        if (intersects(groups[i], groups[j])) {
-          ++conflicts[i];
-          ++conflicts[j];
-          any = true;
-        }
-    if (!any) break;
-
     // Remove the group with the most conflicts; break ties toward the larger
     // group (harder to complete at runtime), then the later index.
-    std::size_t victim = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (conflicts[i] > conflicts[victim] ||
+    std::size_t victim = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (removed[i] || conflicts[i] == 0) continue;
+      if (victim == n || conflicts[i] > conflicts[victim] ||
           (conflicts[i] == conflicts[victim] &&
            groups[i].size() >= groups[victim].size()))
         victim = i;
     }
-    groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(victim));
+    if (victim == n) break;  // survivors are pairwise disjoint
+
+    removed[victim] = 1;
+    for (std::size_t w = 0; w < words; ++w)
+      for (std::uint64_t bits = conflict[victim * words + w]; bits != 0;
+           bits &= bits - 1) {
+        const std::size_t j =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        if (!removed[j]) --conflicts[j];
+      }
   }
+
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (removed[i]) continue;
+    if (kept != i) groups[kept] = std::move(groups[i]);
+    ++kept;
+  }
+  groups.resize(kept);
   return groups;
 }
 

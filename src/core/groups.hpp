@@ -11,8 +11,19 @@
 // FindAllGroups is an exact-cover enumeration (Algorithm-X branching rule:
 // always extend on the lowest-index uncovered partition, so each cover is
 // produced exactly once). Exact cover is NP-complete in general, so the
-// search carries node/solution caps; on the contiguous cyclic supports the
-// heterogeneity-aware allocator emits, the caps are never approached.
+// search carries node/solution caps, and on the contiguous cyclic supports
+// the heterogeneity-aware allocator emits they do bind:
+//   * Table II Cluster-D at s = 2 (k = exact_partition_count = 108) has
+//     28,561 exact covers; the search stops at 256 and pruning keeps 1.
+//   * scale_cluster(m) at s = 2, k = 2m, hits the 256-cover cap from
+//     m = 100 up (1,136 covers exist at m = 100); pruning then keeps 1.
+// Clusters A–C, and Cluster-D at s = 1 and 3, complete under the caps. The
+// `groups.search_truncated` metrics counter counts searches that reached a
+// cap, so capped results are visible in a metrics snapshot.
+//
+// The search keeps one `covered` byte per partition and a CSR list of each
+// partition's holders: memory is O(m + k + output), and each node costs
+// O(|support|) per candidate worker.
 #pragma once
 
 #include <cstddef>
