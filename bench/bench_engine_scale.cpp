@@ -1,7 +1,8 @@
-// Engine scale: how fast the discrete-event engine turns the crank.
+// Engine scale: how fast engine::run_round turns the crank.
 //
-// Four parts, all on the shared src/engine/ event loop:
-//   1. A 1,000-worker heterogeneity-aware coded round — the event-queue and
+// Four parts, all through engine::run_round (one pass over the workers, a
+// sort of the arrivals, a streaming decode of the first decodable prefix):
+//   1. A 1,000-worker heterogeneity-aware coded round — the arrival-sort and
 //      streaming-decode hot path at two orders of magnitude beyond the
 //      paper's clusters. The headline number is wall time per round, which
 //      should sit well under a second (milliseconds, in practice).

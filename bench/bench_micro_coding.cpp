@@ -11,7 +11,7 @@
 // Cluster-D m=58), reporting mflops and — via the instrumented global
 // allocator below — allocs_per_iter, so the workspace layer's
 // zero-steady-state-allocation claim is measured, not asserted.
-// BM_EngineRound does the same for the event engine: one timing-only round
+// BM_EngineRound does the same for engine::run_round: one timing-only round
 // at 64 and 10,000 workers, whose allocation count must not grow with m.
 // BM_GroupSearch times Alg. 2's group search at 10,000 workers, where a
 // return to per-worker k-bit partition masks would cost ~5x.
@@ -604,13 +604,12 @@ void BM_SparseDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseDecode)->Args({1000, 2})->Args({10000, 2});
 
-// ------------------------------------------------------- event engine --
+// -------------------------------------------------------- engine round --
 
 void BM_EngineRound(benchmark::State& state) {
-  // One timing-only heterogeneity-aware round on the engine's event loop
-  // (s = 2, two stragglers). Arrival closures fit std::function's inline
-  // buffer and the queue is reserved for m events, so allocs_per_iter is a
-  // small constant at any m instead of two allocations per event.
+  // One timing-only heterogeneity-aware round (s = 2, two stragglers). The
+  // arrival list is reserved once for m workers, so allocs_per_iter is a
+  // small constant at any m instead of growing with the arrivals.
   const auto m = static_cast<std::size_t>(state.range(0));
   const Cluster cluster = scale_cluster(m);
   Rng rng(29);

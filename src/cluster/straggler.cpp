@@ -40,51 +40,6 @@ IterationConditions StragglerModel::draw(std::size_t num_workers,
   return cond;
 }
 
-StragglerProcess::StragglerProcess(StragglerModel model, double persistence,
-                                   std::size_t num_workers, Rng rng)
-    : model_(model),
-      persistence_(persistence),
-      num_workers_(num_workers),
-      rng_(rng) {
-  HGC_REQUIRE(persistence >= 0.0 && persistence <= 1.0,
-              "persistence must lie in [0, 1]");
-  HGC_REQUIRE(model.num_stragglers <= num_workers,
-              "cannot delay more workers than exist");
-}
-
-IterationConditions StragglerProcess::next() {
-  // Evolve the victim set: each current victim stays with probability
-  // `persistence`; departures are replaced by uniform draws from the
-  // non-victim population.
-  std::vector<WorkerId> surviving;
-  for (WorkerId w : victims_)
-    if (rng_.bernoulli(persistence_)) surviving.push_back(w);
-
-  std::vector<bool> is_victim(num_workers_, false);
-  for (WorkerId w : surviving) is_victim[w] = true;
-  while (surviving.size() < model_.num_stragglers) {
-    const auto candidate = static_cast<WorkerId>(rng_.uniform_int(
-        0, static_cast<std::int64_t>(num_workers_) - 1));
-    if (is_victim[candidate]) continue;
-    is_victim[candidate] = true;
-    surviving.push_back(candidate);
-  }
-  std::sort(surviving.begin(), surviving.end());
-  victims_ = std::move(surviving);
-
-  // Fluctuation stays iid; the victim set supplies the delay/fault targets.
-  StragglerModel fluctuation_only = model_;
-  fluctuation_only.num_stragglers = 0;
-  IterationConditions cond = fluctuation_only.draw(num_workers_, rng_);
-  for (WorkerId w : victims_) {
-    if (model_.fault)
-      cond.faulted[w] = true;
-    else
-      cond.delay[w] += model_.delay_seconds;
-  }
-  return cond;
-}
-
 Throughputs estimate_throughputs(const Throughputs& truth, double sigma,
                                  Rng& rng) {
   HGC_REQUIRE(sigma >= 0.0, "sigma must be non-negative");

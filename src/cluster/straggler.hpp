@@ -51,31 +51,4 @@ struct StragglerModel {
 Throughputs estimate_throughputs(const Throughputs& truth, double sigma,
                                  Rng& rng);
 
-/// Temporally-correlated straggler process. The paper separates *transient*
-/// fluctuation (iid per iteration — StragglerModel::draw) from *consistent*
-/// heterogeneity (permanent — the cluster's throughputs). Real stragglers
-/// often sit in between: a worker hit by a noisy neighbor stays slow for a
-/// while. This process makes each victim persist with probability
-/// `persistence` per iteration (0 = iid, matching StragglerModel::draw in
-/// distribution; → 1 = near-permanent); departed victims are replaced so the
-/// per-iteration victim count stays at num_stragglers.
-class StragglerProcess {
- public:
-  StragglerProcess(StragglerModel model, double persistence,
-                   std::size_t num_workers, Rng rng);
-
-  /// Conditions for the next iteration.
-  IterationConditions next();
-
-  /// Current victim set (sorted), for tests and diagnostics.
-  const std::vector<WorkerId>& victims() const { return victims_; }
-
- private:
-  StragglerModel model_;
-  double persistence_;
-  std::size_t num_workers_;
-  Rng rng_;
-  std::vector<WorkerId> victims_;
-};
-
 }  // namespace hgc

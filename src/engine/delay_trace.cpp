@@ -1,6 +1,7 @@
 #include "engine/delay_trace.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -14,8 +15,11 @@ DelayTrace::DelayTrace(std::vector<std::vector<double>> rows)
   HGC_REQUIRE(!rows_.empty(), "a delay trace needs at least one iteration");
   const std::size_t width = rows_.front().size();
   HGC_REQUIRE(width > 0, "a delay trace needs at least one worker");
-  for (const auto& row : rows_)
+  for (const auto& row : rows_) {
     HGC_REQUIRE(row.size() == width, "delay trace rows must be rectangular");
+    for (double value : row)
+      HGC_REQUIRE(std::isfinite(value), "delay trace values must be finite");
+  }
 }
 
 double DelayTrace::at(std::size_t iteration, WorkerId w) const {
@@ -66,6 +70,8 @@ DelayTrace parse_delay_trace_csv(std::istream& in) {
       }
       if (ok && consumed < cell.size())
         ok = cell.find_first_not_of(" \t", consumed) == std::string::npos;
+      // std::stod also reads nan, inf and infinity; none is a delay.
+      ok = ok && std::isfinite(value);
       HGC_REQUIRE(ok, "unparseable delay cell '" + cell + "' on line " +
                           std::to_string(line_number));
       row.push_back(value);

@@ -3,10 +3,10 @@
 // Instead of drawing straggler conditions from a stochastic model, a replay
 // run feeds the engine delays recorded from a real cluster (or crafted by
 // hand). The on-disk format is plain CSV: one row per iteration, one column
-// per worker, each cell the delay in seconds added to that worker's result
-// that iteration. A negative cell marks a fail-stop fault (the result never
-// arrives — the paper's "delay = infinity" limit). Lines starting with '#'
-// and blank lines are skipped, so traces can carry their own provenance
+// per worker, each cell the finite delay in seconds added to that worker's
+// result that iteration. A negative cell marks a fail-stop fault (the result
+// never arrives — the paper's "delay = infinity" limit). Lines starting with
+// '#' and blank lines are skipped, so traces can carry their own provenance
 // notes. Replays longer than the trace wrap around to the first row.
 #pragma once
 
@@ -23,7 +23,7 @@ namespace hgc::engine {
 class DelayTrace {
  public:
   DelayTrace() = default;
-  /// Rows must be non-empty and rectangular.
+  /// Rows must be non-empty and rectangular, and every value finite.
   explicit DelayTrace(std::vector<std::vector<double>> rows);
 
   std::size_t num_iterations() const { return rows_.size(); }
@@ -46,7 +46,7 @@ class DelayTrace {
 };
 
 /// Parse the CSV format described above. Throws std::invalid_argument on
-/// ragged rows, unparseable cells, or an empty trace.
+/// ragged rows, unparseable or non-finite cells, or an empty trace.
 DelayTrace parse_delay_trace_csv(std::istream& in);
 
 /// Load a trace from a CSV file; throws std::invalid_argument when the file

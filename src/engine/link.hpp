@@ -1,8 +1,8 @@
-// Channel adapters between engine actors and the transport models.
+// Channel adapters between the engine's round and the transport models.
 //
 // A Link answers one question: "a message of `bytes` leaves `from` for `to`
-// at `send_time` — when does it arrive, if ever?" The engine schedules the
-// delivery event at that answer. Two adapters cover the existing transports:
+// at `send_time` — when does it arrive, if ever?" engine::run_round sorts
+// the answers into the round's arrival order. Two adapters cover the existing transports:
 // FixedLatencyLink reproduces the analytic simulator's constant result-
 // transfer latency (SimParams::comm_latency), NetworkLink wraps the lossy
 // SimulatedNetwork of net/ (latency + bandwidth + iid drops, seeded RNG).
@@ -15,13 +15,14 @@
 
 namespace hgc::engine {
 
-/// Point-to-point message transport as seen by the event engine.
+/// Point-to-point message transport as seen by engine::run_round.
 class Link {
  public:
   virtual ~Link() = default;
 
   /// Arrival time of a `bytes`-sized message sent at `send_time`, or nullopt
-  /// when the transport drops it. Must be >= send_time.
+  /// when the transport drops it. Must be >= send_time (so never NaN); the
+  /// answer may depend only on this message and the link's own state.
   virtual std::optional<double> transmit(NodeId from, NodeId to,
                                          std::size_t bytes,
                                          double send_time) = 0;

@@ -1,20 +1,22 @@
-// One coded aggregation round as a cast of engine actors.
+// One coded aggregation round as a sorted arrival list.
 //
 // This is the one round call: sim::run_experiment (and the coded trainer
-// hooked onto it), the networked trainer and the `loss` figure cell all run
-// their rounds through run_round. Every
-// WorkerActor computes, waits out its injected delay, and ships its coded
-// result through a Link; the MasterActor feeds arrivals to a StreamingDecoder
-// and stops the clock at the first decodable prefix. Equal arrival times
-// resolve in worker-id order (arrival events are tagged with the worker id),
-// matching the previous implementations' (time, worker) sort.
+// hooked onto it) and the `loss` figure cell run their rounds through
+// run_round. Every Link answers each message on its own and no worker's
+// arrival depends on another's, so a round is fully defined by m arrival
+// times. run_round makes one pass in worker-id order (compute, injected
+// delay, optional encode, link.transmit; the order keeps a seeded link's
+// RNG draws fixed), sorts the arrivals by (time, worker), and feeds them to
+// a StreamingDecoder until the first decodable prefix — the T(B, S)
+// semantics of Section III-C. Equal arrival times resolve in worker-id
+// order.
 //
-// Two payload modes share the same event flow:
+// Two payload modes share that flow:
 //   * timing-only (partition_gradients == nullptr): empty payloads; callers
 //     want the decode time, coefficients and resource usage (sim/).
 //   * real payloads, optionally wire-framed through net/wire with checksums
-//     and an iteration tag (net/, the networked trainer), staged in the
-//     master so that the arrival event carries only the worker id.
+//     and an iteration tag (net/, the `loss` cell), held until their
+//     arrival is fed to the decoder.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +28,6 @@
 #include "cluster/straggler.hpp"
 #include "core/coding_scheme.hpp"
 #include "core/decoder.hpp"
-#include "engine/actor.hpp"
 #include "engine/link.hpp"
 
 namespace hgc::engine {
@@ -69,67 +70,13 @@ struct RoundOutcome {
   std::vector<double> compute_times;
   /// Fig. 5 metric Σ busy_i / (m · T); 0 when the round failed.
   double resource_usage = 0.0;
+  /// Arrivals fed to the decoder, up to and including the decisive one.
   std::size_t events_executed = 0;
 };
 
-/// Master side of a round: collects arrivals, decodes at the earliest
-/// sufficient set, then stops the simulation.
-class MasterActor : public Actor {
- public:
-  /// One master per round; `options` sets its cache, mode and frame tag.
-  MasterActor(Simulation& sim, const CodingScheme& scheme,
-              const RoundOptions& options);
-
-  /// Park worker w's encoded payload or serialized wire frame until its
-  /// arrival event calls deliver(w), so that every arrival closure fits
-  /// std::function's inline buffer. Returns the message size in bytes.
-  std::size_t stage_payload(WorkerId w, Vector coded);
-  std::size_t stage_frame(WorkerId w, std::vector<std::byte> frame);
-
-  /// Worker w's staged frame (parsed, iteration tag checked) or payload
-  /// arrives now; timing-only rounds stage nothing and deliver it empty.
-  void deliver(WorkerId w);
-
-  bool decoded() const { return decoder_.ready(); }
-  double decode_time() const { return decode_time_; }
-  /// Results received so far; once decoded, the ones the decode used.
-  std::size_t results_used() const { return decoder_.results_received(); }
-  const Vector& coefficients() const { return decoder_.coefficients(); }
-  Vector aggregate() const { return decoder_.aggregate(); }
-
- private:
-  void receive_result(WorkerId w, Vector coded);
-
-  StreamingDecoder decoder_;
-  // One slot per worker in the round's payload mode, empty otherwise.
-  std::vector<Vector> staged_payloads_;
-  std::vector<std::vector<std::byte>> staged_frames_;
-  std::uint64_t iteration_;
-  double decode_time_ = std::numeric_limits<double>::infinity();
-};
-
-/// Worker side of a round: compute the partition share, wait out the injected
-/// delay, encode, and transmit to the master through the link.
-class WorkerActor : public Actor {
- public:
-  WorkerActor(Simulation& sim, WorkerId id, const WorkerSpec& spec);
-
-  /// Launch this worker's part of one round starting at the current virtual
-  /// time. Faulted and zero-load workers do nothing. Returns the pure
-  /// compute duration (+inf when the worker sits the round out); lost
-  /// transmissions bump `dropped`.
-  double begin_round(const CodingScheme& scheme,
-                     const IterationConditions& conditions, Link& link,
-                     NodeId master_node, MasterActor& master,
-                     const RoundOptions& options, std::size_t& dropped);
-
- private:
-  WorkerId id_;
-  WorkerSpec spec_;
-};
-
-/// Run one full round on a fresh event loop. Workers are nodes 0..m-1, the
-/// master is node m (the Link's address space must cover it).
+/// Run one full round. Workers are nodes 0..m-1, the master is node m (the
+/// Link's address space must cover it). Throws std::invalid_argument when the
+/// link answers NaN or an arrival before the message was sent.
 RoundOutcome run_round(const CodingScheme& scheme, const Cluster& cluster,
                        const IterationConditions& conditions, Link& link,
                        const RoundOptions& options = {});

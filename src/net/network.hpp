@@ -2,9 +2,11 @@
 //
 // Message loss is one more way a result can "straggle forever": gradient
 // coding absorbs up to s lost results per iteration with zero retransmission
-// machinery, which engine::run_round over an engine::NetworkLink with wire
-// frames demonstrates end to end (serialize → transmit → maybe drop → parse
-// → streaming decode).
+// machinery. engine::run_round over an engine::NetworkLink with wire frames
+// (the `loss` sweep preset) shows it end to end: serialize → transmit →
+// maybe drop → sort the arrivals → parse → streaming decode. transmit()
+// draws the drop from the network's one seeded stream, so callers send in a
+// fixed order (run_round: worker-id order) to keep runs reproducible.
 #pragma once
 
 #include <cstddef>

@@ -82,6 +82,7 @@ BspTrainingResult train_bsp_ignore_stragglers(
     std::size_t s, const BspTrainingConfig& config) {
   const std::size_t m = cluster.size();
   HGC_REQUIRE(s < m, "cannot ignore as many workers as exist");
+  HGC_REQUIRE(config.record_every > 0, "record_every must be positive");
   const auto shards = partition_rows(data.size(), m);
 
   Rng condition_rng(config.seed + 0x79b9);
@@ -143,6 +144,7 @@ BspTrainingResult train_bsp_ignore_stragglers(
 
 BspTrainingResult train_serial(const Model& model, const Dataset& data,
                                const BspTrainingConfig& config) {
+  HGC_REQUIRE(config.record_every > 0, "record_every must be positive");
   Rng init_rng(config.seed + 0x1111);
   Vector params = model.init_params(init_rng);
   SgdOptimizer optimizer(config.sgd, params.size());

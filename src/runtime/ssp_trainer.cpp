@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <queue>
 #include <utility>
 
-#include "engine/simulation.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
@@ -34,11 +34,14 @@ SspTrainingResult train_ssp(const Cluster& cluster, const Model& model,
 
   // Worker state. SSP is a free-running protocol, so unlike the BSP round
   // (engine::run_round) there is no per-iteration barrier: every worker
-  // keeps its own clock on one long-lived event loop.
+  // keeps its own clock, and pushes complete in (finish time, worker) order.
+  // A worker has at most one push in flight, so that order is total.
   std::vector<std::size_t> clock(m, 0);
   std::vector<Vector> snapshot(m);          // params seen at pull time
   std::vector<bool> blocked(m, false);
-  engine::Simulation sim;
+  using Push = std::pair<double, WorkerId>;  // (finish time, worker)
+  std::priority_queue<Push, std::vector<Push>, std::greater<>> in_flight;
+  double now = 0.0;
 
   // Per-worker-step condition draw. SSP has no global iteration, so the
   // straggler model is applied marginally: each step is delayed with
@@ -78,16 +81,17 @@ SspTrainingResult train_ssp(const Cluster& cluster, const Model& model,
   result.trace.points.push_back({0.0, mean_loss(model, data, params), 0});
 
   Vector grad(model.num_params());
-  std::function<void(WorkerId)> on_push_complete;
-  // Tag = worker id: simultaneous finishes pop in worker order, exactly the
-  // (time, worker) comparator of the trainer's old private priority queue.
   auto start_worker = [&](WorkerId w) {
     snapshot[w] = params;  // pull
-    sim.schedule_after(compute_duration(w), [&, w] { on_push_complete(w); },
-                       w);
+    in_flight.emplace(now + compute_duration(w), w);
   };
 
-  on_push_complete = [&](WorkerId w) {
+  for (WorkerId w = 0; w < m; ++w) start_worker(w);
+  while (pushes < total_pushes && !in_flight.empty()) {
+    const WorkerId w = in_flight.top().second;
+    now = in_flight.top().first;
+    in_flight.pop();
+
     // Push: gradient of w's shard at the parameters w pulled (stale).
     std::fill(grad.begin(), grad.end(), 0.0);
     model.loss_and_gradient(data, shards[w], snapshot[w], grad);
@@ -106,7 +110,7 @@ SspTrainingResult train_ssp(const Cluster& cluster, const Model& model,
 
     if (pushes % (m * config.record_every) == 0 || pushes == total_pushes)
       result.trace.points.push_back(
-          {sim.now(), mean_loss(model, data, params), pushes / m});
+          {now, mean_loss(model, data, params), pushes / m});
 
     // Restart w unless the staleness bound blocks it.
     if (clock[w] - min_clock > config.staleness) {
@@ -123,10 +127,6 @@ SspTrainingResult train_ssp(const Cluster& cluster, const Model& model,
         start_worker(other);
       }
     }
-  };
-
-  for (WorkerId w = 0; w < m; ++w) start_worker(w);
-  while (pushes < total_pushes && sim.step()) {
   }
 
   result.mean_clock_spread =

@@ -7,11 +7,12 @@
 // parameter server receives unbalanced contributions (fast workers push many
 // more updates about their own shards), hurting convergence.
 //
-// The trainer is an event-driven simulation with real gradient computations:
+// The trainer is a virtual-clock simulation with real gradient computations:
 // each worker repeatedly pulls the current parameters, computes the gradient
 // of its own data shard (time drawn from its throughput and fluctuation),
 // pushes an update, and may only run ahead of the slowest worker by
-// `staleness` clocks.
+// `staleness` clocks. Pushes complete in (finish time, worker) order from a
+// priority queue; a worker has at most one push in flight.
 #pragma once
 
 #include <cstdint>

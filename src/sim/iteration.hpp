@@ -6,9 +6,9 @@
 // computing at (load/k) / (throughput·speed_factor), then its coded result
 // reaches the master after its injected delay plus the communication
 // latency (an engine::FixedLatencyLink). The master processes arrivals in
-// time order and stops at the first decodable prefix — exactly the T(B, S)
-// semantics of Section III-C generalized to delayed (not just full)
-// stragglers. sim::run_experiment is the multi-round loop.
+// (time, worker) order and stops at the first decodable prefix — exactly
+// the T(B, S) semantics of Section III-C generalized to delayed (not just
+// full) stragglers. sim::run_experiment is the multi-round loop.
 #pragma once
 
 #include <cstddef>

@@ -1,19 +1,21 @@
-// Tests for the discrete-event engine: event queue, simulation clock,
-// channel adapters, and the actor-based coded round.
+// Tests for the engine: channel adapters and the coded round as a sorted
+// arrival list.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "core/scheme_factory.hpp"
-#include "engine/event_queue.hpp"
 #include "engine/link.hpp"
 #include "engine/round.hpp"
-#include "engine/simulation.hpp"
+#include "sim/experiment.hpp"
 #include "sim/iteration.hpp"
 
 #include "util/alloc_instrument.hpp"  // instruments this whole binary
@@ -21,13 +23,10 @@
 namespace hgc {
 namespace {
 
-using engine::Event;
-using engine::EventQueue;
 using engine::FixedLatencyLink;
 using engine::NetworkLink;
 using engine::RoundOptions;
 using engine::RoundOutcome;
-using engine::Simulation;
 
 IterationConditions clean_conditions(std::size_t m) {
   IterationConditions cond;
@@ -35,222 +34,6 @@ IterationConditions clean_conditions(std::size_t m) {
   cond.delay.assign(m, 0.0);
   cond.faulted.assign(m, false);
   return cond;
-}
-
-TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.push(3.0, [&] { order.push_back(3); });
-  queue.push(1.0, [&] { order.push_back(1); });
-  queue.push(2.0, [&] { order.push_back(2); });
-  while (!queue.empty()) queue.pop().action();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, EqualTimesFireFifo) {
-  EventQueue queue;
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i)
-    queue.push(1.0, [&order, i] { order.push_back(i); });
-  while (!queue.empty()) queue.pop().action();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(EventQueue, TagsBreakTimeTiesBeforeInsertionOrder) {
-  // Tagged events at the same time fire in tag order regardless of when
-  // they were scheduled — how SSP keeps its (time, worker) pop order.
-  EventQueue queue;
-  std::vector<int> order;
-  queue.push(1.0, [&] { order.push_back(7); }, 7);
-  queue.push(1.0, [&] { order.push_back(3); }, 3);
-  queue.push(0.5, [&] { order.push_back(9); }, 9);  // earlier time wins
-  queue.push(1.0, [&] { order.push_back(5); }, 5);
-  while (!queue.empty()) queue.pop().action();
-  EXPECT_EQ(order, (std::vector<int>{9, 3, 5, 7}));
-}
-
-// Reference model for the property tests: one scheduled event's ordering
-// key. Sorting a log of these with std::stable_sort by (time, tag) leaves
-// equal keys in insertion order — the queue's documented total order.
-struct LoggedEvent {
-  double time;
-  std::uint64_t tag;
-  std::size_t seq;  // insertion order
-};
-
-void stable_sort_by_time_tag(std::vector<LoggedEvent>& log) {
-  std::stable_sort(log.begin(), log.end(),
-                   [](const LoggedEvent& a, const LoggedEvent& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.tag < b.tag;
-                   });
-}
-
-TEST(EventQueue, RandomPushPopInterleavingMatchesStableSortReference) {
-  // Few distinct times and tags force heavy (time, tag) collisions, so the
-  // insertion-order tie-break decides most pops.
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    Rng rng(seed);
-    EventQueue queue;
-    std::vector<LoggedEvent> pending;  // reference: live events, by seq
-    std::size_t fired = 0;
-    std::size_t next_seq = 0;
-    std::size_t last_fired = 0;
-    for (int op = 0; op < 2000 || !pending.empty(); ++op) {
-      if (op < 2000 && (pending.empty() || rng.bernoulli(0.55))) {
-        const LoggedEvent e{static_cast<double>(rng.uniform_int(0, 7)),
-                            static_cast<std::uint64_t>(rng.uniform_int(0, 3)),
-                            next_seq++};
-        queue.push(e.time, [&last_fired, seq = e.seq] { last_fired = seq; },
-                   e.tag);
-        pending.push_back(e);
-        continue;
-      }
-      std::vector<LoggedEvent> sorted = pending;
-      stable_sort_by_time_tag(sorted);
-      const LoggedEvent want = sorted.front();
-      std::erase_if(pending,
-                    [&](const LoggedEvent& e) { return e.seq == want.seq; });
-      ASSERT_EQ(queue.size(), pending.size() + 1);
-      Event got = queue.pop();
-      got.action();
-      ++fired;
-      ASSERT_EQ(last_fired, want.seq) << "seed " << seed << ", pop " << fired;
-      ASSERT_EQ(got.time, want.time);
-      ASSERT_EQ(got.tag, want.tag);
-    }
-    EXPECT_TRUE(queue.empty());
-    EXPECT_EQ(fired, next_seq);
-  }
-}
-
-TEST(Simulation, HandlerSchedulingMatchesStableSortReference) {
-  // Handlers schedule follow-ups the way SSP restarts a worker. A follow-up
-  // never sorts before the running event — a zero delay keeps a tag at least
-  // the parent's — so the whole run must fire in the order of one stable
-  // sort of every event ever scheduled.
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    Rng rng(seed);
-    Simulation sim;
-    std::vector<LoggedEvent> log;
-    std::vector<std::size_t> fired;
-    std::function<void(std::size_t)> handler;
-    auto schedule = [&](double time, std::uint64_t tag) {
-      const std::size_t seq = log.size();
-      log.push_back({time, tag, seq});
-      sim.schedule_at(time, [&handler, seq] { handler(seq); }, tag);
-    };
-    handler = [&](std::size_t seq) {
-      fired.push_back(seq);
-      const std::uint64_t tag = log[seq].tag;
-      for (int child = 0; child < 2 && log.size() < 3000; ++child) {
-        if (!rng.bernoulli(0.5)) continue;
-        const auto delay = static_cast<double>(rng.uniform_int(0, 2));
-        const auto lo = static_cast<std::int64_t>(delay == 0.0 ? tag : 0);
-        schedule(sim.now() + delay,
-                 static_cast<std::uint64_t>(rng.uniform_int(lo, 3)));
-      }
-    };
-    for (int i = 0; i < 200; ++i)
-      schedule(static_cast<double>(rng.uniform_int(0, 5)),
-               static_cast<std::uint64_t>(rng.uniform_int(0, 3)));
-    sim.run();
-
-    stable_sort_by_time_tag(log);
-    std::vector<std::size_t> want;
-    for (const LoggedEvent& e : log) want.push_back(e.seq);
-    EXPECT_EQ(fired, want) << "seed " << seed;
-  }
-}
-
-TEST(EventQueue, SlabStaysWithinPeakPendingOverLongRun) {
-  // A long-lived loop (SSP's shape): 16 self-rescheduling chains for 100k
-  // events. Popped slots are recycled, so the slab never outgrows the peak
-  // number of simultaneously pending events.
-  EventQueue queue;
-  std::size_t peak = 0;
-  std::size_t runs = 0;
-  std::function<void()> reschedule;
-  auto push = [&](double time, std::uint64_t tag) {
-    queue.push(time, [&] { reschedule(); }, tag);
-    peak = std::max(peak, queue.size());
-  };
-  double now = 0.0;
-  std::uint64_t chain = 0;
-  reschedule = [&] {
-    if (++runs < 100000)
-      push(now + 1.0 + static_cast<double>(chain % 3), chain);
-  };
-  for (std::uint64_t c = 0; c < 16; ++c) push(static_cast<double>(c), c);
-  while (!queue.empty()) {
-    Event event = queue.pop();
-    now = event.time;
-    chain = event.tag;
-    event.action();
-  }
-  EXPECT_EQ(runs, 100000u + 15u);
-  EXPECT_EQ(peak, 16u);
-  EXPECT_LE(queue.slab_size(), peak);
-}
-
-TEST(Simulation, ClockFollowsEventTimes) {
-  Simulation sim;
-  std::vector<double> seen;
-  sim.schedule_at(2.5, [&] { seen.push_back(sim.now()); });
-  sim.schedule_at(1.0, [&] { seen.push_back(sim.now()); });
-  EXPECT_DOUBLE_EQ(sim.now(), 0.0);
-  EXPECT_EQ(sim.run(), 2u);
-  EXPECT_EQ(seen, (std::vector<double>{1.0, 2.5}));
-  EXPECT_DOUBLE_EQ(sim.now(), 2.5);
-}
-
-TEST(Simulation, HandlersMayScheduleMoreEvents) {
-  Simulation sim;
-  std::vector<double> ticks;
-  std::function<void()> tick = [&] {
-    ticks.push_back(sim.now());
-    if (ticks.size() < 5) sim.schedule_after(1.0, tick);
-  };
-  sim.schedule_after(1.0, tick);
-  sim.run();
-  EXPECT_EQ(ticks, (std::vector<double>{1.0, 2.0, 3.0, 4.0, 5.0}));
-}
-
-TEST(Simulation, RejectsPastAndNegative) {
-  Simulation sim;
-  sim.schedule_at(5.0, [] {});
-  sim.run();
-  EXPECT_THROW(sim.schedule_at(4.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(sim.schedule_after(-1.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(sim.run_until(1.0), std::invalid_argument);
-}
-
-TEST(Simulation, StopHaltsTheLoopAndResumeContinues) {
-  Simulation sim;
-  int ran = 0;
-  for (int i = 1; i <= 4; ++i)
-    sim.schedule_at(static_cast<double>(i), [&] {
-      if (++ran == 2) sim.stop();
-    });
-  sim.run();
-  EXPECT_EQ(ran, 2);
-  EXPECT_EQ(sim.pending_events(), 2u);
-  sim.resume();
-  sim.run();
-  EXPECT_EQ(ran, 4);
-  EXPECT_TRUE(sim.idle());
-}
-
-TEST(Simulation, RunUntilExecutesPrefixAndAdvancesClock) {
-  Simulation sim;
-  int ran = 0;
-  sim.schedule_at(1.0, [&] { ++ran; });
-  sim.schedule_at(3.0, [&] { ++ran; });
-  EXPECT_EQ(sim.run_until(2.0), 1u);
-  EXPECT_EQ(ran, 1);
-  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
-  sim.run();
-  EXPECT_EQ(ran, 2);
 }
 
 TEST(Links, FixedLatencyShiftsArrival) {
@@ -297,8 +80,8 @@ TEST(EngineRound, MasterStopsLoopAtFirstDecodableArrival) {
   ASSERT_TRUE(round.decoded);
   EXPECT_NEAR(round.time, ideal_iteration_time(cluster, 1), 1e-9);
   EXPECT_EQ(round.results_used, 7u);
-  // The straggler's delivery event never ran: the master released the
-  // barrier and stopped the clock first.
+  // The straggler's arrival was never fed to the decoder: the master
+  // released the barrier at the seventh.
   EXPECT_EQ(round.events_executed, 7u);
 }
 
@@ -398,9 +181,8 @@ TEST(EngineRound, DeterministicAcrossCalls) {
 }
 
 TEST(EngineRound, TimingOnlyRoundAllocationsDoNotGrowWithWorkers) {
-  // Every timing-only arrival closure fits std::function's inline buffer
-  // and run_round reserves the queue for m events, so a round allocates a
-  // fixed handful of buffers (outcome vectors, decoder state) at any m.
+  // A timing-only round allocates a fixed handful of buffers (outcome
+  // vectors, the arrival list, decoder state) at any m.
   auto allocations_per_round = [](std::size_t m) {
     const Cluster cluster = scale_cluster(m);
     Rng rng(91);
@@ -422,6 +204,159 @@ TEST(EngineRound, TimingOnlyRoundAllocationsDoNotGrowWithWorkers) {
   const std::size_t large = allocations_per_round(10000);
   EXPECT_LE(large, small + 8)
       << "m = 64: " << small << " allocations, m = 10000: " << large;
+}
+
+// A link that answers every message with a fixed arrival time.
+class ConstantLink : public engine::Link {
+ public:
+  explicit ConstantLink(double arrival) : arrival_(arrival) {}
+  std::optional<double> transmit(NodeId, NodeId, std::size_t,
+                                 double) override {
+    return arrival_;
+  }
+
+ private:
+  double arrival_;
+};
+
+TEST(EngineRound, RejectsNanOrPreSendArrival) {
+  Rng rng(92);
+  const Cluster cluster = cluster_a();
+  const auto scheme = make_scheme(SchemeKind::kHeterAware,
+                                  cluster.throughputs(), 24, 1, rng);
+  // Every worker sends after computing, so an arrival at t = 0 precedes
+  // every send.
+  for (const double arrival : {std::numeric_limits<double>::quiet_NaN(), 0.0}) {
+    ConstantLink link(arrival);
+    try {
+      engine::run_round(*scheme, cluster, clean_conditions(8), link);
+      ADD_FAILURE() << "arrival " << arrival << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("for worker 0"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Forwards to another link and records every arrival it answers, as
+// (arrival, sender).
+class RecordingLink : public engine::Link {
+ public:
+  explicit RecordingLink(engine::Link& inner) : inner_(&inner) {}
+  std::optional<double> transmit(NodeId from, NodeId to, std::size_t bytes,
+                                 double send_time) override {
+    const auto arrival = inner_->transmit(from, to, bytes, send_time);
+    if (arrival) answers.emplace_back(*arrival, from);
+    return arrival;
+  }
+
+  std::vector<std::pair<double, WorkerId>> answers;
+
+ private:
+  engine::Link* inner_;
+};
+
+// Reference master: stable-sort the arrivals by (time, worker) and probe
+// the scheme's decoder at every prefix until one decodes.
+RoundOutcome reference_round(const CodingScheme& scheme,
+                             std::vector<std::pair<double, WorkerId>> arrivals) {
+  std::stable_sort(arrivals.begin(), arrivals.end(),
+                   [](const auto& a, const auto& b) {
+                     if (a.first != b.first) return a.first < b.first;
+                     return a.second < b.second;
+                   });
+  RoundOutcome ref;
+  std::vector<bool> received(scheme.num_workers(), false);
+  for (const auto& [time, w] : arrivals) {
+    received[w] = true;
+    ++ref.events_executed;
+    ref.coefficients = scheme.decoding_coefficients(received);
+    if (ref.coefficients) {
+      ref.decoded = true;
+      ref.time = time;
+      ref.results_used = ref.events_executed;
+      break;
+    }
+  }
+  return ref;
+}
+
+TEST(EngineRound, TieOrderMatchesStableSortReference) {
+  // Unit speed factors and delays from {0, d} make equal-throughput workers
+  // arrive at exactly the same time, so the (time, worker) tie-break decides
+  // which prefix decodes first. A few faults make some rounds undecodable.
+  struct Case {
+    const Cluster* cluster;
+    std::unique_ptr<CodingScheme> scheme;
+  };
+  const std::vector<Cluster> clusters = paper_clusters();
+  std::vector<Case> cases;
+  for (const Cluster& cluster : clusters)
+    for (SchemeKind kind : paper_schemes())
+      for (std::size_t s = 1; s <= 2; ++s) {
+        Rng build_rng(94);
+        cases.push_back({&cluster,
+                         make_scheme(kind, cluster.throughputs(),
+                                     exact_partition_count(cluster, s), s,
+                                     build_rng)});
+      }
+
+  for (const bool lossy : {false, true}) {
+    LinkParams params;
+    params.latency = 0.001;
+    params.drop_probability = lossy ? 0.05 : 0.0;
+    std::size_t decoded = 0;
+    std::size_t undecodable = 0;
+    std::size_t tied = 0;  // rounds where two arrivals share a time
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      const Case& c = cases[seed % cases.size()];
+      const Cluster& cluster = *c.cluster;
+      const std::size_t m = cluster.size();
+      Rng rng(1000 + seed);
+      const double d = 0.5 * ideal_iteration_time(cluster, 1);
+      auto cond = clean_conditions(m);
+      for (WorkerId w = 0; w < m; ++w) {
+        if (rng.bernoulli(0.3)) cond.delay[w] = d;
+        if (rng.bernoulli(0.02)) cond.faulted[w] = true;
+      }
+
+      FixedLatencyLink fixed(0.001);
+      SimulatedNetwork network(m + 1, params, Rng(2000 + seed));
+      NetworkLink networked(network);
+      RecordingLink link(lossy ? static_cast<engine::Link&>(networked)
+                               : static_cast<engine::Link&>(fixed));
+      const RoundOutcome got = engine::run_round(*c.scheme, cluster, cond, link);
+      const RoundOutcome want = reference_round(*c.scheme, link.answers);
+      std::vector<double> times;
+      for (const auto& answer : link.answers) times.push_back(answer.first);
+      std::sort(times.begin(), times.end());
+      if (std::adjacent_find(times.begin(), times.end()) != times.end())
+        ++tied;
+
+      const std::string where = cluster.name() + ", seed " +
+                                std::to_string(seed) +
+                                (lossy ? ", lossy" : ", lossless");
+      ASSERT_EQ(got.decoded, want.decoded) << where;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.time),
+                std::bit_cast<std::uint64_t>(want.time))
+          << where;
+      EXPECT_EQ(got.results_used, want.results_used) << where;
+      EXPECT_EQ(got.events_executed, want.events_executed) << where;
+      if (!got.decoded) {
+        ++undecodable;
+        continue;
+      }
+      ++decoded;
+      ASSERT_EQ(got.coefficients->size(), want.coefficients->size()) << where;
+      for (std::size_t i = 0; i < got.coefficients->size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>((*got.coefficients)[i]),
+                  std::bit_cast<std::uint64_t>((*want.coefficients)[i]))
+            << where << ", coefficient " << i;
+    }
+    EXPECT_GT(decoded, 100u);
+    EXPECT_GT(undecodable, 0u);
+    EXPECT_GT(tied, 100u);
+  }
 }
 
 TEST(EngineRound, RejectsMismatchedSizes) {

@@ -5,7 +5,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "core/scheme_cache.hpp"
 #include "engine/delay_trace.hpp"
@@ -79,6 +81,27 @@ TEST(DelayTrace, RejectsMalformedInput) {
   EXPECT_THROW(engine::parse_delay_trace_csv(empty), std::invalid_argument);
   std::istringstream trailing("1,2x\n");
   EXPECT_THROW(engine::parse_delay_trace_csv(trailing), std::invalid_argument);
+}
+
+TEST(DelayTrace, RejectsNonFiniteCells) {
+  // std::stod reads these; a delay must be finite (negative = fault).
+  for (const std::string cell : {"nan", "-nan", "inf", "INF", "infinity"}) {
+    std::istringstream in("0.5,0\n0," + cell + "\n");
+    try {
+      engine::parse_delay_trace_csv(in);
+      ADD_FAILURE() << "accepted delay cell '" << cell << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unparseable delay cell '" + cell + "' on line 2"),
+                std::string::npos)
+          << what;
+    }
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(DelayTrace({{0.0, nan}}), std::invalid_argument);
+  EXPECT_THROW(DelayTrace({{0.0, inf}}), std::invalid_argument);
+  EXPECT_THROW(DelayTrace({{-inf, 0.0}}), std::invalid_argument);
 }
 
 TEST(DelayTrace, RoundTripsThroughCsv) {

@@ -104,6 +104,21 @@ TEST(BspTrainer, RecordEveryThinsTrace) {
   EXPECT_EQ(result.trace.points.size(), 5u);
 }
 
+TEST(BspTrainer, RejectsZeroRecordEvery) {
+  const Cluster cluster = cluster_a();
+  const Dataset data = small_data();
+  SoftmaxRegression model(6, 3);
+  BspTrainingConfig config;
+  config.iterations = 4;
+  config.record_every = 0;
+  EXPECT_THROW(train_serial(model, data, config), std::invalid_argument);
+  EXPECT_THROW(train_bsp_ignore_stragglers(cluster, model, data, 1, config),
+               std::invalid_argument);
+  EXPECT_THROW(train_bsp_coded(SchemeKind::kHeterAware, cluster, model, data,
+                               24, 1, config),
+               std::invalid_argument);
+}
+
 TEST(BspTrainer, TimeToLossMonotoneInTarget) {
   const Cluster cluster = cluster_a();
   const Dataset data = small_data();
