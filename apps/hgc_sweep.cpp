@@ -50,9 +50,9 @@ void print_usage(std::ostream& os) {
         "                     and specs alike — see README 'Scenario DSL')\n"
         "  --iters N          override the grid's iteration count\n"
         "  --threads N        worker threads (default: all cores)\n"
-        "  --kernel-backend B force the linalg kernel backend: scalar,\n"
-        "                     avx2, or neon (default: best the host\n"
-        "                     supports; HGC_KERNEL_BACKEND works too).\n"
+        "  --kernel-backend B force the linalg kernel backend: scalar\n"
+        "                     or avx2 (default: avx2 when the host\n"
+        "                     supports it; HGC_KERNEL_BACKEND works too).\n"
         "                     Output is byte-identical either way — the\n"
         "                     flag trades speed, never results\n"
         "  --cache/--no-cache share constructed schemes across cells and\n"
@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
       if (!backend.has_value())
         throw std::invalid_argument("--kernel-backend '" + backend_arg +
                                     "' is not a backend name "
-                                    "(scalar|avx2|neon)");
+                                    "(scalar|avx2)");
       if (!kernels::set_backend(*backend))
         throw std::invalid_argument("--kernel-backend " + backend_arg +
                                     " is not available on this build/host");

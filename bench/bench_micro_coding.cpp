@@ -42,8 +42,6 @@
 #include "engine/link.hpp"
 #include "engine/round.hpp"
 #include "linalg/kernels.hpp"
-#include "linalg/lu.hpp"
-#include "linalg/qr.hpp"
 #include "linalg/sparse.hpp"
 #include "linalg/workspace.hpp"
 #include "sim/experiment.hpp"
@@ -182,27 +180,9 @@ void BM_KernelRank1Update(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelRank1Update)->Args({8, 116})->Args({10, 784});
 
-void BM_KernelLuSolveAllocating(benchmark::State& state) {
-  // The one-shot path Alg. 1 used per partition before the workspace layer:
-  // copy + factor + solve, allocating factors and the solution every call.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(24);
-  Matrix a = random_matrix(n, n, rng);
-  for (std::size_t i = 0; i < n; ++i) a(i, i) += static_cast<double>(n);
-  const Vector ones(n, 1.0);
-  AllocCounter allocs;
-  for (auto _ : state) {
-    Vector x = lu_solve(a, ones);
-    benchmark::DoNotOptimize(x.data());
-  }
-  allocs.report(state);
-  report_mflops(state, 2.0 / 3.0 * static_cast<double>(n * n * n) +
-                           2.0 * static_cast<double>(n * n));
-}
-BENCHMARK(BM_KernelLuSolveAllocating)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_KernelLuSolveWorkspace(benchmark::State& state) {
-  // Same solve through a reused LuWorkspace: zero allocations steady-state.
+  // Alg. 1's per-partition solve through a reused LuWorkspace (copy +
+  // factor + solve): zero allocations steady-state.
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(24);
   Matrix a = random_matrix(n, n, rng);
@@ -232,45 +212,25 @@ BENCHMARK(BM_KernelLuSolveWorkspace)
     ->Arg(64)
     ->Arg(128);
 
-void BM_KernelLeastSquaresAllocating(benchmark::State& state) {
-  // The pre-workspace generic-decode inner solve at decode shapes: B_Rᵀ is
-  // k×|R| with one straggler missing; select_rows + transposed + QR, all
-  // freshly allocated per call.
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const Throughputs c = spread_throughputs(m);
-  Rng rng(25);
-  HeterAwareScheme scheme(c, 2 * m, 1, rng);
-  std::vector<std::size_t> rows;
-  for (std::size_t w = 1; w < m; ++w) rows.push_back(w);
-  const Matrix& b = scheme.coding_matrix();
-  const Vector ones(b.cols(), 1.0);
-  AllocCounter allocs;
-  for (auto _ : state) {
-    const Matrix brt = b.select_rows(rows).transposed();
-    auto ls = least_squares(brt, ones);
-    benchmark::DoNotOptimize(ls.x.data());
-  }
-  allocs.report(state);
-}
-BENCHMARK(BM_KernelLeastSquaresAllocating)->Arg(8)->Arg(58);
-
 void BM_KernelLeastSquaresWorkspace(benchmark::State& state) {
-  // Same solve against the selected rows through a reused QrWorkspace.
+  // The generic-decode inner solve at decode shapes: B_Rᵀ is k×|R| with one
+  // straggler missing, packed from the sparse rows of B (the decoder's
+  // factor_transposed) into a reused QrWorkspace, then solved.
   const auto m = static_cast<std::size_t>(state.range(0));
   const Throughputs c = spread_throughputs(m);
   Rng rng(25);
   HeterAwareScheme scheme(c, 2 * m, 1, rng);
   std::vector<std::size_t> rows;
   for (std::size_t w = 1; w < m; ++w) rows.push_back(w);
-  const Matrix& b = scheme.coding_matrix();
+  const SparseRowMatrix& b = scheme.sparse_matrix();
   const Vector ones(b.cols(), 1.0);
   QrWorkspace ws;
   Vector x;
-  ws.factor_transposed(RowSelectView(b, rows));
+  ws.factor_transposed(b, rows);
   ws.solve_into(ones, x);  // warm-up
   AllocCounter allocs;
   for (auto _ : state) {
-    ws.factor_transposed(RowSelectView(b, rows));
+    ws.factor_transposed(b, rows);
     double residual = ws.solve_into(ones, x);
     benchmark::DoNotOptimize(residual);
     benchmark::DoNotOptimize(x.data());
@@ -280,19 +240,19 @@ void BM_KernelLeastSquaresWorkspace(benchmark::State& state) {
 BENCHMARK(BM_KernelLeastSquaresWorkspace)->Arg(8)->Arg(58);
 
 void BM_Condition1Workspace(benchmark::State& state) {
-  // The robustness sweep: C(m, s) least-squares solves per call, one
-  // workspace across the whole enumeration. allocs_per_iter ≈ 0 after the
-  // warm-up call is the refactor's acceptance criterion.
+  // The robustness sweep: C(m, s) least-squares solves per call over the
+  // sparse B, one per-thread workspace across the whole enumeration.
+  // allocs_per_iter ≈ 0 after the warm-up call is the acceptance criterion.
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto s = static_cast<std::size_t>(state.range(1));
   const Throughputs c = spread_throughputs(m);
   Rng rng(26);
   HeterAwareScheme scheme(c, 2 * m, s, rng);
-  SolveWorkspace ws;
-  bool ok = satisfies_condition1(scheme.coding_matrix(), s, 1e-8, &ws);
+  const SparseRowMatrix& b = scheme.sparse_matrix();
+  bool ok = satisfies_condition1(b, s);  // warm-up
   AllocCounter allocs;
   for (auto _ : state) {
-    ok = satisfies_condition1(scheme.coding_matrix(), s, 1e-8, &ws);
+    ok = satisfies_condition1(b, s);
     benchmark::DoNotOptimize(ok);
   }
   allocs.report(state);
@@ -307,7 +267,7 @@ void BM_HeterAwareConstruction(benchmark::State& state) {
   for (auto _ : state) {
     Rng rng(++seed);
     HeterAwareScheme scheme(c, 2 * m, s, rng);
-    benchmark::DoNotOptimize(scheme.coding_matrix());
+    benchmark::DoNotOptimize(scheme.sparse_matrix());
   }
 }
 BENCHMARK(BM_HeterAwareConstruction)
@@ -323,7 +283,7 @@ void BM_GroupBasedConstruction(benchmark::State& state, const Throughputs& c,
   for (auto _ : state) {
     Rng rng(++seed);
     GroupBasedScheme scheme(c, k, s, rng);
-    benchmark::DoNotOptimize(scheme.coding_matrix());
+    benchmark::DoNotOptimize(scheme.sparse_matrix());
   }
 }
 

@@ -58,7 +58,7 @@ int main() {
 
   // 5. The guarantees, checked live.
   std::cout << "\nCondition 1 (robust to any " << s << " straggler): "
-            << (satisfies_condition1(scheme.coding_matrix(), s) ? "yes"
+            << (satisfies_condition1(scheme.sparse_matrix(), s) ? "yes"
                                                                 : "NO")
             << "\n";
   const auto worst = worst_case_time(scheme, c);

@@ -3,13 +3,43 @@
 #include <algorithm>
 
 #include "linalg/kernels.hpp"
+#include "linalg/workspace.hpp"
 #include "util/checked_cast.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
 namespace {
-// A least-squares residual below this bound certifies 1 ∈ rowspan(B_R).
+// A least-squares residual at or below this bound certifies
+// 1 ∈ rowspan(B_R).
 constexpr double kDecodeResidualTolerance = 1e-8;
+
+// Scratch for the row-span solve: the received-row selection, the packed
+// B_Rᵀ and its QR factors, the all-ones rhs and the solution.
+struct RowSpanWorkspace {
+  std::vector<std::size_t> rows;
+  QrWorkspace qr;
+  Vector ones;
+  Vector x;
+};
+
+// One workspace per thread: the sweep runtime's worker threads each warm up
+// their own buffers once and then solve allocation-free. Results never
+// depend on workspace history, so this cannot perturb determinism.
+RowSpanWorkspace& thread_workspace() {
+  thread_local RowSpanWorkspace ws;
+  return ws;
+}
+
+// Solve B_Rᵀ·x = 1 (k equations, |R| unknowns) in least squares; true when
+// the residual certifies 1 ∈ rowspan(B_R), with x left in ws.x.
+bool solve_ones_in_row_span(const SparseRowMatrix& b,
+                            std::span<const std::size_t> rows,
+                            RowSpanWorkspace& ws) {
+  if (rows.empty()) return false;
+  ws.qr.factor_transposed(b, rows);
+  ws.ones.assign(b.cols(), 1.0);
+  return ws.qr.solve_into(ws.ones, ws.x) <= kDecodeResidualTolerance;
+}
 
 void check_shape(const SparseRowMatrix& b, std::size_t assignment_rows,
                  std::size_t s) {
@@ -53,11 +83,6 @@ CodingScheme::CodingScheme(SparseRowMatrix b, std::size_t s,
     assignment_[w].assign(cols.begin(), cols.end());
   }
 }
-
-CodingScheme::CodingScheme(const Matrix& b, Assignment assignment,
-                           std::size_t s, std::vector<DecodeQuorum> quorums)
-    : CodingScheme(SparseRowMatrix::from_dense(b), std::move(assignment), s,
-                   std::move(quorums)) {}
 
 void CodingScheme::index_quorums() {
   HGC_REQUIRE(!quorums_.empty(), "a scheme needs at least one decode quorum");
@@ -114,38 +139,21 @@ bool CodingScheme::quorum_met(const std::vector<bool>& received) const {
   return false;
 }
 
-const Matrix& CodingScheme::coding_matrix() const {
-  std::call_once(dense_view_once_,
-                 [this] { dense_view_ = coding_matrix_.to_dense(); });
-  return dense_view_;
+bool ones_in_row_span(const SparseRowMatrix& b,
+                      std::span<const std::size_t> rows) {
+  return solve_ones_in_row_span(b, rows, thread_workspace());
 }
 
 std::optional<Vector> CodingScheme::generic_decode(
     const std::vector<bool>& received) const {
-  // One workspace per thread: the sweep runtime's worker threads each warm
-  // up their own buffers once and then solve allocation-free. Results never
-  // depend on workspace history, so this cannot perturb determinism.
-  thread_local SolveWorkspace ws;
-  return generic_decode(received, ws);
-}
-
-std::optional<Vector> CodingScheme::generic_decode(
-    const std::vector<bool>& received, SolveWorkspace& ws) const {
   HGC_REQUIRE(received.size() == num_workers(),
               "received flags must have one entry per worker");
-  std::vector<std::size_t>& rows = ws.indices;
+  RowSpanWorkspace& ws = thread_workspace();
+  std::vector<std::size_t>& rows = ws.rows;
   rows.clear();
   for (std::size_t w = 0; w < received.size(); ++w)
     if (received[w]) rows.push_back(w);
-  if (rows.empty()) return std::nullopt;
-
-  // Solve B_Rᵀ·x = 1 (k equations, |R| unknowns) packed straight from the
-  // sparse rows of B — byte-identical to the old dense gather (see
-  // QrWorkspace::factor_transposed's sparse overload).
-  ws.qr.factor_transposed(coding_matrix_, rows);
-  ws.rhs.assign(num_partitions(), 1.0);
-  const double residual = ws.qr.solve_into(ws.rhs, ws.x);
-  if (residual > kDecodeResidualTolerance) return std::nullopt;
+  if (!solve_ones_in_row_span(coding_matrix_, rows, ws)) return std::nullopt;
 
   Vector coefficients(num_workers(), 0.0);
   for (std::size_t i = 0; i < rows.size(); ++i)

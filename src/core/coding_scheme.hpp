@@ -6,12 +6,17 @@
 // responded so far, can I reconstruct Σ g_j — and with what coefficients?"
 // decoding_coefficients() answers it; everything else is bookkeeping.
 //
-// B is ≤(s+1)-sparse per row for every paper scheme, so the PRIMARY
-// representation is a SparseRowMatrix: construction, encode, decode packing
-// and the load/assignment accessors all run off nonzero structure — O(m·s)
-// instead of the dense O(m·k) that walls out 10k-worker clusters. A dense
-// view still exists for the small-m solve paths and external consumers, but
-// it materializes lazily on first request and never on the scale path.
+// B is ≤(s+1)-sparse per row for every paper scheme, so its ONE form is a
+// SparseRowMatrix: construction, encode, decode packing and the
+// load/assignment accessors all run off nonzero structure — O(m·s) instead
+// of the dense O(m·k) that walls out 10k-worker clusters. No dense copy of B
+// is ever built; a caller that wants one (a test at toy size) calls
+// sparse_matrix().to_dense().
+//
+// The master's one linear-algebra question — does 1 lie in the row span of
+// B_R, and with which coefficients — is answered by one least-squares solve
+// (ones_in_row_span below). generic_decode and the robustness checks all go
+// through it.
 //
 // Each scheme also declares its decode quorums: necessary conditions for
 // decoding_coefficients to succeed. Streaming callers count arrivals per
@@ -20,7 +25,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -28,7 +32,6 @@
 #include "core/types.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
-#include "linalg/workspace.hpp"
 
 namespace hgc {
 
@@ -58,14 +61,8 @@ class CodingScheme {
   /// Number of stragglers this instance is provisioned to tolerate.
   std::size_t stragglers_tolerated() const { return s_; }
 
-  /// The coding matrix B in its native sparse form — the representation
-  /// every hot path should consume.
+  /// The coding matrix B (its only form).
   const SparseRowMatrix& sparse_matrix() const { return coding_matrix_; }
-
-  /// Dense view of B, materialized lazily on first call (thread-safe) and
-  /// cached. At 10k workers this is gigabytes — keep it off scale paths;
-  /// it exists for small-m solve/debug consumers only.
-  const Matrix& coding_matrix() const;
 
   /// Data-partition assignment (supp(b_i) per worker).
   const Assignment& assignment() const { return assignment_; }
@@ -109,22 +106,12 @@ class CodingScheme {
   CodingScheme(SparseRowMatrix b, std::size_t s,
                std::vector<DecodeQuorum> quorums);
 
-  /// Dense convenience for constructors/tests that still build a Matrix;
-  /// converts via SparseRowMatrix::from_dense (support = entries != 0.0).
-  CodingScheme(const Matrix& b, Assignment assignment, std::size_t s,
-               std::vector<DecodeQuorum> quorums);
-
-  /// Generic decodability fallback: least-squares solve of B_Rᵀ·x = 1 with a
-  /// residual test. Works for any B; O(k·|R|²). Scratch (the row selection,
-  /// the packed B_Rᵀ, QR factors, rhs) lives in a per-thread workspace, so
-  /// repeated calls allocate nothing but the returned coefficient vector.
+  /// Generic decodability fallback: the ones_in_row_span solve over the
+  /// received rows, its solution scattered to worker slots. Works for any B;
+  /// O(k·|R|²). Allocates nothing but the returned coefficient vector once
+  /// the calling thread's workspace is warm.
   std::optional<Vector> generic_decode(const std::vector<bool>& received)
       const;
-
-  /// Same, against a caller-owned workspace (e.g. one reused across a whole
-  /// robustness enumeration). Never share a workspace between threads.
-  std::optional<Vector> generic_decode(const std::vector<bool>& received,
-                                       SolveWorkspace& ws) const;
 
  private:
   /// Validate the quorums and build the worker → quorum index.
@@ -140,12 +127,15 @@ class CodingScheme {
   std::vector<std::uint32_t> global_quorums_;
   std::vector<std::uint32_t> quorum_offsets_;
   std::vector<std::uint32_t> quorum_ids_;
-  // Lazily materialized dense view; guarded so concurrent sweep threads
-  // sharing one scheme race-free. Logically const — a pure function of
-  // coding_matrix_.
-  mutable Matrix dense_view_;
-  mutable std::once_flag dense_view_once_;
 };
+
+/// Does 1_{1×k} lie in the row span of B restricted to `rows`? A
+/// least-squares solve of B_Rᵀ·x = 1, packed straight from the sparse rows,
+/// whose residual must not exceed 1e-8. False for an empty selection. The
+/// packed B_Rᵀ and the QR factors live in one workspace per thread, so the
+/// check allocates nothing once that workspace is warm.
+bool ones_in_row_span(const SparseRowMatrix& b,
+                      std::span<const std::size_t> rows);
 
 /// Worker-side encoding: g̃_w = Σ_j B(w,j)·g_j over the partitions worker w
 /// holds. `partition_gradients[j]` is g_j; only the supported entries are

@@ -8,39 +8,6 @@
 
 namespace hgc {
 
-bool ones_in_row_span(const Matrix& b, std::span<const std::size_t> rows,
-                      double tolerance) {
-  thread_local SolveWorkspace ws;
-  return ones_in_row_span(b, rows, tolerance, ws);
-}
-
-bool ones_in_row_span(const Matrix& b, std::span<const std::size_t> rows,
-                      double tolerance, SolveWorkspace& ws) {
-  if (rows.empty()) return false;
-  // Least-squares B_Rᵀ·x = 1 with a residual test, solved straight against
-  // the selected rows (no select_rows/transposed temporaries).
-  ws.qr.factor_transposed(RowSelectView(b, rows));
-  ws.rhs.assign(b.cols(), 1.0);
-  return ws.qr.solve_into(ws.rhs, ws.x) <= tolerance;
-}
-
-bool ones_in_row_span(const SparseRowMatrix& b,
-                      std::span<const std::size_t> rows, double tolerance) {
-  thread_local SolveWorkspace ws;
-  return ones_in_row_span(b, rows, tolerance, ws);
-}
-
-bool ones_in_row_span(const SparseRowMatrix& b,
-                      std::span<const std::size_t> rows, double tolerance,
-                      SolveWorkspace& ws) {
-  if (rows.empty()) return false;
-  // Identical solve to the dense variant: the sparse scatter packs a
-  // byte-identical B_Rᵀ (see QrWorkspace::factor_transposed).
-  ws.qr.factor_transposed(b, rows);
-  ws.rhs.assign(b.cols(), 1.0);
-  return ws.qr.solve_into(ws.rhs, ws.x) <= tolerance;
-}
-
 std::size_t count_straggler_patterns(std::size_t m, std::size_t s,
                                      std::size_t cap) {
   HGC_REQUIRE(s <= m, "cannot choose more stragglers than workers");
@@ -55,17 +22,13 @@ std::size_t count_straggler_patterns(std::size_t m, std::size_t s,
   return static_cast<std::size_t>(n);
 }
 
-bool satisfies_condition1(const Matrix& b, std::size_t s, double tolerance,
-                          SolveWorkspace* ws) {
+bool satisfies_condition1(const SparseRowMatrix& b, std::size_t s) {
   const std::size_t m = b.rows();
   HGC_REQUIRE(s < m, "condition 1 needs s < m");
-  thread_local SolveWorkspace shared;
-  SolveWorkspace& w = ws ? *ws : shared;
   // Equivalent formulation: for every straggler pattern of exactly s
-  // workers, the surviving rows span the ones vector. One workspace serves
-  // the whole C(m, s) enumeration: indices holds the survivors, indices2
-  // backs the pattern buffer, and the QR factors are re-packed per pattern.
-  std::vector<std::size_t>& survivors = w.indices;
+  // workers, the surviving rows span the ones vector.
+  thread_local std::vector<std::size_t> survivors;
+  thread_local StragglerSet pattern;
   return for_each_straggler_pattern(
       m, s,
       [&](const StragglerSet& stragglers) {
@@ -77,9 +40,9 @@ bool satisfies_condition1(const Matrix& b, std::size_t s, double tolerance,
           else
             survivors.push_back(worker);
         }
-        return ones_in_row_span(b, survivors, tolerance, w);
+        return ones_in_row_span(b, survivors);
       },
-      w.indices2);
+      pattern);
 }
 
 std::optional<double> completion_time(const CodingScheme& scheme,

@@ -13,30 +13,10 @@
 #include "core/coding_scheme.hpp"
 #include "core/decoding_cache.hpp"
 #include "core/types.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
-#include "linalg/workspace.hpp"
 #include "util/rng.hpp"
 
 namespace hgc {
-
-/// Does 1_{1×k} lie in the row span of B restricted to `rows`?
-bool ones_in_row_span(const Matrix& b, std::span<const std::size_t> rows,
-                      double tolerance = 1e-8);
-
-/// Workspace-threaded variant: the packed B_Rᵀ, QR factors and rhs all live
-/// in `ws`, so a whole enumeration of row subsets solves allocation-free.
-bool ones_in_row_span(const Matrix& b, std::span<const std::size_t> rows,
-                      double tolerance, SolveWorkspace& ws);
-
-/// Sparse-native variants: pack B_Rᵀ straight from the CSR rows (byte-
-/// identical packed buffer to the dense gather), no dense materialization.
-bool ones_in_row_span(const SparseRowMatrix& b,
-                      std::span<const std::size_t> rows,
-                      double tolerance = 1e-8);
-bool ones_in_row_span(const SparseRowMatrix& b,
-                      std::span<const std::size_t> rows, double tolerance,
-                      SolveWorkspace& ws);
 
 /// C(m, s), saturating at `cap` — the cheap "is exact enumeration feasible?"
 /// probe behind sample_straggler_patterns' auto-selection.
@@ -44,14 +24,13 @@ std::size_t count_straggler_patterns(std::size_t m, std::size_t s,
                                      std::size_t cap);
 
 /// Brute-force Condition 1: every (m−s)-subset of rows spans the all-ones
-/// vector. Exponential in m — intended for test-sized instances; callers
-/// should keep C(m, s) under ~10⁶. One workspace (caller's `ws`, or a
-/// per-thread default) is reused across the entire pattern enumeration;
-/// after one warm-up call per shape the check performs zero heap
-/// allocations (pinned by test_kernels' instrumented allocator).
-bool satisfies_condition1(const Matrix& b, std::size_t s,
-                          double tolerance = 1e-8,
-                          SolveWorkspace* ws = nullptr);
+/// vector (ones_in_row_span). Exponential in m — intended for test-sized
+/// instances; callers should keep C(m, s) under ~10⁶. The survivor list,
+/// the pattern buffer and the solve workspace are per-thread and reused
+/// across the whole enumeration: after one warm-up call per shape the check
+/// performs zero heap allocations (pinned by test_kernels' instrumented
+/// allocator).
+bool satisfies_condition1(const SparseRowMatrix& b, std::size_t s);
 
 /// Visit every straggler pattern with exactly `s` stragglers; the callback
 /// receives the sorted straggler set (the caller-provided scratch buffer,

@@ -16,10 +16,10 @@
 //   3. the table is assembled serially in cell-index order after the pool
 //      drains — cross-cell aggregation (aggregate_over) happens there, never
 //      concurrently.
-// The linalg layer under the cells' decode solves keeps one SolveWorkspace
-// per thread (thread_local in the hot paths), so each pool worker reuses
-// its own factor/scratch buffers across cells — allocation-free
-// steady-state without any sharing. Workspace state never influences
+// The cells' decode solves keep one solve workspace per thread
+// (thread_local in the hot paths), so each pool worker reuses its own
+// factor/scratch buffers across cells — allocation-free steady-state
+// without any sharing. Workspace state never influences
 // results (every factor fully overwrites it), so rule 1 is unaffected.
 #pragma once
 

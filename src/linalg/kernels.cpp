@@ -4,9 +4,9 @@
 // documented summation order in kernels.hpp: sixteen named accumulators in
 // dot (GCC maps them onto SSE register pairs on x86, so "scalar" is the
 // portable baseline, not a strawman), elementwise mul+add everywhere else.
-// The SIMD TUs (kernels_avx2.cpp / kernels_neon.cpp) reproduce the same
-// order with vector registers; CI byte-diffs sweep output across backends,
-// so any divergence is a build-breaking bug, not a tolerance question.
+// The AVX2 TU (kernels_avx2.cpp) reproduces the same order with vector
+// registers; CI byte-diffs sweep output across backends, so any divergence
+// is a build-breaking bug, not a tolerance question.
 #include "linalg/kernels.hpp"
 
 #include <atomic>
@@ -163,8 +163,6 @@ const detail::KernelTable* table_for(Backend backend) noexcept {
       return &detail::kScalarTable;
     case Backend::kAvx2:
       return util::cpu_supports_avx2() ? detail::avx2_table() : nullptr;
-    case Backend::kNeon:
-      return util::cpu_supports_neon() ? detail::neon_table() : nullptr;
   }
   return nullptr;
 }
@@ -189,7 +187,6 @@ void publish(Backend backend, const detail::KernelTable* table) noexcept {
 
 Backend auto_detect() noexcept {
   if (table_for(Backend::kAvx2) != nullptr) return Backend::kAvx2;
-  if (table_for(Backend::kNeon) != nullptr) return Backend::kNeon;
   return Backend::kScalar;
 }
 
@@ -203,7 +200,7 @@ const detail::KernelTable& select_initial() noexcept {
     if (!named.has_value()) {
       std::fprintf(stderr,
                    "hgc: HGC_KERNEL_BACKEND='%s' is not a backend name "
-                   "(scalar|avx2|neon); auto-detecting '%s' instead\n",
+                   "(scalar|avx2); auto-detecting '%s' instead\n",
                    env, backend_name(chosen));
     } else if (table_for(*named) == nullptr) {
       std::fprintf(stderr,
@@ -250,8 +247,6 @@ const char* backend_name(Backend backend) noexcept {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -259,7 +254,6 @@ const char* backend_name(Backend backend) noexcept {
 std::optional<Backend> parse_backend(std::string_view name) noexcept {
   if (name == "scalar") return Backend::kScalar;
   if (name == "avx2") return Backend::kAvx2;
-  if (name == "neon") return Backend::kNeon;
   return std::nullopt;
 }
 

@@ -3,10 +3,10 @@
 // These are the named inner loops of the library: axpy/dot/scal/gemv plus a
 // row-blocked rank-1 update. All of them operate on caller-provided storage
 // (spans or raw row-major blocks with a leading dimension) and never
-// allocate. Since PR 9 they dispatch through a per-process backend table
-// (scalar / AVX2 / NEON) selected once at startup — see "Backends" below —
-// and every backend implements the SAME summation order, so the backend
-// choice never changes a byte of output.
+// allocate. They dispatch through a per-process backend table (scalar /
+// AVX2) selected once at startup — see "Backends" below — and every backend
+// implements the SAME summation order, so the backend choice never changes
+// a byte of output.
 //
 // Determinism contract (the sweep's byte-identical-output guarantee relies
 // on this): every kernel uses a FIXED, data-independent summation order.
@@ -21,28 +21,27 @@
 //     alignment, thread count, backend, or call history. (The AVX2 backend
 //     keeps lanes s, s+4, s+8, s+12 in vector-lane s of four 256-bit
 //     accumulators, so its lanewise adds and ordered horizontal reduce
-//     reproduce this tree operation-for-operation; NEON uses eight 2-wide
-//     accumulators with the analogous pairing.)
+//     reproduce this tree operation-for-operation.)
 //   * gemv() reduces each output element with dot()'s order — row blocking
 //     in a backend may interleave rows for throughput, but each row keeps
 //     its own sixteen accumulators, so per-element arithmetic is unchanged.
 //   * gemv_t() and rank1_update() have no reductions — each output element
 //     is updated by one in-order pass over the rows, and every per-element
-//     update is a single mul + add in every backend (the AVX2/NEON TUs are
+//     update is a single mul + add in every backend (the AVX2 TU is
 //     compiled with FP contraction off, so no backend fuses them).
 // Results are therefore bit-identical for identical inputs across runs,
 // thread counts, call sites, and backends. Changing any loop here changes
 // numeric results globally; re-baseline the figure outputs if you do.
-// (PR 9 did exactly that once: the dot order went from four lanes to the
-// sixteen lanes above so that a SIMD backend could beat the scalar one
-// instead of merely matching its four-adds-in-flight latency ceiling.)
+// (dot uses sixteen lanes rather than four so that a SIMD backend can beat
+// the scalar one instead of merely matching its four-adds-in-flight
+// latency ceiling.)
 //
 // Backends: the table is chosen on first kernel use (or explicitly via
 // set_backend) in this priority order:
-//   1. the HGC_KERNEL_BACKEND environment variable (scalar|avx2|neon),
+//   1. the HGC_KERNEL_BACKEND environment variable (scalar|avx2),
 //      when set to an available backend — an unknown or unavailable name
 //      warns once on stderr and falls back to auto-detection;
-//   2. the best backend the host supports (cpuid): avx2, then neon;
+//   2. avx2, when the host supports it (cpuid);
 //   3. scalar.
 // apps expose the same override as a --kernel-backend flag. Selection is a
 // single atomic pointer install: benign if two threads race to first use,
@@ -59,7 +58,7 @@ namespace hgc::kernels {
 
 // ---- Backend selection --------------------------------------------------
 
-enum class Backend : int { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+enum class Backend : int { kScalar = 0, kAvx2 = 1 };
 
 /// The backend servicing kernel calls, selecting one (env override, then
 /// cpuid) on first use.
@@ -72,7 +71,7 @@ bool set_backend(Backend backend) noexcept;
 /// Whether a backend is compiled in AND executable on this host.
 bool backend_available(Backend backend) noexcept;
 
-/// Stable lower-case name: "scalar", "avx2", "neon".
+/// Stable lower-case name: "scalar" or "avx2".
 const char* backend_name(Backend backend) noexcept;
 
 /// Parse a backend name as spelled by backend_name (and the

@@ -15,7 +15,7 @@
 // j, and the ordered horizontal reduce (u_0+u_1)+(u_2+u_3) finishes the
 // documented tree exactly.
 //
-// Only this TU (and kernels_neon.cpp) may contain vector intrinsics; the
+// Only this TU may contain vector intrinsics; the
 // hgc_lint `intrinsics-outside-linalg` rule enforces that tree-wide.
 #include "linalg/kernels_dispatch.hpp"
 

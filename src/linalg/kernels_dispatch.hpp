@@ -1,4 +1,4 @@
-// Internal dispatch table for the kernel backends (scalar / AVX2 / NEON).
+// Internal dispatch table for the kernel backends (scalar / AVX2).
 //
 // Each backend is one TU providing a KernelTable of raw-pointer entry
 // points; kernels.cpp selects exactly one table per process (cpuid + the
@@ -39,8 +39,5 @@ extern const KernelTable kScalarTable;
 /// TU (non-x86 target or a compiler without -mavx2). Whether the *host* can
 /// execute it is a separate runtime question (util::cpu_supports_avx2).
 const KernelTable* avx2_table() noexcept;
-
-/// The NEON table, or nullptr when not built (non-ARM target).
-const KernelTable* neon_table() noexcept;
 
 }  // namespace hgc::kernels::detail

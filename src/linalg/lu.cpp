@@ -1,9 +1,13 @@
-#include "linalg/lu.hpp"
-
+// LuWorkspace: blocked LU with partial pivoting (see workspace.hpp).
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 
 #include "linalg/kernels.hpp"
+#include "linalg/workspace.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace hgc {
 namespace {
@@ -15,7 +19,24 @@ constexpr double kPivotTolerance = 1e-12;
 constexpr std::size_t kLuPanel = 32;
 }  // namespace
 
-namespace linalg_detail {
+bool LuWorkspace::factor(const Matrix& a) {
+  HGC_REQUIRE(a.rows() == a.cols(), "LU requires a square matrix");
+  lu_.reshape(a.rows(), a.cols());
+  std::copy(a.data().begin(), a.data().end(), lu_.data().begin());
+  return factor_packed();
+}
+
+bool LuWorkspace::factor_cols(const Matrix& a,
+                              std::span<const std::size_t> cols) {
+  HGC_REQUIRE(a.rows() == cols.size(),
+              "LU requires a square matrix (rows vs selected cols)");
+  lu_.reshape(a.rows(), cols.size());
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    HGC_REQUIRE(cols[i] < a.cols(), "column selection out of range");
+    for (std::size_t r = 0; r < a.rows(); ++r) lu_(r, i) = a(r, cols[i]);
+  }
+  return factor_packed();
+}
 
 // Right-looking blocked LU with partial pivoting.
 //
@@ -43,12 +64,21 @@ namespace linalg_detail {
 // before: no swap, no factors, raw values stay below the diagonal, and the
 // deferred pass drops the column via `skip` (compaction preserves the
 // ascending-j order of the survivors).
-bool lu_factor_inplace(Matrix& lu, std::vector<std::size_t>& perm,
-                       int& sign) {
-  const std::size_t n = lu.rows();
-  perm.resize(n);
-  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-  sign = 1;
+bool LuWorkspace::factor_packed() {
+  // Disabled observability cost here is one relaxed load + branch per
+  // handle: this sits under every Alg. 1 partition solve and must stay
+  // allocation-free and branch-predictable (BM_KernelLuSolveWorkspace pins
+  // it).
+  HGC_TRACE_SCOPE("lu_factor", "linalg",
+                  static_cast<std::int64_t>(lu_.rows()));
+  if (obs::metrics_enabled()) {
+    static const obs::Counter factors =
+        obs::Registry::global().counter("linalg.lu_factors");
+    factors.add();
+  }
+  const std::size_t n = lu_.rows();
+  perm_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
   bool singular = false;
 
   for (std::size_t k0 = 0; k0 < n; k0 += kLuPanel) {
@@ -61,9 +91,9 @@ bool lu_factor_inplace(Matrix& lu, std::vector<std::size_t>& perm,
       // diagonal. Column col is fully up to date here (previous panels'
       // deferred passes plus this panel's eager updates).
       std::size_t pivot = col;
-      double best = std::abs(lu(col, col));
+      double best = std::abs(lu_(col, col));
       for (std::size_t r = col + 1; r < n; ++r) {
-        const double cand = std::abs(lu(r, col));
+        const double cand = std::abs(lu_(r, col));
         if (cand > best) {
           best = cand;
           pivot = r;
@@ -76,17 +106,16 @@ bool lu_factor_inplace(Matrix& lu, std::vector<std::size_t>& perm,
       }
       if (pivot != col) {
         for (std::size_t c = 0; c < n; ++c)
-          std::swap(lu(pivot, c), lu(col, c));
-        std::swap(perm[pivot], perm[col]);
-        sign = -sign;
+          std::swap(lu_(pivot, c), lu_(col, c));
+        std::swap(perm_[pivot], perm_[col]);
       }
-      const double inv_diag = 1.0 / lu(col, col);
-      const auto pivot_tail = lu.row(col).subspan(col + 1, k1 - col - 1);
+      const double inv_diag = 1.0 / lu_(col, col);
+      const auto pivot_tail = lu_.row(col).subspan(col + 1, k1 - col - 1);
       for (std::size_t r = col + 1; r < n; ++r) {
-        const double factor = lu(r, col) * inv_diag;
-        lu(r, col) = factor;
+        const double factor = lu_(r, col) * inv_diag;
+        lu_(r, col) = factor;
         kernels::axpy(-factor, pivot_tail,
-                      lu.row(r).subspan(col + 1, k1 - col - 1));
+                      lu_.row(r).subspan(col + 1, k1 - col - 1));
       }
     }
 
@@ -104,11 +133,11 @@ bool lu_factor_inplace(Matrix& lu, std::vector<std::size_t>& perm,
       std::size_t cnt = 0;
       for (std::size_t j = k0; j < jmax; ++j) {
         if (skip[j - k0]) continue;
-        f[cnt] = -lu(r, j);
-        u[cnt] = lu.row(j).data() + k1;
+        f[cnt] = -lu_(r, j);
+        u[cnt] = lu_.row(j).data() + k1;
         ++cnt;
       }
-      const std::span<double> target(lu.row(r).data() + k1, len);
+      const std::span<double> target(lu_.row(r).data() + k1, len);
       std::size_t g = 0;
       for (; g + 4 <= cnt; g += 4) {
         const double alpha[4] = {f[g], f[g + 1], f[g + 2], f[g + 3]};
@@ -119,59 +148,25 @@ bool lu_factor_inplace(Matrix& lu, std::vector<std::size_t>& perm,
         kernels::axpy(f[g], std::span<const double>(u[g], len), target);
     }
   }
+  singular_ = singular;
   return !singular;
 }
 
-void lu_solve_inplace(const Matrix& lu, const std::vector<std::size_t>& perm,
-                      std::span<const double> b, std::span<double> x) {
-  const std::size_t n = lu.rows();
+void LuWorkspace::solve_into(std::span<const double> b, Vector& x) const {
+  HGC_REQUIRE(b.size() == lu_.rows(), "rhs length mismatch");
+  HGC_ASSERT(!singular_, "solve_into() on a singular matrix");
+  const std::size_t n = lu_.rows();
+  x.resize(n);
+  const std::span<const double> xs(x);
   // Forward substitution with the permuted rhs (L has unit diagonal).
   for (std::size_t i = 0; i < n; ++i)
-    x[i] = b[perm[i]] - kernels::dot(lu.row(i).first(i), x.first(i));
+    x[i] = b[perm_[i]] - kernels::dot(lu_.row(i).first(i), xs.first(i));
   // Back substitution.
   for (std::size_t ii = n; ii-- > 0;) {
     const double acc =
-        x[ii] - kernels::dot(lu.row(ii).subspan(ii + 1), x.subspan(ii + 1));
-    x[ii] = acc / lu(ii, ii);
+        x[ii] - kernels::dot(lu_.row(ii).subspan(ii + 1), xs.subspan(ii + 1));
+    x[ii] = acc / lu_(ii, ii);
   }
-}
-
-}  // namespace linalg_detail
-
-LuDecomposition::LuDecomposition(Matrix a) : lu_(std::move(a)) {
-  HGC_REQUIRE(lu_.rows() == lu_.cols(), "LU requires a square matrix");
-  singular_ = !linalg_detail::lu_factor_inplace(lu_, perm_, sign_);
-}
-
-Vector LuDecomposition::solve(std::span<const double> b) const {
-  HGC_REQUIRE(b.size() == lu_.rows(), "rhs length mismatch");
-  HGC_ASSERT(!singular_, "solve() on a singular matrix");
-  Vector x(lu_.rows());
-  linalg_detail::lu_solve_inplace(lu_, perm_, b, x);
-  return x;
-}
-
-Matrix LuDecomposition::solve(const Matrix& b) const {
-  HGC_REQUIRE(b.rows() == lu_.rows(), "rhs row count mismatch");
-  Matrix x(b.rows(), b.cols());
-  for (std::size_t c = 0; c < b.cols(); ++c)
-    x.set_col(c, solve(b.col(c)));
-  return x;
-}
-
-Matrix LuDecomposition::inverse() const {
-  return solve(Matrix::identity(lu_.rows()));
-}
-
-double LuDecomposition::determinant() const {
-  if (singular_) return 0.0;
-  double det = static_cast<double>(sign_);
-  for (std::size_t i = 0; i < lu_.rows(); ++i) det *= lu_(i, i);
-  return det;
-}
-
-Vector lu_solve(Matrix a, std::span<const double> b) {
-  return LuDecomposition(std::move(a)).solve(b);
 }
 
 }  // namespace hgc

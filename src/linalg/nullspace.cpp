@@ -6,9 +6,12 @@
 #include "linalg/kernels.hpp"
 
 namespace hgc {
+namespace {
+// Pivot candidates at or below this magnitude are treated as zero.
+constexpr double kPivotTolerance = 1e-10;
+}  // namespace
 
-void reduce_to_rref(Matrix& a, std::vector<std::size_t>& pivots,
-                    double tolerance) {
+void reduce_to_rref(Matrix& a, std::vector<std::size_t>& pivots) {
   pivots.clear();
   const std::size_t rows = a.rows();
   const std::size_t cols = a.cols();
@@ -24,7 +27,7 @@ void reduce_to_rref(Matrix& a, std::vector<std::size_t>& pivots,
         best_row = r;
       }
     }
-    if (best <= tolerance) continue;  // free column
+    if (best <= kPivotTolerance) continue;  // free column
     if (best_row != pivot_row) {
       const auto from = a.row(best_row);
       const auto to = a.row(pivot_row);
@@ -47,19 +50,12 @@ void reduce_to_rref(Matrix& a, std::vector<std::size_t>& pivots,
   }
 }
 
-std::vector<std::size_t> reduce_to_rref(Matrix& a, double tolerance) {
-  std::vector<std::size_t> pivots;
-  reduce_to_rref(a, pivots, tolerance);
-  return pivots;
-}
-
 void null_space_basis_into(const Matrix& a, Matrix& rref,
-                           std::vector<std::size_t>& pivots, Matrix& basis,
-                           double tolerance) {
+                           std::vector<std::size_t>& pivots, Matrix& basis) {
   HGC_REQUIRE(!a.empty(), "null space of an empty matrix");
   rref.reshape(a.rows(), a.cols());
   std::copy(a.data().begin(), a.data().end(), rref.data().begin());
-  reduce_to_rref(rref, pivots, tolerance);
+  reduce_to_rref(rref, pivots);
   const std::size_t cols = a.cols();
 
   basis.reshape(cols, cols - pivots.size());
@@ -78,19 +74,6 @@ void null_space_basis_into(const Matrix& a, Matrix& rref,
       basis(pivots[pi], fi) = -rref(pi, c);
     ++fi;
   }
-}
-
-Matrix null_space_basis(const Matrix& a, double tolerance) {
-  Matrix rref, basis;
-  std::vector<std::size_t> pivots;
-  null_space_basis_into(a, rref, pivots, basis, tolerance);
-  return basis;
-}
-
-Vector null_space_vector(const Matrix& a, double tolerance) {
-  const Matrix basis = null_space_basis(a, tolerance);
-  if (basis.cols() == 0) return {};
-  return basis.col(0);
 }
 
 }  // namespace hgc

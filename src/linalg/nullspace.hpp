@@ -10,29 +10,17 @@
 
 namespace hgc {
 
-/// Orthogonal-free basis of the null space of `a`: returns a matrix whose
-/// columns span {x : a·x = 0}. Empty (0 columns) when a has full column rank.
-Matrix null_space_basis(const Matrix& a, double tolerance = 1e-10);
+/// Reduced row-echelon form of `a`, in place. The pivot columns land in
+/// `pivots` (cleared first; its capacity is reused). Entries of magnitude at
+/// most 1e-10 count as zero when choosing pivots.
+void reduce_to_rref(Matrix& a, std::vector<std::size_t>& pivots);
 
-/// One nonzero null-space vector of `a`, or an empty vector when the null
-/// space is trivial.
-Vector null_space_vector(const Matrix& a, double tolerance = 1e-10);
-
-/// Reduced row-echelon form (in place); returns the pivot column indices.
-std::vector<std::size_t> reduce_to_rref(Matrix& a, double tolerance = 1e-10);
-
-/// Allocation-free variant: pivot columns land in `pivots` (cleared first,
-/// reused capacity).
-void reduce_to_rref(Matrix& a, std::vector<std::size_t>& pivots,
-                    double tolerance = 1e-10);
-
-/// Allocation-free null_space_basis over caller-owned scratch: `rref` is
-/// overwritten with the RREF of `a`, `pivots` with its pivot columns, and
-/// `basis` is reshaped to a.cols()×nullity. No heap traffic once the
-/// scratch buffers have warmed up to the shape. Used by the Alg. 1 decode
-/// hot path with one workspace per thread.
+/// Basis of the null space {x : a·x = 0}, over caller-owned scratch: `rref`
+/// is overwritten with the RREF of `a`, `pivots` with its pivot columns, and
+/// `basis` is reshaped to a.cols()×nullity (0 columns when a has full column
+/// rank). No heap traffic once the scratch buffers have warmed up to the
+/// shape. Used by the Alg. 1 decode hot path with one set per thread.
 void null_space_basis_into(const Matrix& a, Matrix& rref,
-                           std::vector<std::size_t>& pivots, Matrix& basis,
-                           double tolerance = 1e-10);
+                           std::vector<std::size_t>& pivots, Matrix& basis);
 
 }  // namespace hgc

@@ -27,9 +27,9 @@
 //     y[c] except the pathological -0.0 + 0.0 = +0.0 case; coding-layer
 //     accumulators never hold -0.0 (they start at +0.0 and schemes store
 //     no signed zeros — the support validation rejects stored zeros).
-//   * The dense-solve packing (QrWorkspace::factor_transposed's sparse
-//     overload) zero-fills and scatters, producing a byte-identical packed
-//     buffer to the dense gather — so LU/QR results are unchanged bytes.
+//   * The decode-solve packing (QrWorkspace::factor_transposed) zero-fills
+//     and scatters, producing a byte-identical packed buffer to a dense
+//     gather of to_dense() — so the QR results are unchanged bytes.
 // Changing any loop here changes numeric results globally; re-baseline the
 // figure outputs if you do.
 //

@@ -1,20 +1,26 @@
-// Reusable factorization workspaces and in-place solve APIs.
+// The dense solvers: LU with partial pivoting and column-pivoted Householder
+// QR, each over owned, reusable storage.
 //
-// Every novel straggler pattern costs a dense solve over a small coding
-// matrix (Algorithm 1, the generic decodability test, Condition-1 sweeps).
-// The one-shot helpers (lu_solve, least_squares) allocate factor and
-// scratch buffers per call; at sweep/robustness scale that per-call traffic
-// dominates. A workspace owns those buffers and reuses them call over call:
-// after one warm-up solve per shape, further solves of the same (or
-// smaller) shape perform ZERO heap allocations — test_kernels pins that
-// with an instrumented allocator.
+// Two solves back the paper's algorithms. Alg. 1 solves C_p · d = 1 for
+// every data partition p; C_p is (s+1)×(s+1) with s small, so a dense LU is
+// the right tool (LuWorkspace, implemented in lu.cpp). The master's decode
+// test asks whether 1 lies in the row span of the received rows B_R: a
+// least-squares solve of B_Rᵀ·x = 1 followed by a residual check (Section
+// III-B). B_R can be rank-deficient (group-based codes repeat coefficient-1
+// rows), so that factorization must be rank revealing (QrWorkspace,
+// implemented in qr.cpp).
+//
+// A workspace owns the factor, pivot and scratch buffers and reuses them
+// call over call: after one warm-up solve per shape, further solves of the
+// same (or smaller) shape perform ZERO heap allocations — test_kernels pins
+// that with an instrumented allocator.
 //
 // Threading: a workspace is mutable scratch — never share one across
 // threads. Results never depend on workspace history (every factor() fully
 // overwrites the packed state), so per-thread reuse cannot perturb the
-// sweep's byte-identical-output contract. The decode hot paths keep one
-// workspace per thread via `thread_local`, which hands each sweep worker
-// thread its own set for free.
+// sweep's byte-identical-output contract. The decode path keeps one
+// workspace per thread via `thread_local` (see core/coding_scheme.cpp),
+// which hands each sweep worker thread its own for free.
 #pragma once
 
 #include <span>
@@ -25,34 +31,12 @@
 
 namespace hgc {
 
-/// A non-owning view of selected rows of a matrix (repeats allowed, any
-/// order). Lets solvers gather B_R straight from B without materializing
-/// select_rows(...)/transposed() temporaries. Both the matrix and the index
-/// storage must outlive the view.
-class RowSelectView {
- public:
-  RowSelectView(const Matrix& base, std::span<const std::size_t> rows)
-      : base_(&base), indices_(rows) {
-    for (std::size_t r : rows)
-      HGC_REQUIRE(r < base.rows(), "row selection out of range");
-  }
-
-  std::size_t rows() const { return indices_.size(); }
-  std::size_t cols() const { return base_->cols(); }
-  std::span<const double> row(std::size_t i) const {
-    return base_->row(indices_[i]);
-  }
-
- private:
-  const Matrix* base_;
-  std::span<const std::size_t> indices_;
-};
-
 /// PA = LU with partial pivoting over owned, reusable storage.
 class LuWorkspace {
  public:
   /// Copy `a` (square) into the reused buffer and factor. Returns false
-  /// when a pivot underflowed the singularity threshold.
+  /// when a pivot underflowed the singularity threshold. Throws
+  /// std::invalid_argument for non-square input.
   bool factor(const Matrix& a);
 
   /// Factor the square gather a[:, cols] without materializing select_cols.
@@ -66,32 +50,30 @@ class LuWorkspace {
   void solve_into(std::span<const double> b, Vector& x) const;
 
  private:
+  /// Factor lu_ in place (packed L below the diagonal, U on and above it).
   bool factor_packed();
 
   Matrix lu_;
-  std::vector<std::size_t> perm_;
-  int sign_ = 1;
+  std::vector<std::size_t> perm_;  // row permutation
   bool singular_ = false;
 };
 
-/// Householder QR with column pivoting over owned, reusable storage; the
-/// rank-revealing least-squares engine behind the generic decodability test.
+/// Householder QR with greedy column pivoting (A·P = Q·R) over owned,
+/// reusable storage; the rank-revealing least-squares engine behind the
+/// decode test.
 class QrWorkspace {
  public:
   /// Copy `a` into the reused buffer and factor.
-  void factor(const Matrix& a, double tolerance = 1e-10);
+  void factor(const Matrix& a);
 
-  /// Factor viewᵀ — i.e. (B_R)ᵀ for a row selection of B — gathered
-  /// directly from the base matrix, no temporaries.
-  void factor_transposed(const RowSelectView& view, double tolerance = 1e-10);
-
-  /// Factor (B_R)ᵀ for a row selection of a sparse B: each selected row is
-  /// zero-filled then scattered into its packed column. For a support-clean
-  /// matrix the packed buffer is byte-identical to the dense gather above,
-  /// so the factorization — and every downstream solve byte — is unchanged.
+  /// Factor (B_R)ᵀ for a row selection of a sparse B (repeats allowed, any
+  /// order): each selected row is zero-filled then scattered into its packed
+  /// column, with no B_R or transpose temporaries. The packed buffer is
+  /// byte-identical to factor(B.to_dense().select_rows(rows).transposed()),
+  /// so the factorization is too. Throws std::invalid_argument for an
+  /// out-of-range row.
   void factor_transposed(const SparseRowMatrix& b,
-                         std::span<const std::size_t> rows,
-                         double tolerance = 1e-10);
+                         std::span<const std::size_t> rows);
 
   std::size_t rank() const { return rank_; }
   std::size_t rows() const { return qr_.rows(); }
@@ -103,46 +85,16 @@ class QrWorkspace {
   double solve_into(std::span<const double> b, Vector& x);
 
  private:
-  void factor_packed(double tolerance);
+  /// Factor qr_ in place (R in the upper triangle, reflectors below).
+  void factor_packed();
 
   Matrix qr_;
-  Vector beta_;
-  Vector col_norms_;              // pivot bookkeeping scratch
-  Vector update_;                 // trailing-update row scratch
-  Vector y_;                      // rhs working copy for solves
-  std::vector<std::size_t> perm_;
+  Vector beta_;                    // reflector scales
+  Vector col_norms_;               // pivot bookkeeping scratch
+  Vector update_;                  // trailing-update row scratch
+  Vector y_;                       // rhs working copy for solves
+  std::vector<std::size_t> perm_;  // column permutation (perm_[j] = original)
   std::size_t rank_ = 0;
 };
-
-/// The bundle the decode/robustness hot paths thread through their loops:
-/// both factorization engines plus the index and vector scratch the callers
-/// need to stay allocation-free.
-struct SolveWorkspace {
-  QrWorkspace qr;
-  LuWorkspace lu;
-  Vector rhs;                          ///< right-hand sides (e.g. all-ones)
-  Vector x;                            ///< solution scratch
-  std::vector<std::size_t> indices;    ///< row/column selections
-  std::vector<std::size_t> indices2;   ///< second selection (enumerations)
-};
-
-/// Shape + diagnostics of an in-place least-squares solve.
-struct InPlaceSolveInfo {
-  double residual = 0.0;
-  std::size_t rank = 0;
-};
-
-/// Factor `a` into the workspace's reused storage; false when singular.
-inline bool lu_factor_into(const Matrix& a, LuWorkspace& ws) {
-  return ws.factor(a);
-}
-
-/// One-stop in-place least squares: factor `a` in ws, solve for b, write
-/// the basic solution into x. Equivalent to least_squares() minus the
-/// per-call allocations.
-InPlaceSolveInfo least_squares_into(const Matrix& a,
-                                    std::span<const double> b,
-                                    QrWorkspace& ws, Vector& x,
-                                    double tolerance = 1e-10);
 
 }  // namespace hgc

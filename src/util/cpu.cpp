@@ -10,12 +10,4 @@ bool cpu_supports_avx2() noexcept {
 #endif
 }
 
-bool cpu_supports_neon() noexcept {
-#if defined(__aarch64__) || defined(__ARM_NEON)
-  return true;
-#else
-  return false;
-#endif
-}
-
 }  // namespace hgc::util

@@ -1,10 +1,8 @@
 // Host CPU feature detection for the kernel backend dispatch.
 //
 // One query per ISA extension the kernel layer can use, answered at runtime
-// (cpuid on x86; compile-target checks on ARM, where NEON presence is a
-// baseline guarantee of the AArch64 ABI rather than a runtime flag). Kept in
-// util/ so the linalg layer's backend selection has no inline asm or
-// compiler-builtin calls of its own.
+// (cpuid on x86). Kept in util/ so the linalg layer's backend selection has
+// no inline asm or compiler-builtin calls of its own.
 #pragma once
 
 namespace hgc::util {
@@ -12,9 +10,5 @@ namespace hgc::util {
 /// True when the host CPU executes AVX2 instructions (x86 cpuid; always
 /// false on other architectures).
 bool cpu_supports_avx2() noexcept;
-
-/// True when the host CPU executes Advanced SIMD (NEON) instructions.
-/// AArch64 mandates NEON, so this is a compile-target fact there.
-bool cpu_supports_neon() noexcept;
 
 }  // namespace hgc::util

@@ -36,7 +36,8 @@ TEST(DecodingMatrix, OneRowPerPattern) {
     // Coefficients vanish on the pattern's stragglers and reconstruct 1.
     for (WorkerId w : row.stragglers)
       EXPECT_DOUBLE_EQ(row.coefficients[w], 0.0);
-    const Vector ab = scheme.coding_matrix().apply_transpose(row.coefficients);
+    const Vector ab =
+        scheme.sparse_matrix().to_dense().apply_transpose(row.coefficients);
     for (double v : ab) EXPECT_NEAR(v, 1.0, 1e-8);
   }
 }
@@ -60,8 +61,8 @@ TEST(DecodingMatrix, NaiveHasSingleEmptyPattern) {
 class NeverDecodableScheme : public CodingScheme {
  public:
   NeverDecodableScheme(std::size_t m, std::size_t s)
-      : CodingScheme(Matrix::ones(m, 1), Assignment(m, {0}), s,
-                     {{{}, m - s}}) {}
+      : CodingScheme(SparseRowMatrix::from_dense(Matrix::ones(m, 1)),
+                     Assignment(m, {0}), s, {{{}, m - s}}) {}
   std::string name() const override { return "never-decodable"; }
   std::optional<Vector> decoding_coefficients(
       const std::vector<bool>&) const override {
@@ -241,7 +242,8 @@ TEST(StreamingDecoder, ResetClearsDuplicateTracking) {
 }
 
 TEST(OnesInRowSpan, BasicGeometry) {
-  const Matrix b{{1.0, 0.0}, {0.0, 1.0}, {2.0, 2.0}};
+  const SparseRowMatrix b =
+      SparseRowMatrix::from_dense(Matrix{{1.0, 0.0}, {0.0, 1.0}, {2.0, 2.0}});
   const std::vector<std::size_t> both = {0, 1};
   EXPECT_TRUE(ones_in_row_span(b, both));
   const std::vector<std::size_t> third = {2};

@@ -128,7 +128,7 @@ TEST(DecodingCacheWide, DistinguishesPatternsBeyond64Workers) {
 class CountingScheme : public CodingScheme {
  public:
   explicit CountingScheme(const CodingScheme& inner)
-      : CodingScheme(Matrix(inner.coding_matrix()),
+      : CodingScheme(SparseRowMatrix(inner.sparse_matrix()),
                      Assignment(inner.assignment()),
                      inner.stragglers_tolerated(), inner.quorums()),
         inner_(inner) {}
@@ -153,7 +153,7 @@ class CountingScheme : public CodingScheme {
 class NeverDecodableScheme : public CodingScheme {
  public:
   NeverDecodableScheme()
-      : CodingScheme(Matrix{{1, 1}, {1, 1}, {1, 1}},
+      : CodingScheme(SparseRowMatrix::from_dense(Matrix::ones(3, 2)),
                      Assignment{{0, 1}, {0, 1}, {0, 1}}, 1, {{{}, 1}}) {}
 
   std::string name() const override { return "never"; }

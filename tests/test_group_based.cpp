@@ -24,13 +24,13 @@ TEST(GroupBased, PaperExampleFindsTwoGroups) {
   for (const Group& g : scheme.groups())
     for (WorkerId w : g)
       for (PartitionId p : scheme.assignment()[w])
-        EXPECT_DOUBLE_EQ(scheme.coding_matrix()(w, p), 1.0);
+        EXPECT_DOUBLE_EQ(scheme.sparse_matrix().at(w, p), 1.0);
 }
 
 TEST(GroupBased, SatisfiesCondition1) {
   Rng rng(42);
   GroupBasedScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
-  EXPECT_TRUE(satisfies_condition1(scheme.coding_matrix(), 1));
+  EXPECT_TRUE(satisfies_condition1(scheme.sparse_matrix(), 1));
 }
 
 TEST(GroupBased, DecodesFromSingleCompleteGroup) {
@@ -41,7 +41,7 @@ TEST(GroupBased, DecodesFromSingleCompleteGroup) {
   const auto a = scheme.decoding_coefficients(received);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(*a, (Vector{0, 0, 1, 1, 0}));
-  const Vector ab = scheme.coding_matrix().apply_transpose(*a);
+  const Vector ab = scheme.sparse_matrix().to_dense().apply_transpose(*a);
   for (double v : ab) EXPECT_NEAR(v, 1.0, 1e-12);
 }
 
@@ -74,7 +74,7 @@ TEST(GroupBased, EveryStragglerPatternDecodes) {
     const auto a = scheme.decoding_coefficients(received);
     ASSERT_TRUE(a.has_value()) << "straggler " << straggler;
     EXPECT_DOUBLE_EQ((*a)[straggler], 0.0);
-    const Vector ab = scheme.coding_matrix().apply_transpose(*a);
+    const Vector ab = scheme.sparse_matrix().to_dense().apply_transpose(*a);
     for (double v : ab) EXPECT_NEAR(v, 1.0, 1e-8);
   }
 }
@@ -85,7 +85,7 @@ TEST(GroupBased, ResidualSubCodePath) {
   // exercising the Alg.1 sub-code branch.
   const Throughputs c = {3, 3, 3, 3, 3, 3};
   GroupBasedScheme scheme(c, 6, 2, rng);
-  EXPECT_TRUE(satisfies_condition1(scheme.coding_matrix(), 2));
+  EXPECT_TRUE(satisfies_condition1(scheme.sparse_matrix(), 2));
   const auto t = worst_case_time(scheme, c);
   ASSERT_TRUE(t.has_value());
   if (!scheme.sub_code().empty()) {
@@ -100,7 +100,7 @@ TEST(GroupBased, NoGroupsDegeneratesToHeterAware) {
   const Throughputs c = {3, 5, 7, 9};
   GroupBasedScheme scheme(c, 12, 1, rng);
   // Whether or not groups exist, the scheme must stay robust and optimal-ish.
-  EXPECT_TRUE(satisfies_condition1(scheme.coding_matrix(), 1));
+  EXPECT_TRUE(satisfies_condition1(scheme.sparse_matrix(), 1));
   if (scheme.groups().empty()) {
     EXPECT_FALSE(scheme.sub_code().empty());
     EXPECT_EQ(scheme.sub_code().stragglers_tolerated(), 1u);
@@ -158,7 +158,8 @@ TEST_P(GroupBasedSweep, RobustToAllPatterns) {
             if (scheme.load(w) == 0) received[w] = false;
           const auto a = scheme.decoding_coefficients(received);
           if (!a) return false;
-          const Vector ab = scheme.coding_matrix().apply_transpose(*a);
+          const Vector ab =
+              scheme.sparse_matrix().to_dense().apply_transpose(*a);
           for (double v : ab)
             if (std::abs(v - 1.0) > 1e-6) return false;
           return true;

@@ -22,7 +22,7 @@ TEST(HeterAware, PaperExampleLoads) {
 TEST(HeterAware, SatisfiesCondition1) {
   Rng rng(32);
   HeterAwareScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
-  EXPECT_TRUE(satisfies_condition1(scheme.coding_matrix(), 1));
+  EXPECT_TRUE(satisfies_condition1(scheme.sparse_matrix(), 1));
 }
 
 TEST(HeterAware, AchievesTheorem5Optimum) {
@@ -61,7 +61,7 @@ TEST(HeterAware, QuorumExcludesIdleWorkers) {
   std::vector<bool> received = {false, true, true, false};
   const auto a = scheme.decoding_coefficients(received);
   ASSERT_TRUE(a.has_value());
-  const Vector ab = scheme.coding_matrix().apply_transpose(*a);
+  const Vector ab = scheme.sparse_matrix().to_dense().apply_transpose(*a);
   for (double v : ab) EXPECT_NEAR(v, 1.0, 1e-8);
 }
 
@@ -94,7 +94,7 @@ TEST_P(HeterSweep, RobustAndOptimal) {
     Throughputs c(m);
     for (double& x : c) x = rng.uniform(1.0, 6.0);
     HeterAwareScheme scheme(c, k, s, rng);
-    EXPECT_TRUE(satisfies_condition1(scheme.coding_matrix(), s));
+    EXPECT_TRUE(satisfies_condition1(scheme.sparse_matrix(), s));
 
     const auto t = worst_case_time(scheme, c);
     ASSERT_TRUE(t.has_value());

@@ -1,12 +1,12 @@
-// Unit and property tests for src/linalg: Matrix, LU, QR, null space.
+// Unit and property tests for src/linalg: Matrix, the LU and QR workspaces,
+// null space and RREF.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/nullspace.hpp"
-#include "linalg/qr.hpp"
+#include "linalg/workspace.hpp"
 #include "util/rng.hpp"
 
 namespace hgc {
@@ -17,6 +17,44 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   for (std::size_t r = 0; r < rows; ++r)
     for (std::size_t c = 0; c < cols; ++c) m(r, c) = rng.normal();
   return m;
+}
+
+/// Factor a (must be nonsingular) in a fresh LuWorkspace and solve A·x = b.
+Vector solve_lu(const Matrix& a, const Vector& b) {
+  LuWorkspace ws;
+  EXPECT_TRUE(ws.factor(a));
+  Vector x;
+  ws.solve_into(b, x);
+  return x;
+}
+
+struct QrSolve {
+  Vector x;
+  double residual = 0.0;
+  std::size_t rank = 0;
+};
+
+/// Least squares min ‖A·x − b‖₂ through a fresh QrWorkspace.
+QrSolve solve_qr(const Matrix& a, const Vector& b) {
+  QrWorkspace ws;
+  ws.factor(a);
+  QrSolve out;
+  out.residual = ws.solve_into(b, out.x);
+  out.rank = ws.rank();
+  return out;
+}
+
+std::size_t qr_rank(const Matrix& a) {
+  QrWorkspace ws;
+  ws.factor(a);
+  return ws.rank();
+}
+
+Matrix null_space(const Matrix& a) {
+  Matrix rref, basis;
+  std::vector<std::size_t> pivots;
+  null_space_basis_into(a, rref, pivots, basis);
+  return basis;
 }
 
 TEST(Matrix, ConstructionAndIndexing) {
@@ -108,29 +146,25 @@ TEST(VectorOps, DotNormAxpy) {
 TEST(Lu, SolvesKnownSystem) {
   const Matrix a{{2.0, 1.0}, {1.0, 3.0}};
   const Vector b{3.0, 5.0};
-  const Vector x = lu_solve(a, b);
+  const Vector x = solve_lu(a, b);
   EXPECT_NEAR(x[0], 0.8, 1e-12);
   EXPECT_NEAR(x[1], 1.4, 1e-12);
 }
 
-TEST(Lu, DeterminantAndInverse) {
-  const Matrix a{{4.0, 7.0}, {2.0, 6.0}};
-  LuDecomposition lu(a);
-  EXPECT_NEAR(lu.determinant(), 10.0, 1e-12);
-  const Matrix inv = lu.inverse();
-  EXPECT_NEAR(Matrix::max_abs_diff(a * inv, Matrix::identity(2)), 0.0, 1e-12);
-}
-
 TEST(Lu, DetectsSingular) {
   const Matrix a{{1.0, 2.0}, {2.0, 4.0}};
-  LuDecomposition lu(a);
-  EXPECT_TRUE(lu.is_singular());
-  EXPECT_DOUBLE_EQ(lu.determinant(), 0.0);
-  EXPECT_THROW(lu.solve(Vector{1.0, 1.0}), InternalError);
+  LuWorkspace ws;
+  EXPECT_FALSE(ws.factor(a));
+  EXPECT_TRUE(ws.is_singular());
+  Vector x;
+  EXPECT_THROW(ws.solve_into(Vector{1.0, 1.0}, x), InternalError);
 }
 
 TEST(Lu, RejectsNonSquare) {
-  EXPECT_THROW(LuDecomposition(Matrix(2, 3)), std::invalid_argument);
+  LuWorkspace ws;
+  EXPECT_THROW(ws.factor(Matrix(2, 3)), std::invalid_argument);
+  EXPECT_THROW(ws.factor_cols(Matrix(2, 3), std::vector<std::size_t>{0}),
+               std::invalid_argument);
 }
 
 TEST(Lu, RandomSystemsResidual) {
@@ -140,7 +174,7 @@ TEST(Lu, RandomSystemsResidual) {
     const Matrix a = random_matrix(n, n, rng);
     Vector b(n);
     for (double& v : b) v = rng.normal();
-    const Vector x = lu_solve(a, b);
+    const Vector x = solve_lu(a, b);
     const Vector ax = a.apply(x);
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], b[i], 1e-8);
   }
@@ -150,7 +184,7 @@ TEST(Lu, PermutationHeavySystem) {
   // Zero pivots on the diagonal force row exchanges.
   const Matrix a{{0.0, 1.0, 0.0}, {0.0, 0.0, 2.0}, {3.0, 0.0, 0.0}};
   const Vector b{1.0, 2.0, 3.0};
-  const Vector x = lu_solve(a, b);
+  const Vector x = solve_lu(a, b);
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 1.0, 1e-12);
   EXPECT_NEAR(x[2], 1.0, 1e-12);
@@ -166,7 +200,7 @@ TEST(Qr, LeastSquaresOverdetermined) {
     a(i, 1) = 1.0;
     b[i] = 2.0 * x + 1.0;
   }
-  const auto ls = least_squares(a, b);
+  const QrSolve ls = solve_qr(a, b);
   EXPECT_EQ(ls.rank, 2u);
   EXPECT_NEAR(ls.x[0], 2.0, 1e-10);
   EXPECT_NEAR(ls.x[1], 1.0, 1e-10);
@@ -176,7 +210,7 @@ TEST(Qr, LeastSquaresOverdetermined) {
 TEST(Qr, LeastSquaresInconsistentHasResidual) {
   const Matrix a{{1.0}, {1.0}};
   const Vector b{0.0, 2.0};
-  const auto ls = least_squares(a, b);
+  const QrSolve ls = solve_qr(a, b);
   EXPECT_NEAR(ls.x[0], 1.0, 1e-10);
   EXPECT_NEAR(ls.residual, std::sqrt(2.0), 1e-10);
 }
@@ -190,9 +224,9 @@ TEST(Qr, RankDetection) {
     a(i, 1) = rng.normal();
     a(i, 2) = a(i, 0) + a(i, 1);
   }
-  EXPECT_EQ(matrix_rank(a), 2u);
-  EXPECT_EQ(matrix_rank(Matrix::identity(5)), 5u);
-  EXPECT_EQ(matrix_rank(Matrix(3, 3)), 0u);
+  EXPECT_EQ(qr_rank(a), 2u);
+  EXPECT_EQ(qr_rank(Matrix::identity(5)), 5u);
+  EXPECT_EQ(qr_rank(Matrix(3, 3)), 0u);
 }
 
 TEST(Qr, UnderdeterminedBasicSolution) {
@@ -200,7 +234,7 @@ TEST(Qr, UnderdeterminedBasicSolution) {
   // variable to zero and must satisfy the equation.
   const Matrix a{{1.0, 1.0}};
   const Vector b{2.0};
-  const auto ls = least_squares(a, b);
+  const QrSolve ls = solve_qr(a, b);
   EXPECT_EQ(ls.rank, 1u);
   EXPECT_NEAR(ls.x[0] + ls.x[1], 2.0, 1e-10);
   EXPECT_NEAR(ls.residual, 0.0, 1e-10);
@@ -215,7 +249,7 @@ TEST(Qr, RandomConsistentSystems) {
     Vector x_true(n);
     for (double& v : x_true) v = rng.normal();
     const Vector b = a.apply(x_true);
-    const auto ls = least_squares(a, b);
+    const QrSolve ls = solve_qr(a, b);
     EXPECT_NEAR(ls.residual, 0.0, 1e-8) << "trial " << trial;
   }
 }
@@ -223,7 +257,7 @@ TEST(Qr, RandomConsistentSystems) {
 TEST(NullSpace, KnownKernel) {
   // a = [1 1 0; 0 0 1]: kernel spanned by (1, -1, 0).
   const Matrix a{{1.0, 1.0, 0.0}, {0.0, 0.0, 1.0}};
-  const Matrix basis = null_space_basis(a);
+  const Matrix basis = null_space(a);
   ASSERT_EQ(basis.cols(), 1u);
   const Vector v = basis.col(0);
   const Vector av = a.apply(v);
@@ -232,8 +266,9 @@ TEST(NullSpace, KnownKernel) {
 }
 
 TEST(NullSpace, FullRankHasTrivialKernel) {
-  EXPECT_EQ(null_space_basis(Matrix::identity(4)).cols(), 0u);
-  EXPECT_TRUE(null_space_vector(Matrix::identity(4)).empty());
+  const Matrix basis = null_space(Matrix::identity(4));
+  EXPECT_EQ(basis.rows(), 4u);
+  EXPECT_EQ(basis.cols(), 0u);
 }
 
 TEST(NullSpace, DimensionMatchesRankNullity) {
@@ -242,7 +277,7 @@ TEST(NullSpace, DimensionMatchesRankNullity) {
     const std::size_t rows = 2 + static_cast<std::size_t>(trial % 4);
     const std::size_t cols = rows + 1 + static_cast<std::size_t>(trial % 3);
     const Matrix a = random_matrix(rows, cols, rng);  // full row rank w.p. 1
-    const Matrix basis = null_space_basis(a);
+    const Matrix basis = null_space(a);
     EXPECT_EQ(basis.cols(), cols - rows);
     // Every basis vector annihilates a.
     for (std::size_t c = 0; c < basis.cols(); ++c)
@@ -252,7 +287,8 @@ TEST(NullSpace, DimensionMatchesRankNullity) {
 
 TEST(NullSpace, RrefPivots) {
   Matrix a{{0.0, 2.0, 4.0}, {1.0, 1.0, 1.0}};
-  const auto pivots = reduce_to_rref(a);
+  std::vector<std::size_t> pivots{7};  // stale content is cleared
+  reduce_to_rref(a, pivots);
   EXPECT_EQ(pivots, (std::vector<std::size_t>{0, 1}));
   // RREF: leading ones with zeros above/below.
   EXPECT_DOUBLE_EQ(a(0, 0), 1.0);

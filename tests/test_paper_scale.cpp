@@ -61,7 +61,7 @@ TEST_P(PaperScale, SpotCheckStragglerPatterns) {
     if (w + 1 < m) received[w + 1] = false;
     const auto a = scheme->decoding_coefficients(received);
     ASSERT_TRUE(a.has_value()) << c.name() << " pair at " << w;
-    const Vector ab = scheme->coding_matrix().apply_transpose(*a);
+    const Vector ab = scheme->sparse_matrix().to_dense().apply_transpose(*a);
     for (double v : ab) EXPECT_NEAR(v, 1.0, 1e-6);
   }
 }

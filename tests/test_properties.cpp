@@ -45,7 +45,7 @@ TEST_P(SchemeProperties, Condition1HoldsByBruteForce) {
   const Throughputs c = make_throughputs(rng);
   const auto scheme = make_scheme(p.kind, c, 2 * p.m, p.s, rng);
   const std::size_t s_eff = scheme->stragglers_tolerated();
-  EXPECT_TRUE(satisfies_condition1(scheme->coding_matrix(), s_eff));
+  EXPECT_TRUE(satisfies_condition1(scheme->sparse_matrix(), s_eff));
 }
 
 TEST_P(SchemeProperties, EveryPatternYieldsExactCoefficients) {
@@ -67,7 +67,8 @@ TEST_P(SchemeProperties, EveryPatternYieldsExactCoefficients) {
         // supp(a) ⊆ received.
         for (std::size_t w = 0; w < m; ++w)
           if (!received[w] && (*a)[w] != 0.0) return false;
-        const Vector ab = scheme->coding_matrix().apply_transpose(*a);
+        const Vector ab =
+            scheme->sparse_matrix().to_dense().apply_transpose(*a);
         for (double v : ab)
           if (std::abs(v - 1.0) > 1e-6) return false;
         return true;

@@ -18,7 +18,9 @@ TEST(Naive, IdentityCodingMatrix) {
   EXPECT_EQ(naive.num_partitions(), 4u);
   EXPECT_EQ(naive.stragglers_tolerated(), 0u);
   EXPECT_LT(
-      Matrix::max_abs_diff(naive.coding_matrix(), Matrix::identity(4)), 1e-15);
+      Matrix::max_abs_diff(naive.sparse_matrix().to_dense(),
+                           Matrix::identity(4)),
+      1e-15);
   for (WorkerId w = 0; w < 4; ++w) EXPECT_EQ(naive.load(w), 1u);
 }
 
@@ -44,7 +46,7 @@ TEST(Cyclic, UniformLoadsAndRobustness) {
   CyclicScheme cyclic(6, 2, rng);
   EXPECT_EQ(cyclic.num_partitions(), 6u);
   for (WorkerId w = 0; w < 6; ++w) EXPECT_EQ(cyclic.load(w), 3u);
-  EXPECT_TRUE(satisfies_condition1(cyclic.coding_matrix(), 2));
+  EXPECT_TRUE(satisfies_condition1(cyclic.sparse_matrix(), 2));
 }
 
 TEST(Cyclic, DecodesWithAnyTwoMissing) {
@@ -56,7 +58,8 @@ TEST(Cyclic, DecodesWithAnyTwoMissing) {
       received[a] = received[b] = false;
       const auto coeffs = cyclic.decoding_coefficients(received);
       ASSERT_TRUE(coeffs.has_value()) << a << "," << b;
-      const Vector ab = cyclic.coding_matrix().apply_transpose(*coeffs);
+      const Vector ab =
+          cyclic.sparse_matrix().to_dense().apply_transpose(*coeffs);
       for (double v : ab) EXPECT_NEAR(v, 1.0, 1e-8);
     }
 }
@@ -73,7 +76,7 @@ TEST(Fractional, BlockStructure) {
   FractionalRepetitionScheme frc(6, 1);  // 3 blocks of 2 workers
   ASSERT_EQ(frc.blocks().size(), 3u);
   for (const auto& block : frc.blocks()) EXPECT_EQ(block.size(), 2u);
-  EXPECT_TRUE(satisfies_condition1(frc.coding_matrix(), 1));
+  EXPECT_TRUE(satisfies_condition1(frc.sparse_matrix(), 1));
 }
 
 TEST(Fractional, DecodesFromOnePerBlock) {
@@ -83,7 +86,7 @@ TEST(Fractional, DecodesFromOnePerBlock) {
   std::vector<bool> received = {true, false, false, true, true, false};
   const auto a = frc.decoding_coefficients(received);
   ASSERT_TRUE(a.has_value());
-  const Vector ab = frc.coding_matrix().apply_transpose(*a);
+  const Vector ab = frc.sparse_matrix().to_dense().apply_transpose(*a);
   for (double v : ab) EXPECT_NEAR(v, 1.0, 1e-12);
   ASSERT_EQ(frc.quorums().size(), 1u);
   EXPECT_TRUE(frc.quorums()[0].workers.empty());
@@ -106,7 +109,7 @@ TEST(Fractional, CustomPartitionCount) {
   FractionalRepetitionScheme frc(4, 1, 8);  // 2 blocks, stripes of 4
   EXPECT_EQ(frc.num_partitions(), 8u);
   for (WorkerId w = 0; w < 4; ++w) EXPECT_EQ(frc.load(w), 4u);
-  EXPECT_TRUE(satisfies_condition1(frc.coding_matrix(), 1));
+  EXPECT_TRUE(satisfies_condition1(frc.sparse_matrix(), 1));
 }
 
 TEST(Factory, ParsesNames) {
@@ -177,7 +180,9 @@ TEST(CodingScheme, RejectsSupportMismatch) {
   // Matrix support {0} but declared assignment {0,1}: constructor throws.
   class Broken : public CodingScheme {
    public:
-    Broken() : CodingScheme(Matrix{{1.0, 0.0}}, {{0, 1}}, 0, {{{}, 1}}) {}
+    Broken()
+        : CodingScheme(SparseRowMatrix::from_dense(Matrix{{1.0, 0.0}}),
+                       {{0, 1}}, 0, {{{}, 1}}) {}
     std::string name() const override { return "broken"; }
     std::optional<Vector> decoding_coefficients(
         const std::vector<bool>&) const override {
@@ -191,8 +196,8 @@ TEST(CodingScheme, RejectsMalformedQuorums) {
   class WithQuorums : public CodingScheme {
    public:
     explicit WithQuorums(std::vector<DecodeQuorum> quorums)
-        : CodingScheme(Matrix{{1.0}, {1.0}}, {{0}, {0}}, 1,
-                       std::move(quorums)) {}
+        : CodingScheme(SparseRowMatrix::from_dense(Matrix{{1.0}, {1.0}}),
+                       {{0}, {0}}, 1, std::move(quorums)) {}
     std::string name() const override { return "with-quorums"; }
     std::optional<Vector> decoding_coefficients(
         const std::vector<bool>&) const override {

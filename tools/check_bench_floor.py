@@ -38,7 +38,7 @@ import sys
 CHECKED_KEYS = {"mflops", "max_allocs_per_iter", "max_real_time_ns"}
 
 # Valid `@backend` suffixes — must match kernels::backend_name() spellings.
-KNOWN_BACKENDS = {"scalar", "avx2", "neon"}
+KNOWN_BACKENDS = {"scalar", "avx2"}
 
 # google-benchmark time_unit -> nanoseconds per unit.
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}

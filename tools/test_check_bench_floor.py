@@ -205,6 +205,20 @@ def test_unknown_backend_suffix_fails_by_name():
     assert "unknown backend suffix 'sse2'" in out
 
 
+def test_neon_backend_suffix_is_unknown():
+    # The NEON backend is gone; a leftover @neon floor would never be
+    # enforced by any CI leg, so it must fail like any other typo.
+    assert check_bench_floor.KNOWN_BACKENDS == {"scalar", "avx2"}
+    report = {
+        "context": {"hgc_kernel_backend": "scalar"},
+        "benchmarks": [bench("BM_Kernel", mflops=9000.0)],
+    }
+    baseline = {"benchmarks": {"BM_Kernel@neon": {"mflops": 90}}}
+    code, out = run_checker(report, baseline)
+    assert code == 1
+    assert "unknown backend suffix 'neon'" in out
+
+
 def _load_repo_baseline():
     path = os.path.join(_HERE, os.pardir, "bench", "kernels_baseline.json")
     with open(path) as f:
