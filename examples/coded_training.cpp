@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
 
   ThreadedTrainingConfig config;
   config.iterations = iterations;
-  config.sgd.learning_rate = 0.4;
+  config.learning_rate = 0.4;
   config.time_scale = time_scale;
   if (kind != SchemeKind::kNaive) {
     config.straggler_model.num_stragglers = 1;

@@ -58,9 +58,17 @@ struct GroupSearch {
     }
   }
 
-  /// `lowest` is a lower bound on the lowest uncovered partition: every
-  /// partition below it is covered on the current path.
-  void dfs(std::size_t lowest) {
+  /// One open branch point: the uncovered partition being supplied and the
+  /// next of its holders to try.
+  struct Frame {
+    std::size_t partition;
+    std::size_t next;
+  };
+  std::vector<Frame> stack = {};
+
+  /// Enters a search node. `lowest` is a lower bound on the lowest uncovered
+  /// partition: every partition below it is covered on the current path.
+  void enter(std::size_t lowest) {
     if (exhausted()) return;
     ++nodes;
     while (lowest < covered.size() && covered[lowest]) ++lowest;
@@ -69,18 +77,34 @@ struct GroupSearch {
       emit();
       return;
     }
-    // Branch on the lowest uncovered partition: exactly one worker in any
-    // cover supplies it, so every cover is enumerated exactly once.
-    for (std::size_t i = holder_begin[lowest]; i < holder_begin[lowest + 1];
-         ++i) {
-      const WorkerId w = holders[i];
-      if (!fits(w)) continue;
+    stack.push_back({lowest, holder_begin[lowest]});
+  }
+
+  /// Depth-first enumeration with an explicit stack (one frame per chosen
+  /// worker), so the depth — about m/2 on scale clusters — costs heap, not
+  /// call stack. Branches on the lowest uncovered partition: exactly one
+  /// worker in any cover supplies it, so every cover is enumerated exactly
+  /// once.
+  void run() {
+    enter(0);
+    while (!stack.empty()) {
+      Frame& top = stack.back();
+      if (chosen.size() == stack.size()) {
+        // Back from the subtree under top's last choice: undo it.
+        mark(chosen.back(), 0);
+        chosen.pop_back();
+        if (exhausted()) return;
+      }
+      const std::size_t end = holder_begin[top.partition + 1];
+      while (top.next < end && !fits(holders[top.next])) ++top.next;
+      if (top.next == end) {
+        stack.pop_back();
+        continue;
+      }
+      const WorkerId w = holders[top.next++];
       chosen.push_back(w);
       mark(w, 1);
-      dfs(lowest + 1);
-      mark(w, 0);
-      chosen.pop_back();
-      if (exhausted()) return;
+      enter(top.partition + 1);  // may push, invalidating `top`
     }
   }
 };
@@ -129,7 +153,7 @@ std::vector<Group> find_all_groups(const Assignment& assignment,
   GroupSearch search{assignment, holder_begin, holders, limits,
                      std::vector<std::uint8_t>(k, 0),
                      std::vector<std::uint8_t>(m, 0)};
-  search.dfs(0);
+  search.run();
   // The search stopped at a cap, so covers past it may be missing.
   if (search.exhausted() && obs::metrics_enabled()) {
     static const obs::Counter truncated =
@@ -137,7 +161,7 @@ std::vector<Group> find_all_groups(const Assignment& assignment,
     truncated.add();
   }
 
-  // The DFS often emits covers already in order (it does on scale_cluster(m)
+  // The search often emits covers already in order (it does on scale_cluster(m)
   // from m = 100 up); checking first skips a sort whose comparisons walk
   // thousand-id common prefixes.
   std::vector<Group> groups = std::move(search.out);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -127,16 +128,9 @@ FigureSweep fig4_sweep(std::size_t iterations) {
         std::max<std::size_t>(1, iters / 8);
     CellResult result;
     if (series < 4) {
-      BspTrainingConfig config;
-      config.iterations = iters;
-      config.sgd.learning_rate = 0.4;
-      config.straggler_model = cell.experiment.model;
-      config.seed = cell.experiment.seed;
-      config.record_every = record_every;
+      const BspTrainingConfig config{cell.experiment, 0.4, record_every};
       const auto bsp = train_bsp_coded(paper_schemes()[series],
-                                       *cell.cluster, model, *data,
-                                       cell.experiment.k, cell.experiment.s,
-                                       config);
+                                       *cell.cluster, model, *data, config);
       emit_trace(bsp.trace, result);
       result.metrics.emplace_back(
           "failed_iters", static_cast<double>(bsp.failed_iterations));
@@ -167,6 +161,9 @@ FigureSweep fig4_noniid_sweep(std::size_t iterations) {
   grid.clusters = {cluster_a()};
   grid.schemes = {SchemeKind::kHeterAware};
   grid.iterations = iterations;
+  StragglerAxis none;  // label-sorted shards are the only handicap here
+  none.num_stragglers = 0;
+  grid.models = {none};
   grid.custom_axes = {{"series",
                        {0.0, 1.0, 2.0},
                        {"heter-aware (coded BSP)", "ssp",
@@ -181,34 +178,27 @@ FigureSweep fig4_noniid_sweep(std::size_t iterations) {
     const std::size_t series =
         static_cast<std::size_t>(cell.custom.at(0));
     const std::size_t iters = cell.experiment.iterations;
+    const std::size_t record_every = std::max<std::size_t>(1, iters / 8);
+    const BspTrainingConfig bsp_config{cell.experiment, 0.4, record_every};
     CellResult result;
     if (series == 0) {
-      BspTrainingConfig config;
-      config.iterations = iters;
-      config.sgd.learning_rate = 0.4;
-      config.seed = cell.experiment.seed;
-      config.record_every = std::max<std::size_t>(1, iters / 8);
-      const auto bsp = train_bsp_coded(
-          SchemeKind::kHeterAware, *cell.cluster, model, *sorted,
-          cell.experiment.k, cell.experiment.s, config);
+      const auto bsp = train_bsp_coded(SchemeKind::kHeterAware,
+                                       *cell.cluster, model, *sorted,
+                                       bsp_config);
       result.metrics.emplace_back("final_loss", bsp.trace.final_loss());
     } else if (series == 1) {
       SspTrainingConfig config;
       config.iterations = iters;
       config.learning_rate = 0.4;
       config.staleness = 3;
+      config.straggler_model = cell.experiment.model;
       config.seed = cell.experiment.seed;
-      config.record_every = std::max<std::size_t>(1, iters / 8);
+      config.record_every = record_every;
       const auto ssp = train_ssp(*cell.cluster, model, *sorted, config);
       result.metrics.emplace_back("final_loss", ssp.trace.final_loss());
     } else {
-      BspTrainingConfig config;
-      config.iterations = iters;
-      config.sgd.learning_rate = 0.4;
-      config.seed = cell.experiment.seed;
-      config.record_every = std::max<std::size_t>(1, iters / 8);
       const auto dropped = train_bsp_ignore_stragglers(
-          *cell.cluster, model, *sorted, cell.experiment.s, config);
+          *cell.cluster, model, *sorted, bsp_config);
       result.metrics.emplace_back("final_loss",
                                   dropped.trace.final_loss());
     }
@@ -625,8 +615,14 @@ Cluster cluster_by_name(const std::string& name) {
     if (!digits.empty() && digits.front() == '-') digits = digits.substr(1);
     if (!digits.empty() &&
         std::all_of(digits.begin(), digits.end(),
-                    [](unsigned char c) { return std::isdigit(c); }))
-      return scale_cluster(std::stoul(digits));
+                    [](unsigned char c) { return std::isdigit(c); })) {
+      std::size_t workers = 0;
+      const char* const end = digits.data() + digits.size();
+      if (std::from_chars(digits.data(), end, workers).ec != std::errc())
+        throw std::invalid_argument(
+            "grid spec key 'clusters': worker count out of range: " + name);
+      return scale_cluster(workers);
+    }
   }
   throw std::invalid_argument("unknown cluster: " + name);
 }

@@ -80,62 +80,4 @@ Dataset sort_by_label(const Dataset& data) {
   return sorted;
 }
 
-std::vector<std::vector<std::size_t>> dirichlet_partition_rows(
-    const Dataset& data, std::size_t k, double alpha, Rng& rng) {
-  HGC_REQUIRE(k > 0, "need at least one partition");
-  HGC_REQUIRE(alpha > 0.0, "Dirichlet concentration must be positive");
-  HGC_REQUIRE(data.size() >= k, "fewer rows than partitions");
-
-  // Rows of each class, shuffled for tie-breaking.
-  std::vector<std::vector<std::size_t>> class_rows(data.num_classes);
-  for (std::size_t i = 0; i < data.size(); ++i)
-    class_rows[static_cast<std::size_t>(data.labels[i])].push_back(i);
-
-  std::vector<std::vector<std::size_t>> parts(k);
-  for (auto& rows : class_rows) {
-    rng.shuffle(std::span<std::size_t>(rows));
-    // Dirichlet(alpha) via normalized Gamma draws; Gamma(alpha,1) sampled
-    // with the Marsaglia-Tsang-free fallback of summing exponentials is
-    // wrong for non-integer alpha, so use the std library's gamma.
-    std::vector<double> weights(k);
-    double total = 0.0;
-    for (double& w : weights) {
-      w = std::gamma_distribution<double>(alpha, 1.0)(rng.engine());
-      w = std::max(w, 1e-12);
-      total += w;
-    }
-    std::size_t cursor = 0;
-    for (std::size_t p = 0; p < k; ++p) {
-      const auto take = static_cast<std::size_t>(std::llround(
-          static_cast<double>(rows.size()) * weights[p] / total));
-      const std::size_t end =
-          p + 1 == k ? rows.size() : std::min(rows.size(), cursor + take);
-      for (; cursor < end; ++cursor) parts[p].push_back(rows[cursor]);
-    }
-  }
-
-  // Guarantee no empty partition: steal one row from the largest.
-  for (std::size_t p = 0; p < k; ++p) {
-    if (!parts[p].empty()) continue;
-    auto largest = std::max_element(
-        parts.begin(), parts.end(),
-        [](const auto& a, const auto& b) { return a.size() < b.size(); });
-    HGC_ASSERT(largest->size() > 1, "not enough rows to fill partitions");
-    parts[p].push_back(largest->back());
-    largest->pop_back();
-  }
-  for (auto& rows : parts) std::sort(rows.begin(), rows.end());
-  return parts;
-}
-
-std::vector<std::size_t> label_histogram(const Dataset& data,
-                                         std::span<const std::size_t> rows) {
-  std::vector<std::size_t> histogram(data.num_classes, 0);
-  for (std::size_t row : rows) {
-    HGC_REQUIRE(row < data.size(), "row index out of range");
-    ++histogram[static_cast<std::size_t>(data.labels[row])];
-  }
-  return histogram;
-}
-
 }  // namespace hgc

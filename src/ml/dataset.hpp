@@ -4,9 +4,10 @@
 // ResNet34/ImageNet on PyTorch. Gradient coding is agnostic to what produces
 // the per-partition gradient vectors, so we substitute a synthetic
 // Gaussian-cluster classification task whose gradients are computed by the
-// from-scratch models in model.hpp. The synthetic-CIFAR generator mimics
-// CIFAR-10's shape at reduced dimensionality (10 classes, configurable
-// feature dim) and gives every experiment a reproducible data source.
+// from-scratch softmax regression in model.hpp. The synthetic-CIFAR
+// generator mimics CIFAR-10's shape at reduced dimensionality (10 classes,
+// configurable feature dim) and gives every experiment a reproducible data
+// source.
 #pragma once
 
 #include <cstddef>
@@ -51,15 +52,5 @@ std::vector<std::vector<std::size_t>> partition_rows(std::size_t n,
 /// coded schemes are immune: their decoded gradient is the exact full-batch
 /// gradient regardless of how rows are laid out.
 Dataset sort_by_label(const Dataset& data);
-
-/// Non-IID partitioner: distribute each class's rows over the k partitions
-/// with Dirichlet(alpha) proportions (small alpha = highly skewed shards;
-/// alpha → ∞ = IID). Every partition is guaranteed at least one row.
-std::vector<std::vector<std::size_t>> dirichlet_partition_rows(
-    const Dataset& data, std::size_t k, double alpha, Rng& rng);
-
-/// Class histogram of a row subset (length num_classes).
-std::vector<std::size_t> label_histogram(const Dataset& data,
-                                         std::span<const std::size_t> rows);
 
 }  // namespace hgc

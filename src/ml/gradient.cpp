@@ -6,7 +6,7 @@
 
 namespace hgc {
 
-Vector partition_gradient(const Model& model, const Dataset& data,
+Vector partition_gradient(const SoftmaxRegression& model, const Dataset& data,
                           std::span<const std::size_t> rows,
                           std::span<const double> params) {
   Vector grad(model.num_params(), 0.0);
@@ -15,7 +15,7 @@ Vector partition_gradient(const Model& model, const Dataset& data,
 }
 
 std::vector<Vector> all_partition_gradients(
-    const Model& model, const Dataset& data,
+    const SoftmaxRegression& model, const Dataset& data,
     const std::vector<std::vector<std::size_t>>& partitions,
     std::span<const double> params) {
   std::vector<Vector> grads;
@@ -25,19 +25,19 @@ std::vector<Vector> all_partition_gradients(
   return grads;
 }
 
-Vector full_gradient(const Model& model, const Dataset& data,
+Vector full_gradient(const SoftmaxRegression& model, const Dataset& data,
                      std::span<const double> params) {
   return partition_gradient(model, data, all_rows(data.size()), params);
 }
 
-double mean_loss(const Model& model, const Dataset& data,
+double mean_loss(const SoftmaxRegression& model, const Dataset& data,
                  std::span<const double> params) {
   HGC_REQUIRE(data.size() > 0, "empty dataset");
   const auto rows = all_rows(data.size());
   return model.loss(data, rows, params) / static_cast<double>(data.size());
 }
 
-Vector numeric_gradient(const Model& model, const Dataset& data,
+Vector numeric_gradient(const SoftmaxRegression& model, const Dataset& data,
                         std::span<const std::size_t> rows,
                         std::span<const double> params, double step) {
   Vector perturbed(params.begin(), params.end());

@@ -9,26 +9,26 @@
 namespace hgc {
 
 /// Sum-gradient over one row subset (the paper's g_i for partition i).
-Vector partition_gradient(const Model& model, const Dataset& data,
+Vector partition_gradient(const SoftmaxRegression& model, const Dataset& data,
                           std::span<const std::size_t> rows,
                           std::span<const double> params);
 
 /// All k partition gradients.
 std::vector<Vector> all_partition_gradients(
-    const Model& model, const Dataset& data,
+    const SoftmaxRegression& model, const Dataset& data,
     const std::vector<std::vector<std::size_t>>& partitions,
     std::span<const double> params);
 
 /// Full-dataset sum gradient (equals Σ of the partition gradients).
-Vector full_gradient(const Model& model, const Dataset& data,
+Vector full_gradient(const SoftmaxRegression& model, const Dataset& data,
                      std::span<const double> params);
 
 /// Mean loss over the whole dataset.
-double mean_loss(const Model& model, const Dataset& data,
+double mean_loss(const SoftmaxRegression& model, const Dataset& data,
                  std::span<const double> params);
 
 /// Central-difference numeric gradient for model verification (tests).
-Vector numeric_gradient(const Model& model, const Dataset& data,
+Vector numeric_gradient(const SoftmaxRegression& model, const Dataset& data,
                         std::span<const std::size_t> rows,
                         std::span<const double> params, double step = 1e-5);
 

@@ -30,8 +30,6 @@ double softmax_cross_entropy(std::span<double> logits, int label,
   return -std::log(std::max(prob_label, 1e-300));
 }
 
-// ---------------------------------------------------------------- Softmax --
-
 SoftmaxRegression::SoftmaxRegression(std::size_t dim, std::size_t classes)
     : dim_(dim), classes_(classes) {
   HGC_REQUIRE(dim > 0 && classes >= 2, "degenerate model shape");
@@ -110,179 +108,6 @@ Vector SoftmaxRegression::init_params(Rng& rng) const {
   for (std::size_t i = 0; i < classes_ * dim_; ++i)
     params[i] = rng.normal(0.0, scale);
   return params;  // biases start at zero
-}
-
-// -------------------------------------------------------------------- MLP --
-
-Mlp::Mlp(std::size_t dim, std::size_t hidden, std::size_t classes)
-    : dim_(dim), hidden_(hidden), classes_(classes) {
-  HGC_REQUIRE(dim > 0 && hidden > 0 && classes >= 2, "degenerate model shape");
-}
-
-std::size_t Mlp::num_params() const {
-  return hidden_ * dim_ + hidden_ + classes_ * hidden_ + classes_;
-}
-
-void Mlp::forward(const Dataset& data, std::size_t row,
-                  std::span<const double> params, std::span<double> hidden,
-                  std::span<double> logits) const {
-  const std::span<const double> w1 = params.subspan(0, hidden_ * dim_);
-  const std::span<const double> b1 = params.subspan(hidden_ * dim_, hidden_);
-  const std::span<const double> w2 =
-      params.subspan(hidden_ * dim_ + hidden_, classes_ * hidden_);
-  const std::span<const double> b2 =
-      params.subspan(hidden_ * dim_ + hidden_ + classes_ * hidden_, classes_);
-
-  const auto x = data.features.row(row);
-  kernels::gemv(w1.data(), dim_, hidden_, dim_, x, hidden);
-  for (std::size_t h = 0; h < hidden_; ++h) {
-    const double pre = hidden[h] + b1[h];
-    hidden[h] = pre > 0.0 ? pre : 0.0;  // ReLU
-  }
-  kernels::gemv(w2.data(), hidden_, classes_, hidden_, hidden, logits);
-  kernels::axpy(1.0, b2, logits);
-}
-
-double Mlp::loss_and_gradient(const Dataset& data,
-                              std::span<const std::size_t> rows,
-                              std::span<const double> params,
-                              std::span<double> grad) const {
-  HGC_REQUIRE(params.size() == num_params(), "params size mismatch");
-  HGC_REQUIRE(grad.size() == num_params(), "grad size mismatch");
-  HGC_REQUIRE(data.dim() == dim_ && data.num_classes == classes_,
-              "dataset shape mismatch");
-  const std::span<const double> w2 =
-      params.subspan(hidden_ * dim_ + hidden_, classes_ * hidden_);
-  const std::span<double> gw1 = grad.subspan(0, hidden_ * dim_);
-  const std::span<double> gb1 = grad.subspan(hidden_ * dim_, hidden_);
-  const std::span<double> gw2 =
-      grad.subspan(hidden_ * dim_ + hidden_, classes_ * hidden_);
-  const std::span<double> gb2 =
-      grad.subspan(hidden_ * dim_ + hidden_ + classes_ * hidden_, classes_);
-
-  Vector hidden(hidden_), logits(classes_), dlogits(classes_),
-      dhidden(hidden_);
-  double total_loss = 0.0;
-  for (std::size_t row : rows) {
-    forward(data, row, params, hidden, logits);
-    total_loss += softmax_cross_entropy(logits, data.labels[row], dlogits);
-
-    // Output layer gradients.
-    kernels::rank1_update(gw2.data(), hidden_, classes_, hidden_, 1.0,
-                          dlogits, hidden);
-    kernels::axpy(1.0, dlogits, gb2);
-    // Backprop into the hidden layer (ReLU mask: hidden > 0).
-    kernels::gemv_t(w2.data(), hidden_, classes_, hidden_, dlogits, dhidden);
-    const auto x = data.features.row(row);
-    for (std::size_t h = 0; h < hidden_; ++h) {
-      if (hidden[h] <= 0.0) continue;
-      kernels::axpy(dhidden[h], x, {gw1.data() + h * dim_, dim_});
-      gb1[h] += dhidden[h];
-    }
-  }
-  return total_loss;
-}
-
-double Mlp::loss(const Dataset& data, std::span<const std::size_t> rows,
-                 std::span<const double> params) const {
-  HGC_REQUIRE(params.size() == num_params(), "params size mismatch");
-  Vector hidden(hidden_), logits(classes_);
-  double total_loss = 0.0;
-  for (std::size_t row : rows) {
-    forward(data, row, params, hidden, logits);
-    total_loss += softmax_cross_entropy(logits, data.labels[row], {});
-  }
-  return total_loss;
-}
-
-double Mlp::accuracy(const Dataset& data, std::span<const std::size_t> rows,
-                     std::span<const double> params) const {
-  if (rows.empty()) return 0.0;
-  Vector hidden(hidden_), logits(classes_);
-  std::size_t correct = 0;
-  for (std::size_t row : rows) {
-    forward(data, row, params, hidden, logits);
-    const auto best = static_cast<int>(
-        std::max_element(logits.begin(), logits.end()) - logits.begin());
-    correct += best == data.labels[row] ? 1 : 0;
-  }
-  return static_cast<double>(correct) / static_cast<double>(rows.size());
-}
-
-Vector Mlp::init_params(Rng& rng) const {
-  Vector params(num_params(), 0.0);
-  // He initialization for the ReLU layer, Xavier-ish for the output.
-  const double scale1 = std::sqrt(2.0 / static_cast<double>(dim_));
-  const double scale2 = 1.0 / std::sqrt(static_cast<double>(hidden_));
-  for (std::size_t i = 0; i < hidden_ * dim_; ++i)
-    params[i] = rng.normal(0.0, scale1);
-  const std::size_t w2_offset = hidden_ * dim_ + hidden_;
-  for (std::size_t i = 0; i < classes_ * hidden_; ++i)
-    params[w2_offset + i] = rng.normal(0.0, scale2);
-  return params;
-}
-
-// ------------------------------------------------------- Linear regression --
-
-LinearRegression::LinearRegression(std::size_t dim) : dim_(dim) {
-  HGC_REQUIRE(dim > 0, "degenerate model shape");
-}
-
-double LinearRegression::predict(const Dataset& data, std::size_t row,
-                                 std::span<const double> params) const {
-  return dot(params.subspan(0, dim_), data.features.row(row)) + params[dim_];
-}
-
-double LinearRegression::loss_and_gradient(const Dataset& data,
-                                           std::span<const std::size_t> rows,
-                                           std::span<const double> params,
-                                           std::span<double> grad) const {
-  HGC_REQUIRE(params.size() == num_params(), "params size mismatch");
-  HGC_REQUIRE(grad.size() == num_params(), "grad size mismatch");
-  HGC_REQUIRE(data.dim() == dim_, "dataset shape mismatch");
-  double total_loss = 0.0;
-  const std::span<double> gw = grad.subspan(0, dim_);
-  for (std::size_t row : rows) {
-    const double target = static_cast<double>(data.labels[row]);
-    const double residual = predict(data, row, params) - target;
-    total_loss += 0.5 * residual * residual;
-    axpy(residual, data.features.row(row), gw);
-    grad[dim_] += residual;
-  }
-  return total_loss;
-}
-
-double LinearRegression::loss(const Dataset& data,
-                              std::span<const std::size_t> rows,
-                              std::span<const double> params) const {
-  HGC_REQUIRE(params.size() == num_params(), "params size mismatch");
-  double total_loss = 0.0;
-  for (std::size_t row : rows) {
-    const double target = static_cast<double>(data.labels[row]);
-    const double residual = predict(data, row, params) - target;
-    total_loss += 0.5 * residual * residual;
-  }
-  return total_loss;
-}
-
-double LinearRegression::accuracy(const Dataset& data,
-                                  std::span<const std::size_t> rows,
-                                  std::span<const double> params) const {
-  if (rows.empty()) return 0.0;
-  std::size_t correct = 0;
-  for (std::size_t row : rows) {
-    const auto rounded = static_cast<int>(
-        std::lround(predict(data, row, params)));
-    correct += rounded == data.labels[row] ? 1 : 0;
-  }
-  return static_cast<double>(correct) / static_cast<double>(rows.size());
-}
-
-Vector LinearRegression::init_params(Rng& rng) const {
-  Vector params(num_params(), 0.0);
-  const double scale = 1.0 / std::sqrt(static_cast<double>(dim_));
-  for (std::size_t i = 0; i < dim_; ++i) params[i] = rng.normal(0.0, scale);
-  return params;
 }
 
 }  // namespace hgc

@@ -1,13 +1,12 @@
-// Differentiable models with a flat-parameter API.
+// The model every trainer fits: multinomial logistic (softmax) regression
+// over a caller-owned flat parameter vector.
 //
-// Every model exposes loss/gradient over an arbitrary row subset against a
-// caller-owned flat parameter vector. Gradients are *sums* over the rows
-// (not means): partial gradients over partitions then add up to the full-
-// dataset gradient exactly — the property gradient coding depends on
-// (g = Σ g_i, Section III-A). Trainers normalize by the dataset size.
+// Loss and gradient are *sums* over an arbitrary row subset (not means):
+// partial gradients over partitions then add up to the full-dataset gradient
+// exactly — the property gradient coding depends on (g = Σ g_i, Section
+// III-A). Trainers normalize by the dataset size.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string>
 
@@ -16,116 +15,36 @@
 
 namespace hgc {
 
-/// Interface for models trained by distributed gradient descent.
-class Model {
- public:
-  virtual ~Model() = default;
-
-  virtual std::string name() const = 0;
-  virtual std::size_t num_params() const = 0;
-
-  /// Σ over `rows` of per-sample loss; adds Σ of per-sample gradients into
-  /// `grad` (caller zeroes it). params/grad have num_params() entries.
-  virtual double loss_and_gradient(const Dataset& data,
-                                   std::span<const std::size_t> rows,
-                                   std::span<const double> params,
-                                   std::span<double> grad) const = 0;
-
-  /// Σ of per-sample losses only.
-  virtual double loss(const Dataset& data, std::span<const std::size_t> rows,
-                      std::span<const double> params) const = 0;
-
-  /// Fraction of `rows` classified correctly.
-  virtual double accuracy(const Dataset& data,
-                          std::span<const std::size_t> rows,
-                          std::span<const double> params) const = 0;
-
-  /// Small random initialization.
-  virtual Vector init_params(Rng& rng) const = 0;
-};
-
 /// Multinomial logistic (softmax) regression: W ∈ R^{classes×dim}, b ∈
 /// R^{classes}; flat layout [W row-major, b].
-class SoftmaxRegression : public Model {
+class SoftmaxRegression {
  public:
   SoftmaxRegression(std::size_t dim, std::size_t classes);
 
-  std::string name() const override { return "softmax-regression"; }
-  std::size_t num_params() const override;
+  std::string name() const { return "softmax-regression"; }
+  std::size_t num_params() const;
+
+  /// Σ over `rows` of per-sample loss; adds Σ of per-sample gradients into
+  /// `grad` (caller zeroes it). params/grad have num_params() entries.
   double loss_and_gradient(const Dataset& data,
                            std::span<const std::size_t> rows,
                            std::span<const double> params,
-                           std::span<double> grad) const override;
+                           std::span<double> grad) const;
+
+  /// Σ of per-sample losses only.
   double loss(const Dataset& data, std::span<const std::size_t> rows,
-              std::span<const double> params) const override;
+              std::span<const double> params) const;
+
+  /// Fraction of `rows` classified correctly.
   double accuracy(const Dataset& data, std::span<const std::size_t> rows,
-                  std::span<const double> params) const override;
-  Vector init_params(Rng& rng) const override;
+                  std::span<const double> params) const;
+
+  /// Small random initialization (biases start at zero).
+  Vector init_params(Rng& rng) const;
 
  private:
   std::size_t dim_;
   std::size_t classes_;
-};
-
-/// One-hidden-layer perceptron with ReLU: W1 ∈ R^{hidden×dim}, b1,
-/// W2 ∈ R^{classes×hidden}, b2; flat layout [W1, b1, W2, b2]. Stands in for
-/// the paper's DNN workloads (the coding layer only sees gradient vectors).
-class Mlp : public Model {
- public:
-  Mlp(std::size_t dim, std::size_t hidden, std::size_t classes);
-
-  std::string name() const override { return "mlp"; }
-  std::size_t num_params() const override;
-  double loss_and_gradient(const Dataset& data,
-                           std::span<const std::size_t> rows,
-                           std::span<const double> params,
-                           std::span<double> grad) const override;
-  double loss(const Dataset& data, std::span<const std::size_t> rows,
-              std::span<const double> params) const override;
-  double accuracy(const Dataset& data, std::span<const std::size_t> rows,
-                  std::span<const double> params) const override;
-  Vector init_params(Rng& rng) const override;
-
- private:
-  /// Forward pass for one sample; returns logits, optionally keeps the
-  /// hidden activations for backprop.
-  void forward(const Dataset& data, std::size_t row,
-               std::span<const double> params, std::span<double> hidden,
-               std::span<double> logits) const;
-
-  std::size_t dim_;
-  std::size_t hidden_;
-  std::size_t classes_;
-};
-
-/// Least-squares linear regression: y ≈ wᵀx + b with per-sample loss
-/// ½(ŷ − y)². Targets are derived from labels (regression on the class
-/// index) unless a target column is supplied. Included because the coded-
-/// computation lines of work the paper contrasts against ([13], [29]-[33])
-/// are *restricted* to linear models — gradient coding handles this model
-/// and the nonlinear ones above through the same interface.
-class LinearRegression : public Model {
- public:
-  explicit LinearRegression(std::size_t dim);
-
-  std::string name() const override { return "linear-regression"; }
-  std::size_t num_params() const override { return dim_ + 1; }
-  double loss_and_gradient(const Dataset& data,
-                           std::span<const std::size_t> rows,
-                           std::span<const double> params,
-                           std::span<double> grad) const override;
-  double loss(const Dataset& data, std::span<const std::size_t> rows,
-              std::span<const double> params) const override;
-  /// Fraction of rows whose rounded prediction equals the label.
-  double accuracy(const Dataset& data, std::span<const std::size_t> rows,
-                  std::span<const double> params) const override;
-  Vector init_params(Rng& rng) const override;
-
- private:
-  double predict(const Dataset& data, std::size_t row,
-                 std::span<const double> params) const;
-
-  std::size_t dim_;
 };
 
 /// Numerically stable softmax cross-entropy over `logits` against `label`;

@@ -1,41 +1,19 @@
 #include "ml/sgd.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace hgc {
 
-SgdOptimizer::SgdOptimizer(SgdOptions options, std::size_t num_params)
-    : options_(options) {
-  HGC_REQUIRE(options_.learning_rate > 0.0, "learning rate must be positive");
-  HGC_REQUIRE(options_.momentum >= 0.0 && options_.momentum < 1.0,
-              "momentum must lie in [0, 1)");
-  HGC_REQUIRE(options_.weight_decay >= 0.0, "weight decay must be >= 0");
-  if (options_.momentum > 0.0) velocity_.assign(num_params, 0.0);
+SgdOptimizer::SgdOptimizer(double learning_rate)
+    : learning_rate_(learning_rate) {
+  HGC_REQUIRE(learning_rate_ > 0.0, "learning rate must be positive");
 }
 
 void SgdOptimizer::step(std::span<double> params,
-                        std::span<const double> grad) {
+                        std::span<const double> grad) const {
   HGC_REQUIRE(params.size() == grad.size(), "params/grad size mismatch");
-  const double lr = options_.learning_rate;
-  const double wd = options_.weight_decay;
-  if (options_.momentum == 0.0) {
-    for (std::size_t i = 0; i < params.size(); ++i)
-      params[i] -= lr * (grad[i] + wd * params[i]);
-    return;
-  }
-  HGC_REQUIRE(velocity_.size() == params.size(),
-              "optimizer built for a different parameter count");
-  const double mu = options_.momentum;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    velocity_[i] = mu * velocity_[i] + grad[i] + wd * params[i];
-    params[i] -= lr * velocity_[i];
-  }
-}
-
-void SgdOptimizer::reset() {
-  std::fill(velocity_.begin(), velocity_.end(), 0.0);
+  for (std::size_t i = 0; i < params.size(); ++i)
+    params[i] -= learning_rate_ * grad[i];
 }
 
 }  // namespace hgc

@@ -1,37 +1,23 @@
-// Stochastic gradient descent with momentum — the optimizer used by every
-// trainer (BSP coded, SSP, serial reference).
+// Plain stochastic gradient descent — the optimizer of the BSP trainers
+// (coded, threaded, serial reference). SSP applies its own per-push rate.
 #pragma once
 
 #include <span>
 
-#include "linalg/matrix.hpp"
-
 namespace hgc {
 
-/// SGD hyperparameters.
-struct SgdOptions {
-  double learning_rate = 0.1;
-  double momentum = 0.0;      ///< classical momentum; 0 disables
-  double weight_decay = 0.0;  ///< L2 coefficient added to the gradient
-};
-
-/// Stateful SGD stepper (owns the velocity buffer when momentum is on).
+/// One learning-rate step per call: params ← params − lr · grad.
 class SgdOptimizer {
  public:
-  SgdOptimizer(SgdOptions options, std::size_t num_params);
+  /// Throws std::invalid_argument unless `learning_rate` > 0.
+  explicit SgdOptimizer(double learning_rate);
 
-  /// In-place update: params ← params − lr · (grad + wd·params), with
-  /// momentum folded in when configured. `grad` must already be the *mean*
-  /// gradient (trainers normalize the coded sums before stepping).
-  void step(std::span<double> params, std::span<const double> grad);
-
-  const SgdOptions& options() const { return options_; }
-
-  void reset();
+  /// In-place update. `grad` must already be the *mean* gradient (trainers
+  /// normalize the coded sums before stepping).
+  void step(std::span<double> params, std::span<const double> grad) const;
 
  private:
-  SgdOptions options_;
-  Vector velocity_;
+  double learning_rate_;
 };
 
 }  // namespace hgc

@@ -5,28 +5,20 @@
 #include <utility>
 
 #include "core/coding_scheme.hpp"
-#include "sim/experiment.hpp"
+#include "ml/sgd.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
 
 BspTrainingResult train_bsp_coded(SchemeKind kind, const Cluster& cluster,
-                                  const Model& model, const Dataset& data,
-                                  std::size_t k, std::size_t s,
+                                  const SoftmaxRegression& model,
+                                  const Dataset& data,
                                   const BspTrainingConfig& config) {
   HGC_REQUIRE(config.record_every > 0, "record_every must be positive");
-  ExperimentConfig experiment;
-  experiment.k = k;
-  experiment.s = s;
-  experiment.model = config.straggler_model;
-  experiment.estimation_sigma = config.estimation_sigma;
-  experiment.iterations = config.iterations;
-  experiment.seed = config.seed;
-  experiment.sim = config.sim;
-
-  Rng init_rng(config.seed + 0x1111);
+  const ExperimentConfig& experiment = config.experiment;
+  const SgdOptimizer optimizer(config.learning_rate);
+  Rng init_rng(experiment.seed + 0x1111);
   Vector params = model.init_params(init_rng);
-  SgdOptimizer optimizer(config.sgd, params.size());
   const double inv_n = 1.0 / static_cast<double>(data.size());
 
   BspTrainingResult result;
@@ -63,41 +55,40 @@ BspTrainingResult train_bsp_coded(SchemeKind kind, const Cluster& cluster,
     optimizer.step(params, aggregate);
 
     const std::size_t iter = round.iteration + 1;
-    if (iter % config.record_every == 0 || iter == config.iterations)
+    if (iter % config.record_every == 0 || iter == experiment.iterations)
       result.trace.points.push_back(
           {clock, mean_loss(model, data, params), iter});
     return std::nullopt;
   };
   result.trace.label =
       run_experiment(kind, cluster, experiment, {}, hook).scheme;
-
-  result.final_accuracy =
-      model.accuracy(data, all_rows(data.size()), params);
   result.final_params = std::move(params);
   return result;
 }
 
 BspTrainingResult train_bsp_ignore_stragglers(
-    const Cluster& cluster, const Model& model, const Dataset& data,
-    std::size_t s, const BspTrainingConfig& config) {
+    const Cluster& cluster, const SoftmaxRegression& model,
+    const Dataset& data, const BspTrainingConfig& config) {
+  const ExperimentConfig& experiment = config.experiment;
   const std::size_t m = cluster.size();
+  const std::size_t s = experiment.s;
   HGC_REQUIRE(s < m, "cannot ignore as many workers as exist");
   HGC_REQUIRE(config.record_every > 0, "record_every must be positive");
+  const SgdOptimizer optimizer(config.learning_rate);
   const auto shards = partition_rows(data.size(), m);
 
-  Rng condition_rng(config.seed + 0x79b9);
-  Rng init_rng(config.seed + 0x1111);
+  Rng condition_rng(experiment.seed + 0x79b9);
+  Rng init_rng(experiment.seed + 0x1111);
   Vector params = model.init_params(init_rng);
-  SgdOptimizer optimizer(config.sgd, params.size());
 
   BspTrainingResult result;
   result.trace.label = "ignore-stragglers";
   double clock = 0.0;
   result.trace.points.push_back({0.0, mean_loss(model, data, params), 0});
 
-  for (std::size_t iter = 1; iter <= config.iterations; ++iter) {
+  for (std::size_t iter = 1; iter <= experiment.iterations; ++iter) {
     const IterationConditions conditions =
-        config.straggler_model.draw(m, condition_rng);
+        experiment.model.draw(m, condition_rng);
 
     // Uncoded even allocation: worker w computes its shard and arrives at
     // share/rate + delay; the master takes the first m−s arrivals.
@@ -109,7 +100,7 @@ BspTrainingResult train_bsp_ignore_stragglers(
       const double share = static_cast<double>(shards[w].size()) /
                            static_cast<double>(data.size());
       arrivals.emplace_back(
-          share / rate + conditions.delay[w] + config.sim.comm_latency, w);
+          share / rate + conditions.delay[w] + experiment.sim.comm_latency, w);
     }
     if (arrivals.size() < m - s) {
       ++result.failed_iterations;  // more faults than the ignore budget
@@ -131,38 +122,35 @@ BspTrainingResult train_bsp_ignore_stragglers(
     scale(1.0 / static_cast<double>(covered), grad);
     optimizer.step(params, grad);
 
-    if (iter % config.record_every == 0 || iter == config.iterations)
+    if (iter % config.record_every == 0 || iter == experiment.iterations)
       result.trace.points.push_back(
           {clock, mean_loss(model, data, params), iter});
   }
-
-  result.final_accuracy =
-      model.accuracy(data, all_rows(data.size()), params);
   result.final_params = std::move(params);
   return result;
 }
 
-BspTrainingResult train_serial(const Model& model, const Dataset& data,
+BspTrainingResult train_serial(const SoftmaxRegression& model,
+                               const Dataset& data,
                                const BspTrainingConfig& config) {
   HGC_REQUIRE(config.record_every > 0, "record_every must be positive");
-  Rng init_rng(config.seed + 0x1111);
+  const std::size_t iterations = config.experiment.iterations;
+  const SgdOptimizer optimizer(config.learning_rate);
+  Rng init_rng(config.experiment.seed + 0x1111);
   Vector params = model.init_params(init_rng);
-  SgdOptimizer optimizer(config.sgd, params.size());
   const double inv_n = 1.0 / static_cast<double>(data.size());
 
   BspTrainingResult result;
   result.trace.label = "serial";
   result.trace.points.push_back({0.0, mean_loss(model, data, params), 0});
-  for (std::size_t iter = 1; iter <= config.iterations; ++iter) {
+  for (std::size_t iter = 1; iter <= iterations; ++iter) {
     Vector grad = full_gradient(model, data, params);
     scale(inv_n, grad);
     optimizer.step(params, grad);
-    if (iter % config.record_every == 0 || iter == config.iterations)
+    if (iter % config.record_every == 0 || iter == iterations)
       result.trace.points.push_back(
           {static_cast<double>(iter), mean_loss(model, data, params), iter});
   }
-  result.final_accuracy =
-      model.accuracy(data, all_rows(data.size()), params);
   result.final_params = std::move(params);
   return result;
 }

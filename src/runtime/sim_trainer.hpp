@@ -11,27 +11,22 @@
 // which is precisely the effect Fig. 4 plots.
 #pragma once
 
-#include <cstdint>
-
 #include "cluster/cluster.hpp"
-#include "cluster/straggler.hpp"
 #include "core/scheme_factory.hpp"
 #include "ml/gradient.hpp"
 #include "ml/model.hpp"
-#include "ml/sgd.hpp"
 #include "runtime/loss_trace.hpp"
-#include "sim/iteration.hpp"
+#include "sim/experiment.hpp"
 
 namespace hgc {
 
 /// Configuration for a virtual-time BSP training run.
 struct BspTrainingConfig {
-  std::size_t iterations = 100;
-  SgdOptions sgd;
-  StragglerModel straggler_model;
-  SimParams sim;
-  double estimation_sigma = 0.0;  ///< throughput-estimate error for the code
-  std::uint64_t seed = 42;
+  /// The run's cluster-side parameters, read exactly as sim::run_experiment
+  /// reads them: k (0 = 2m) and s, the straggler model, the estimation
+  /// error, the iteration count, the seed and the simulator parameters.
+  ExperimentConfig experiment;
+  double learning_rate = 0.1;     ///< plain SGD step size
   std::size_t record_every = 1;   ///< trace sampling stride (iterations)
 };
 
@@ -40,19 +35,19 @@ struct BspTrainingResult {
   LossTrace trace;
   Vector final_params;
   std::size_t failed_iterations = 0;  ///< undecodable (clock stalls forever)
-  double final_accuracy = 0.0;
 };
 
-/// Train `model` on `data` under `kind`'s coding scheme on `cluster` with k
-/// partitions (0 = 2m) and straggler tolerance s.
+/// Train `model` on `data` under `kind`'s coding scheme on `cluster`.
 BspTrainingResult train_bsp_coded(SchemeKind kind, const Cluster& cluster,
-                                  const Model& model, const Dataset& data,
-                                  std::size_t k, std::size_t s,
+                                  const SoftmaxRegression& model,
+                                  const Dataset& data,
                                   const BspTrainingConfig& config);
 
 /// Serial single-machine SGD reference: identical parameter trajectory to
-/// any decodable BSP coded run (the exactness property tests rely on).
-BspTrainingResult train_serial(const Model& model, const Dataset& data,
+/// any decodable BSP coded run (the exactness property tests rely on). Reads
+/// only the iteration count and seed of `config.experiment`.
+BspTrainingResult train_serial(const SoftmaxRegression& model,
+                               const Dataset& data,
                                const BspTrainingConfig& config);
 
 /// The *approximate* straggler-ignoring baseline the paper declines to use
@@ -62,9 +57,9 @@ BspTrainingResult train_serial(const Model& model, const Dataset& data,
 /// stragglers and carries zero redundancy — but each update is a biased
 /// subsample gradient, so the loss path deviates from exact SGD (and under
 /// non-IID shards the bias is systematic). Included for the accuracy-vs-time
-/// trade-off ablation.
+/// trade-off ablation. Ignores k and the estimation error.
 BspTrainingResult train_bsp_ignore_stragglers(
-    const Cluster& cluster, const Model& model, const Dataset& data,
-    std::size_t s, const BspTrainingConfig& config);
+    const Cluster& cluster, const SoftmaxRegression& model,
+    const Dataset& data, const BspTrainingConfig& config);
 
 }  // namespace hgc

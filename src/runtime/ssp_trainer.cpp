@@ -9,7 +9,8 @@
 
 namespace hgc {
 
-SspTrainingResult train_ssp(const Cluster& cluster, const Model& model,
+SspTrainingResult train_ssp(const Cluster& cluster,
+                            const SoftmaxRegression& model,
                             const Dataset& data,
                             const SspTrainingConfig& config) {
   const std::size_t m = cluster.size();
@@ -17,12 +18,7 @@ SspTrainingResult train_ssp(const Cluster& cluster, const Model& model,
   HGC_REQUIRE(config.learning_rate > 0.0, "learning rate must be positive");
   HGC_REQUIRE(config.record_every > 0, "record_every must be positive");
 
-  const auto shards = config.shards.empty()
-                          ? partition_rows(data.size(), m)
-                          : config.shards;
-  HGC_REQUIRE(shards.size() == m, "need exactly one shard per worker");
-  for (const auto& shard : shards)
-    HGC_REQUIRE(!shard.empty(), "every worker needs at least one row");
+  const auto shards = partition_rows(data.size(), m);
   Rng condition_rng(config.seed + 0x79b9);
   Rng init_rng(config.seed + 0x1111);
 
@@ -95,8 +91,7 @@ SspTrainingResult train_ssp(const Cluster& cluster, const Model& model,
     // Push: gradient of w's shard at the parameters w pulled (stale).
     std::fill(grad.begin(), grad.end(), 0.0);
     model.loss_and_gradient(data, shards[w], snapshot[w], grad);
-    const double inv_shard =
-        1.0 / static_cast<double>(std::max<std::size_t>(shards[w].size(), 1));
+    const double inv_shard = 1.0 / static_cast<double>(shards[w].size());
     for (std::size_t i = 0; i < params.size(); ++i)
       params[i] -= push_lr * inv_shard * grad[i];
     ++clock[w];
@@ -135,8 +130,6 @@ SspTrainingResult train_ssp(const Cluster& cluster, const Model& model,
       pushes ? static_cast<double>(blocked_events) /
                    static_cast<double>(pushes)
              : 0.0;
-  result.final_accuracy =
-      model.accuracy(data, all_rows(data.size()), params);
   result.final_params = std::move(params);
   return result;
 }

@@ -40,17 +40,12 @@ struct SspTrainingConfig {
   double comm_latency = 0.0;
   std::uint64_t seed = 42;
   std::size_t record_every = 1;  ///< trace sampling stride, in epochs
-  /// Optional explicit data shards (one per worker); empty = contiguous even
-  /// split. Use dirichlet_partition_rows / sort_by_label to study SSP under
-  /// non-IID data (unbalanced contributions, the paper's Fig. 4 argument).
-  std::vector<std::vector<std::size_t>> shards;
 };
 
 /// Outcome of an SSP run.
 struct SspTrainingResult {
   LossTrace trace;
   Vector final_params;
-  double final_accuracy = 0.0;
   /// Mean over time of (max clock − min clock): how unevenly workers
   /// progressed; large values = heavy staleness pressure.
   double mean_clock_spread = 0.0;
@@ -58,8 +53,11 @@ struct SspTrainingResult {
   double blocked_fraction = 0.0;
 };
 
-/// Run SSP on `cluster`, sharding `data` evenly across workers.
-SspTrainingResult train_ssp(const Cluster& cluster, const Model& model,
+/// Run SSP on `cluster`, sharding `data` contiguously and evenly across
+/// workers (sort_by_label first to give each worker few classes — the
+/// non-IID regime of the paper's Fig. 4 argument).
+SspTrainingResult train_ssp(const Cluster& cluster,
+                            const SoftmaxRegression& model,
                             const Dataset& data,
                             const SspTrainingConfig& config);
 

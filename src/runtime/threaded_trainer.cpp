@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "core/decoder.hpp"
+#include "ml/sgd.hpp"
 #include "runtime/channel.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
@@ -28,7 +29,7 @@ struct WorkerResult {
 };
 
 void worker_loop(WorkerId w, const CodingScheme& scheme,
-                 const Cluster& cluster, const Model& model,
+                 const Cluster& cluster, const SoftmaxRegression& model,
                  const Dataset& data,
                  const std::vector<std::vector<std::size_t>>& partitions,
                  const ThreadedTrainingConfig& config, Broadcast& bcast,
@@ -79,11 +80,13 @@ void worker_loop(WorkerId w, const CodingScheme& scheme,
 }  // namespace
 
 ThreadedTrainingResult train_bsp_threaded(
-    const CodingScheme& scheme, const Cluster& cluster, const Model& model,
-    const Dataset& data, const ThreadedTrainingConfig& config) {
+    const CodingScheme& scheme, const Cluster& cluster,
+    const SoftmaxRegression& model, const Dataset& data,
+    const ThreadedTrainingConfig& config) {
   const std::size_t m = scheme.num_workers();
   HGC_REQUIRE(cluster.size() == m, "cluster size must match scheme");
   HGC_REQUIRE(config.iterations > 0, "need at least one iteration");
+  const SgdOptimizer optimizer(config.learning_rate);
   // A fault pattern wider than the provisioned tolerance would deadlock the
   // master (it waits for a decodable set that can never arrive).
   if (config.straggler_model.fault)
@@ -97,7 +100,6 @@ ThreadedTrainingResult train_bsp_threaded(
   Rng condition_rng(config.seed + 0x79b9);
   Rng init_rng(config.seed + 0x1111);
   Vector params = model.init_params(init_rng);
-  SgdOptimizer optimizer(config.sgd, params.size());
   const double inv_n = 1.0 / static_cast<double>(data.size());
 
   Broadcast bcast;

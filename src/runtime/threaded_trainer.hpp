@@ -16,7 +16,6 @@
 #include "core/coding_scheme.hpp"
 #include "ml/gradient.hpp"
 #include "ml/model.hpp"
-#include "ml/sgd.hpp"
 #include "runtime/loss_trace.hpp"
 
 namespace hgc {
@@ -24,7 +23,7 @@ namespace hgc {
 /// Configuration for the threaded runtime.
 struct ThreadedTrainingConfig {
   std::size_t iterations = 10;
-  SgdOptions sgd;
+  double learning_rate = 0.1;  ///< plain SGD step size
   StragglerModel straggler_model;
   /// Wall seconds of sleep per simulated second (1e-3 → a 1 s simulated
   /// iteration sleeps 1 ms). 0 disables the physical delay entirely.
@@ -44,7 +43,7 @@ struct ThreadedTrainingResult {
 /// data layout and the coding; `cluster` supplies the simulated speeds.
 ThreadedTrainingResult train_bsp_threaded(const CodingScheme& scheme,
                                           const Cluster& cluster,
-                                          const Model& model,
+                                          const SoftmaxRegression& model,
                                           const Dataset& data,
                                           const ThreadedTrainingConfig& config);
 

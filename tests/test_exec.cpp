@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -367,13 +368,6 @@ TEST(GridSpec, ParsesScenarios) {
   EXPECT_GT(grid.scenarios[2].trace.num_iterations(), 0u);
 }
 
-TEST(GridSpec, RejectsUnknownKeysAndValues) {
-  EXPECT_THROW(parse_grid_spec("bogus=1"), std::invalid_argument);
-  EXPECT_THROW(parse_grid_spec("clusters=Z"), std::invalid_argument);
-  EXPECT_THROW(parse_grid_spec("schemes"), std::invalid_argument);
-  EXPECT_THROW(parse_grid_spec("scenarios=warp"), std::invalid_argument);
-}
-
 /// EXPECT_THROW plus a check that the message contains `needle`.
 void expect_spec_error(const std::string& spec, const std::string& needle) {
   try {
@@ -383,6 +377,19 @@ void expect_spec_error(const std::string& spec, const std::string& needle) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << "spec '" << spec << "' threw: " << e.what();
   }
+}
+
+TEST(GridSpec, RejectsUnknownKeysAndValues) {
+  EXPECT_THROW(parse_grid_spec("bogus=1"), std::invalid_argument);
+  EXPECT_THROW(parse_grid_spec("clusters=Z"), std::invalid_argument);
+  EXPECT_THROW(parse_grid_spec("schemes"), std::invalid_argument);
+  EXPECT_THROW(parse_grid_spec("scenarios=warp"), std::invalid_argument);
+  // A worker count past size_t names the key and the value instead of
+  // escaping as std::out_of_range.
+  expect_spec_error("clusters=scale99999999999999999999999",
+                    "'clusters'");
+  expect_spec_error("clusters=scale99999999999999999999999",
+                    "scale99999999999999999999999");
 }
 
 TEST(GridSpec, RejectsNonIntegralAndNegativeCounts) {
@@ -540,12 +547,34 @@ TEST(Figures, Table2MatchesClusterProperties) {
   EXPECT_DOUBLE_EQ(ratio, 3.0);
 }
 
+/// 64-bit FNV-1a of `text`'s bytes.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 TEST(Figures, Fig4EmitsIdenticalCurvesAtAnyThreadCount) {
-  const FigureSweep figure = fig4_sweep(8);
-  const std::string serial = csv_of(run_figure(figure, {.threads = 1}));
-  const std::string parallel = csv_of(run_figure(figure, {.threads = 3}));
-  EXPECT_EQ(serial, parallel);
-  EXPECT_NE(serial.find("ssp"), std::string::npos);
+  // Thread-count identity alone would pass a change that shifts every
+  // training byte the same way at any thread count, so the serial CSVs are
+  // also pinned to FNV-1a hashes of their known-good text. A deliberate
+  // change to the training arithmetic re-pins them from the CSV the failure
+  // prints.
+  const struct {
+    FigureSweep figure;
+    std::uint64_t pinned;
+  } presets[] = {{fig4_sweep(8), 0xed2a091fa8c4f7a0ULL},
+                 {fig4_noniid_sweep(8), 0xaef2605e714a27e6ULL}};
+  for (const auto& [figure, pinned] : presets) {
+    const std::string serial = csv_of(run_figure(figure, {.threads = 1}));
+    const std::string parallel = csv_of(run_figure(figure, {.threads = 3}));
+    EXPECT_EQ(serial, parallel) << figure.name;
+    EXPECT_NE(serial.find("ssp"), std::string::npos) << figure.name;
+    EXPECT_EQ(fnv1a(serial), pinned) << figure.name << ":\n" << serial;
+  }
 }
 
 }  // namespace

@@ -93,25 +93,26 @@ TEST(Fig4Shape, TimeToTargetLossOrdering) {
   SoftmaxRegression model(6, 3);
 
   BspTrainingConfig config;
-  config.iterations = 40;
-  config.sgd.learning_rate = 0.5;
-  config.straggler_model.num_stragglers = 1;
-  config.straggler_model.delay_seconds =
+  config.experiment.k = exact_partition_count(cluster, 1);
+  config.experiment.s = 1;
+  config.experiment.iterations = 40;
+  config.experiment.model.num_stragglers = 1;
+  config.experiment.model.delay_seconds =
       2.0 * ideal_iteration_time(cluster, 1);
-  const std::size_t k = exact_partition_count(cluster, 1);
+  config.learning_rate = 0.5;
 
   const auto heter = train_bsp_coded(SchemeKind::kHeterAware, cluster, model,
-                                     data, k, 1, config);
-  const auto cyclic = train_bsp_coded(SchemeKind::kCyclic, cluster, model,
-                                      data, k, 1, config);
-  const auto naive = train_bsp_coded(SchemeKind::kNaive, cluster, model, data,
-                                     k, 1, config);
+                                     data, config);
+  const auto cyclic =
+      train_bsp_coded(SchemeKind::kCyclic, cluster, model, data, config);
+  const auto naive =
+      train_bsp_coded(SchemeKind::kNaive, cluster, model, data, config);
 
   SspTrainingConfig ssp_config;
   ssp_config.iterations = 40;
   ssp_config.learning_rate = 0.5;
   ssp_config.staleness = 2;
-  ssp_config.straggler_model = config.straggler_model;
+  ssp_config.straggler_model = config.experiment.model;
   const auto ssp = train_ssp(cluster, model, data, ssp_config);
 
   // Target: the loss the BSP runs provably reach (identical loss path per

@@ -34,60 +34,13 @@ TEST(SortByLabel, ContiguousShardsBecomeClassPure) {
   const auto shards = partition_rows(sorted.size(), 4);
   // 120 rows, 4 balanced classes, 4 shards: each shard is one class.
   for (const auto& shard : shards) {
-    const auto h = label_histogram(sorted, shard);
+    std::vector<std::size_t> h(sorted.num_classes, 0);
+    for (std::size_t row : shard)
+      ++h[static_cast<std::size_t>(sorted.labels[row])];
     std::size_t nonzero = 0;
     for (std::size_t count : h) nonzero += count > 0 ? 1 : 0;
     EXPECT_EQ(nonzero, 1u);
   }
-}
-
-TEST(DirichletPartition, CoversEveryRowOnce) {
-  const Dataset data = make_data();
-  Rng rng(31);
-  const auto parts = dirichlet_partition_rows(data, 6, 0.3, rng);
-  ASSERT_EQ(parts.size(), 6u);
-  std::vector<bool> seen(data.size(), false);
-  for (const auto& part : parts) {
-    EXPECT_FALSE(part.empty());
-    for (std::size_t row : part) {
-      EXPECT_FALSE(seen[row]);
-      seen[row] = true;
-    }
-  }
-  for (bool s : seen) EXPECT_TRUE(s);
-}
-
-TEST(DirichletPartition, SmallAlphaIsMoreSkewedThanLarge) {
-  const Dataset data = make_data(78, 400);
-  auto skew = [&](double alpha, std::uint64_t seed) {
-    Rng rng(seed);
-    const auto parts = dirichlet_partition_rows(data, 8, alpha, rng);
-    // Mean over partitions of (max class share).
-    double total = 0.0;
-    for (const auto& part : parts) {
-      const auto h = label_histogram(data, part);
-      const double peak = static_cast<double>(
-          *std::max_element(h.begin(), h.end()));
-      total += peak / static_cast<double>(part.size());
-    }
-    return total / static_cast<double>(parts.size());
-  };
-  // Average over several seeds to keep the comparison stable.
-  double skew_low = 0.0, skew_high = 0.0;
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    skew_low += skew(0.1, seed);
-    skew_high += skew(100.0, seed);
-  }
-  EXPECT_GT(skew_low, skew_high + 0.1);
-}
-
-TEST(DirichletPartition, RejectsBadArgs) {
-  const Dataset data = make_data();
-  Rng rng(32);
-  EXPECT_THROW(dirichlet_partition_rows(data, 0, 1.0, rng),
-               std::invalid_argument);
-  EXPECT_THROW(dirichlet_partition_rows(data, 4, 0.0, rng),
-               std::invalid_argument);
 }
 
 TEST(IgnoreStragglers, FasterButBiasedOnNonIidData) {
@@ -98,17 +51,21 @@ TEST(IgnoreStragglers, FasterButBiasedOnNonIidData) {
   const Dataset data = sort_by_label(make_data(79, 160));
   SoftmaxRegression model(6, 4);
   BspTrainingConfig config;
-  config.iterations = 60;
-  config.sgd.learning_rate = 0.4;
+  config.experiment.k = 24;
+  config.experiment.s = 1;
+  config.experiment.iterations = 60;
+  config.learning_rate = 0.4;
 
   const auto coded = train_bsp_coded(SchemeKind::kHeterAware, cluster, model,
-                                     data, 24, 1, config);
-  const auto naive = train_bsp_coded(SchemeKind::kNaive, cluster, model,
-                                     data, 24, 1, config);
+                                     data, config);
+  const auto naive =
+      train_bsp_coded(SchemeKind::kNaive, cluster, model, data, config);
   // Budget 2 drops both 2-vCPU twins (dropping only one leaves its equally
   // slow sibling gating the barrier).
+  BspTrainingConfig ignore_config = config;
+  ignore_config.experiment.s = 2;
   const auto ignore =
-      train_bsp_ignore_stragglers(cluster, model, data, 2, config);
+      train_bsp_ignore_stragglers(cluster, model, data, ignore_config);
 
   EXPECT_EQ(ignore.failed_iterations, 0u);
   // Against its like-for-like uniform baseline (naive), dropping the
@@ -125,16 +82,16 @@ TEST(IgnoreStragglers, FailsOnlyBeyondBudget) {
   const Dataset data = make_data();
   SoftmaxRegression model(6, 4);
   BspTrainingConfig config;
-  config.iterations = 5;
-  config.straggler_model.num_stragglers = 2;
-  config.straggler_model.fault = true;
+  config.experiment.iterations = 5;
+  config.experiment.model.num_stragglers = 2;
+  config.experiment.model.fault = true;
   // Budget s = 2 matches the faults: never fails.
-  const auto ok =
-      train_bsp_ignore_stragglers(cluster, model, data, 2, config);
+  config.experiment.s = 2;
+  const auto ok = train_bsp_ignore_stragglers(cluster, model, data, config);
   EXPECT_EQ(ok.failed_iterations, 0u);
   // Budget s = 1 < 2 faults: fails immediately.
-  const auto bad =
-      train_bsp_ignore_stragglers(cluster, model, data, 1, config);
+  config.experiment.s = 1;
+  const auto bad = train_bsp_ignore_stragglers(cluster, model, data, config);
   EXPECT_EQ(bad.failed_iterations, 1u);
 }
 
@@ -155,21 +112,6 @@ TEST(SspNonIid, SkewedShardsHurtConvergence) {
   const auto on_sorted = train_ssp(cluster, model, sorted, config);
   EXPECT_GT(on_sorted.trace.final_loss(),
             on_iid.trace.final_loss() - 1e-9);
-}
-
-TEST(SspNonIid, CustomShardsValidated) {
-  const Cluster cluster = cluster_a();
-  const Dataset data = make_data();
-  SoftmaxRegression model(6, 4);
-  SspTrainingConfig config;
-  config.iterations = 2;
-  config.shards.assign(3, {0});  // wrong count (m = 8)
-  EXPECT_THROW(train_ssp(cluster, model, data, config),
-               std::invalid_argument);
-  config.shards.assign(8, {0});
-  config.shards[4].clear();  // empty shard
-  EXPECT_THROW(train_ssp(cluster, model, data, config),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ Dataset small_data(std::uint64_t seed = 123) {
 ThreadedTrainingConfig fast_config() {
   ThreadedTrainingConfig config;
   config.iterations = 8;
-  config.sgd.learning_rate = 0.3;
+  config.learning_rate = 0.3;
   config.time_scale = 0.0;  // no physical sleeping: fastest possible test
   return config;
 }
@@ -42,9 +42,9 @@ TEST(ThreadedTrainer, MatchesSerialTrajectory) {
       train_bsp_threaded(*scheme, cluster, model, data, config);
 
   BspTrainingConfig serial_config;
-  serial_config.iterations = config.iterations;
-  serial_config.sgd = config.sgd;
-  serial_config.seed = config.seed;
+  serial_config.experiment.iterations = config.iterations;
+  serial_config.experiment.seed = config.seed;
+  serial_config.learning_rate = config.learning_rate;
   const auto serial = train_serial(model, data, serial_config);
 
   ASSERT_EQ(threaded.final_params.size(), serial.final_params.size());
@@ -85,6 +85,21 @@ TEST(ThreadedTrainer, RefusesFaultsBeyondTolerance) {
   config.straggler_model.fault = true;
   EXPECT_THROW(train_bsp_threaded(*scheme, cluster, model, data, config),
                std::invalid_argument);
+}
+
+TEST(ThreadedTrainer, RejectsNonPositiveLearningRate) {
+  const Cluster cluster = cluster_a();
+  const Dataset data = small_data();
+  SoftmaxRegression model(5, 3);
+  Rng rng(138);
+  const auto scheme = make_scheme(SchemeKind::kHeterAware,
+                                  cluster.throughputs(), 24, 1, rng);
+  for (const double rate : {0.0, -0.3}) {
+    ThreadedTrainingConfig config = fast_config();
+    config.learning_rate = rate;
+    EXPECT_THROW(train_bsp_threaded(*scheme, cluster, model, data, config),
+                 std::invalid_argument);
+  }
 }
 
 TEST(ThreadedTrainer, GroupSchemeWorksWithThreads) {

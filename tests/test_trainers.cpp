@@ -14,15 +14,23 @@ Dataset small_data(std::uint64_t seed = 99) {
   return make_gaussian_classification(64, 6, 3, 2.5, rng);
 }
 
+/// `iterations` BSP rounds with k = 24 partitions and s = 1.
+BspTrainingConfig bsp_config(std::size_t iterations) {
+  BspTrainingConfig config;
+  config.experiment.k = 24;
+  config.experiment.s = 1;
+  config.experiment.iterations = iterations;
+  return config;
+}
+
 TEST(BspTrainer, LossDecreases) {
   const Cluster cluster = cluster_a();
   const Dataset data = small_data();
   SoftmaxRegression model(6, 3);
-  BspTrainingConfig config;
-  config.iterations = 40;
-  config.sgd.learning_rate = 0.5;
+  BspTrainingConfig config = bsp_config(40);
+  config.learning_rate = 0.5;
   const auto result = train_bsp_coded(SchemeKind::kHeterAware, cluster, model,
-                                      data, 24, 1, config);
+                                      data, config);
   ASSERT_GE(result.trace.points.size(), 2u);
   EXPECT_LT(result.trace.final_loss(), result.trace.points.front().loss);
   EXPECT_EQ(result.failed_iterations, 0u);
@@ -35,11 +43,10 @@ TEST(BspTrainer, CodedTrajectoriesMatchSerialExactly) {
   const Cluster cluster = cluster_a();
   const Dataset data = small_data();
   SoftmaxRegression model(6, 3);
-  BspTrainingConfig config;
-  config.iterations = 15;
-  config.sgd.learning_rate = 0.3;
-  config.straggler_model.num_stragglers = 1;
-  config.straggler_model.delay_seconds = 0.5;
+  BspTrainingConfig config = bsp_config(15);
+  config.learning_rate = 0.3;
+  config.experiment.model.num_stragglers = 1;
+  config.experiment.model.delay_seconds = 0.5;
 
   const auto serial = train_serial(model, data, config);
   for (SchemeKind kind :
@@ -47,9 +54,8 @@ TEST(BspTrainer, CodedTrajectoriesMatchSerialExactly) {
         SchemeKind::kGroupBased}) {
     BspTrainingConfig cfg = config;
     if (kind == SchemeKind::kNaive)
-      cfg.straggler_model = {};  // naive cannot drop anyone
-    const auto coded =
-        train_bsp_coded(kind, cluster, model, data, 24, 1, cfg);
+      cfg.experiment.model = {};  // naive cannot drop anyone
+    const auto coded = train_bsp_coded(kind, cluster, model, data, cfg);
     ASSERT_EQ(coded.final_params.size(), serial.final_params.size());
     double worst = 0.0;
     for (std::size_t i = 0; i < serial.final_params.size(); ++i)
@@ -63,14 +69,13 @@ TEST(BspTrainer, HeterAwareClockFasterThanCyclic) {
   const Cluster cluster = cluster_a();
   const Dataset data = small_data();
   SoftmaxRegression model(6, 3);
-  BspTrainingConfig config;
-  config.iterations = 20;
-  config.straggler_model.num_stragglers = 1;
-  config.straggler_model.fault = true;
+  BspTrainingConfig config = bsp_config(20);
+  config.experiment.model.num_stragglers = 1;
+  config.experiment.model.fault = true;
   const auto heter = train_bsp_coded(SchemeKind::kHeterAware, cluster, model,
-                                     data, 24, 1, config);
-  const auto cyclic = train_bsp_coded(SchemeKind::kCyclic, cluster, model,
-                                      data, 24, 1, config);
+                                     data, config);
+  const auto cyclic =
+      train_bsp_coded(SchemeKind::kCyclic, cluster, model, data, config);
   EXPECT_LT(heter.trace.total_time(), cyclic.trace.total_time());
   // Same iteration count, same loss path: heter reaches the same loss
   // sooner (the essence of Fig. 4).
@@ -81,12 +86,13 @@ TEST(BspTrainer, NaiveStopsAtFirstFault) {
   const Cluster cluster = cluster_a();
   const Dataset data = small_data();
   SoftmaxRegression model(6, 3);
-  BspTrainingConfig config;
-  config.iterations = 10;
-  config.straggler_model.num_stragglers = 1;
-  config.straggler_model.fault = true;
-  const auto result = train_bsp_coded(SchemeKind::kNaive, cluster, model,
-                                      data, 8, 0, config);
+  BspTrainingConfig config = bsp_config(10);
+  config.experiment.k = 8;
+  config.experiment.s = 0;
+  config.experiment.model.num_stragglers = 1;
+  config.experiment.model.fault = true;
+  const auto result =
+      train_bsp_coded(SchemeKind::kNaive, cluster, model, data, config);
   EXPECT_EQ(result.failed_iterations, 1u);
   EXPECT_LT(result.trace.points.back().iteration, 10u);
 }
@@ -95,11 +101,10 @@ TEST(BspTrainer, RecordEveryThinsTrace) {
   const Cluster cluster = cluster_a();
   const Dataset data = small_data();
   SoftmaxRegression model(6, 3);
-  BspTrainingConfig config;
-  config.iterations = 20;
+  BspTrainingConfig config = bsp_config(20);
   config.record_every = 5;
   const auto result = train_bsp_coded(SchemeKind::kHeterAware, cluster, model,
-                                      data, 24, 1, config);
+                                      data, config);
   // Points at iterations 0, 5, 10, 15, 20.
   EXPECT_EQ(result.trace.points.size(), 5u);
 }
@@ -108,26 +113,40 @@ TEST(BspTrainer, RejectsZeroRecordEvery) {
   const Cluster cluster = cluster_a();
   const Dataset data = small_data();
   SoftmaxRegression model(6, 3);
-  BspTrainingConfig config;
-  config.iterations = 4;
+  BspTrainingConfig config = bsp_config(4);
   config.record_every = 0;
   EXPECT_THROW(train_serial(model, data, config), std::invalid_argument);
-  EXPECT_THROW(train_bsp_ignore_stragglers(cluster, model, data, 1, config),
+  EXPECT_THROW(train_bsp_ignore_stragglers(cluster, model, data, config),
                std::invalid_argument);
   EXPECT_THROW(train_bsp_coded(SchemeKind::kHeterAware, cluster, model, data,
-                               24, 1, config),
+                               config),
                std::invalid_argument);
+}
+
+TEST(BspTrainer, RejectsNonPositiveLearningRate) {
+  const Cluster cluster = cluster_a();
+  const Dataset data = small_data();
+  SoftmaxRegression model(6, 3);
+  for (const double rate : {0.0, -0.5}) {
+    BspTrainingConfig config = bsp_config(4);
+    config.learning_rate = rate;
+    EXPECT_THROW(train_serial(model, data, config), std::invalid_argument);
+    EXPECT_THROW(train_bsp_ignore_stragglers(cluster, model, data, config),
+                 std::invalid_argument);
+    EXPECT_THROW(train_bsp_coded(SchemeKind::kHeterAware, cluster, model,
+                                 data, config),
+                 std::invalid_argument);
+  }
 }
 
 TEST(BspTrainer, TimeToLossMonotoneInTarget) {
   const Cluster cluster = cluster_a();
   const Dataset data = small_data();
   SoftmaxRegression model(6, 3);
-  BspTrainingConfig config;
-  config.iterations = 30;
-  config.sgd.learning_rate = 0.5;
+  BspTrainingConfig config = bsp_config(30);
+  config.learning_rate = 0.5;
   const auto result = train_bsp_coded(SchemeKind::kHeterAware, cluster, model,
-                                      data, 24, 1, config);
+                                      data, config);
   const double loose = result.trace.time_to_loss(1.0);
   const double tight = result.trace.time_to_loss(0.5);
   EXPECT_LE(loose, tight);
@@ -190,6 +209,24 @@ TEST(SspTrainer, DeterministicForFixedSeed) {
   EXPECT_DOUBLE_EQ(a.trace.total_time(), b.trace.total_time());
 }
 
+TEST(SspTrainer, RejectsNonPositiveLearningRateAndZeroRecordEvery) {
+  const Cluster cluster = cluster_a();
+  const Dataset data = small_data();
+  SoftmaxRegression model(6, 3);
+  for (const double rate : {0.0, -0.5}) {
+    SspTrainingConfig config;
+    config.iterations = 2;
+    config.learning_rate = rate;
+    EXPECT_THROW(train_ssp(cluster, model, data, config),
+                 std::invalid_argument);
+  }
+  SspTrainingConfig config;
+  config.iterations = 2;
+  config.record_every = 0;
+  EXPECT_THROW(train_ssp(cluster, model, data, config),
+               std::invalid_argument);
+}
+
 TEST(SspTrainer, ConvergesWorseThanBspPerGradientWork) {
   // Same total gradient computations: BSP reaches a lower loss because its
   // updates are exact — the statistical-efficiency gap of Fig. 4.
@@ -197,11 +234,10 @@ TEST(SspTrainer, ConvergesWorseThanBspPerGradientWork) {
   const Dataset data = small_data();
   SoftmaxRegression model(6, 3);
 
-  BspTrainingConfig bsp_config;
-  bsp_config.iterations = 30;
-  bsp_config.sgd.learning_rate = 0.5;
+  BspTrainingConfig config = bsp_config(30);
+  config.learning_rate = 0.5;
   const auto bsp = train_bsp_coded(SchemeKind::kHeterAware, cluster, model,
-                                   data, 24, 1, bsp_config);
+                                   data, config);
 
   SspTrainingConfig ssp_config;
   ssp_config.iterations = 30;
