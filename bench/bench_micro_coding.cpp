@@ -165,20 +165,44 @@ void BM_KernelGemvT(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelGemvT)->Args({8, 16})->Args({58, 116})->Args({256, 1024});
 
-void BM_KernelRank1Update(benchmark::State& state) {
+void BM_KernelRankKUpdate(benchmark::State& state) {
+  // The softmax gradient's weight update for one 64-row block: G (classes
+  // × dim) += Σ_s d_s·x_sᵀ.
   const auto rows = static_cast<std::size_t>(state.range(0));
   const auto cols = static_cast<std::size_t>(state.range(1));
+  constexpr std::size_t kSamples = 64;
   Rng rng(23);
-  Matrix a = random_matrix(rows, cols, rng);
-  Vector x(rows, 0.5), y(cols, 0.25);
+  Matrix g = random_matrix(rows, cols, rng);
+  const Matrix features = random_matrix(kSamples, cols, rng);
+  const Vector d(kSamples * rows, 1e-9);
+  std::vector<const double*> x(kSamples);
+  for (std::size_t s = 0; s < kSamples; ++s) x[s] = features.row(s).data();
   for (auto _ : state) {
-    kernels::rank1_update(a.data().data(), cols, rows, cols, 1e-9, x, y);
-    benchmark::DoNotOptimize(a.data().data());
+    kernels::rank_k_update(g.data().data(), cols, rows, cols, d, x);
+    benchmark::DoNotOptimize(g.data().data());
     benchmark::ClobberMemory();
   }
-  report_mflops(state, 2.0 * static_cast<double>(rows * cols));
+  report_mflops(state, 2.0 * static_cast<double>(rows * cols * kSamples));
 }
-BENCHMARK(BM_KernelRank1Update)->Args({8, 116})->Args({10, 784});
+BENCHMARK(BM_KernelRankKUpdate)->Args({10, 32});
+
+void BM_KernelExpNonpositive(benchmark::State& state) {
+  // In place, so each iteration restores the arguments first; "mflops"
+  // counts one op per exp (millions of exps per second).
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(25);
+  Vector args(n);
+  for (double& v : args) v = -20.0 * rng.uniform();
+  Vector x(n);
+  for (auto _ : state) {
+    std::copy(args.begin(), args.end(), x.begin());
+    kernels::exp_nonpositive(x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  report_mflops(state, static_cast<double>(n));
+}
+BENCHMARK(BM_KernelExpNonpositive)->Arg(1 << 10);
 
 void BM_KernelLuSolveWorkspace(benchmark::State& state) {
   // Alg. 1's per-partition solve through a reused LuWorkspace (copy +

@@ -3,7 +3,8 @@
 // The scalar implementations below are the reference spelling of the
 // documented summation order in kernels.hpp: sixteen named accumulators in
 // dot (GCC maps them onto SSE register pairs on x86, so "scalar" is the
-// portable baseline, not a strawman), elementwise mul+add everywhere else.
+// portable baseline, not a strawman), elementwise mul+add everywhere else,
+// and exp_nonpositive_one (kernels_dispatch.hpp) for the exponential.
 // The AVX2 TU (kernels_avx2.cpp) reproduces the same order with vector
 // registers; CI byte-diffs sweep output across backends, so any divergence
 // is a build-breaking bug, not a tolerance question.
@@ -112,33 +113,53 @@ void gemv_t_scalar(const double* a, std::size_t lda, std::size_t rows,
     axpy_scalar(x[r], a + r * lda, y, cols);
 }
 
-void rank1_update_scalar(double* a, std::size_t lda, std::size_t rows,
-                         std::size_t cols, double alpha, const double* x,
-                         const double* y) noexcept {
-  std::size_t r = 0;
-  // Four-row blocks: y is read once per block instead of once per row.
-  for (; r + 4 <= rows; r += 4) {
-    double* a0 = a + r * lda;
-    double* a1 = a0 + lda;
-    double* a2 = a1 + lda;
-    double* a3 = a2 + lda;
-    const double s0 = alpha * x[r];
-    const double s1 = alpha * x[r + 1];
-    const double s2 = alpha * x[r + 2];
-    const double s3 = alpha * x[r + 3];
-    for (std::size_t c = 0; c < cols; ++c) {
-      const double v = y[c];
-      a0[c] += s0 * v;
-      a1[c] += s1 * v;
-      a2[c] += s2 * v;
-      a3[c] += s3 * v;
+void rank_k_update_scalar(double* g, std::size_t ldg, std::size_t rows,
+                          std::size_t cols, const double* d,
+                          const double* const* x, std::size_t n) noexcept {
+  // Four columns of one row stay in registers across all n samples; each
+  // element still sums its products in ascending sample order.
+  for (std::size_t r = 0; r < rows; ++r) {
+    double* gr = g + r * ldg;
+    std::size_t c = 0;
+    for (; c + 4 <= cols; c += 4) {
+      double a0 = gr[c], a1 = gr[c + 1], a2 = gr[c + 2], a3 = gr[c + 3];
+      for (std::size_t s = 0; s < n; ++s) {
+        const double ds = d[s * rows + r];
+        const double* xs = x[s] + c;
+        a0 += ds * xs[0];
+        a1 += ds * xs[1];
+        a2 += ds * xs[2];
+        a3 += ds * xs[3];
+      }
+      gr[c] = a0;
+      gr[c + 1] = a1;
+      gr[c + 2] = a2;
+      gr[c + 3] = a3;
+    }
+    for (; c < cols; ++c) {
+      double a = gr[c];
+      for (std::size_t s = 0; s < n; ++s) a += d[s * rows + r] * x[s][c];
+      gr[c] = a;
     }
   }
-  for (; r < rows; ++r) {
-    double* ar = a + r * lda;
-    const double s = alpha * x[r];
-    for (std::size_t c = 0; c < cols; ++c) ar[c] += s * y[c];
+}
+
+void exp_nonpositive_scalar(double* x, std::size_t n) noexcept {
+  // Whole 16-element chunks run the arithmetic and the cutoff select as two
+  // loops: GCC does not if-convert the select, and with it in the loop body
+  // the arithmetic would not vectorize (on SSE2, two lanes at a time; same
+  // ops per element, so same bits).
+  constexpr std::size_t kChunk = 16;
+  std::size_t i = 0;
+  for (; i + kChunk <= n; i += kChunk) {
+    double args[kChunk] = {};
+    for (std::size_t j = 0; j < kChunk; ++j) args[j] = x[i + j];
+    for (std::size_t j = 0; j < kChunk; ++j)
+      x[i + j] = exp_nonpositive_unclamped(args[j]);
+    for (std::size_t j = 0; j < kChunk; ++j)
+      if (args[j] < kExpCutoff) x[i + j] = 0.0;
   }
+  for (; i < n; ++i) x[i] = exp_nonpositive_one(x[i]);
 }
 
 }  // namespace
@@ -150,7 +171,8 @@ const KernelTable kScalarTable = {
     .scal = scal_scalar,
     .gemv = gemv_scalar,
     .gemv_t = gemv_t_scalar,
-    .rank1_update = rank1_update_scalar,
+    .rank_k_update = rank_k_update_scalar,
+    .exp_nonpositive = exp_nonpositive_scalar,
 };
 
 }  // namespace detail
@@ -287,10 +309,15 @@ void gemv_t(const double* a, std::size_t lda, std::size_t rows,
   active_table().gemv_t(a, lda, rows, cols, x.data(), y.data());
 }
 
-void rank1_update(double* a, std::size_t lda, std::size_t rows,
-                  std::size_t cols, double alpha, std::span<const double> x,
-                  std::span<const double> y) noexcept {
-  active_table().rank1_update(a, lda, rows, cols, alpha, x.data(), y.data());
+void rank_k_update(double* g, std::size_t ldg, std::size_t rows,
+                   std::size_t cols, std::span<const double> d,
+                   std::span<const double* const> x) noexcept {
+  active_table().rank_k_update(g, ldg, rows, cols, d.data(), x.data(),
+                               x.size());
+}
+
+void exp_nonpositive(std::span<double> x) noexcept {
+  active_table().exp_nonpositive(x.data(), x.size());
 }
 
 }  // namespace hgc::kernels

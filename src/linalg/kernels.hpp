@@ -1,12 +1,13 @@
 // Allocation-free dense kernels under every solve in the decode hot path.
 //
-// These are the named inner loops of the library: axpy/dot/scal/gemv plus a
-// row-blocked rank-1 update. All of them operate on caller-provided storage
-// (spans or raw row-major blocks with a leading dimension) and never
-// allocate. They dispatch through a per-process backend table (scalar /
-// AVX2) selected once at startup — see "Backends" below — and every backend
-// implements the SAME summation order, so the backend choice never changes
-// a byte of output.
+// These are the named inner loops of the library: axpy/dot/scal/gemv, a
+// register-tiled rank-k update and an exponential for nonpositive
+// arguments (the softmax gradient's two hot loops). All of them operate on
+// caller-provided storage (spans or raw row-major blocks with a leading
+// dimension) and never allocate. They dispatch through a per-process
+// backend table (scalar / AVX2) selected once at startup — see "Backends"
+// below — and every backend implements the SAME summation order, so the
+// backend choice never changes a byte of output.
 //
 // Determinism contract (the sweep's byte-identical-output guarantee relies
 // on this): every kernel uses a FIXED, data-independent summation order.
@@ -25,10 +26,27 @@
 //   * gemv() reduces each output element with dot()'s order — row blocking
 //     in a backend may interleave rows for throughput, but each row keeps
 //     its own sixteen accumulators, so per-element arithmetic is unchanged.
-//   * gemv_t() and rank1_update() have no reductions — each output element
-//     is updated by one in-order pass over the rows, and every per-element
-//     update is a single mul + add in every backend (the AVX2 TU is
-//     compiled with FP contraction off, so no backend fuses them).
+//   * gemv_t() has no reduction — each output element is updated by one
+//     in-order pass over the rows, and every per-element update is a single
+//     mul + add in every backend (the AVX2 TU is compiled with FP
+//     contraction off, so no backend fuses them).
+//   * rank_k_update() adds, to each G[r][c], the products d_s[r]·x_s[c] for
+//     s = 0, 1, …, n−1 in that order, each a single mul + add — exactly the
+//     sequence of n rank-1 updates G += d_s·x_sᵀ. Backends tile G in
+//     registers across the samples; the tiling reorders which elements are
+//     worked on, never one element's adds.
+//   * exp_nonpositive() is an in-repo exponential, so no backend depends on
+//     libm: Cody–Waite reduction k = round(x/ln2) (by adding and
+//     subtracting 0x1.8p52 after x·(1/ln2)), r = (x − k·ln2_hi) −
+//     k·ln2_lo, the degree-13 Taylor polynomial Σ rⁱ/i! by Horner from the
+//     top coefficient, and an exact scaling by 2^k assembled from the
+//     exponent bits. Every backend runs that op sequence element by element
+//     with no fused ops, so all agree bit for bit. Inputs below −708
+//     (−inf included) give +0: the cutoff keeps k ≥ −1021, so 2^k is always
+//     a normal number, and the true values it drops are under 3.3e-308.
+//     NaN in gives NaN out. On [−708, 0] the result is within 1 ULP of
+//     std::exp (pinned in test_kernels). Positive inputs are outside the
+//     contract.
 // Results are therefore bit-identical for identical inputs across runs,
 // thread counts, call sites, and backends. Changing any loop here changes
 // numeric results globally; re-baseline the figure outputs if you do.
@@ -112,11 +130,19 @@ void gemv_t(const double* a, std::size_t lda, std::size_t rows,
             std::size_t cols, std::span<const double> x,
             std::span<double> y) noexcept;
 
-/// A ← A + alpha·x·yᵀ, blocked four rows at a time so y streams through
-/// cache once per block. Per-element arithmetic is a single mul + add,
-/// so the row blocking cannot change results.
-void rank1_update(double* a, std::size_t lda, std::size_t rows,
-                  std::size_t cols, double alpha, std::span<const double> x,
-                  std::span<const double> y) noexcept;
+/// G ← G + Σ_s d_s·x_sᵀ over the n = x.size() samples, for a rows×cols
+/// row-major G with leading dimension ldg (≥ cols). d holds the n×rows
+/// coefficients sample by sample (d_s[r] = d[s·rows + r], so d.size() =
+/// n·rows) and x[s] points at sample s's `cols` entries, which need not be
+/// contiguous with each other. Each G[r][c] accumulates in ascending s (see
+/// the contract above). Sizes are trusted.
+void rank_k_update(double* g, std::size_t ldg, std::size_t rows,
+                   std::size_t cols, std::span<const double> d,
+                   std::span<const double* const> x) noexcept;
+
+/// x[i] ← e^{x[i]} in place, for x[i] ≤ 0, by the op sequence in the
+/// contract above: +0 below −708, NaN propagates, within 1 ULP of std::exp
+/// on [−708, 0].
+void exp_nonpositive(std::span<double> x) noexcept;
 
 }  // namespace hgc::kernels

@@ -160,50 +160,98 @@ void gemv_t_avx2(const double* a, std::size_t lda, std::size_t rows,
     axpy_avx2(x[r], a + r * lda, y, cols);
 }
 
-void rank1_update_avx2(double* a, std::size_t lda, std::size_t rows,
-                       std::size_t cols, double alpha, const double* x,
-                       const double* y) noexcept {
+// One R-row × 4V-column tile of G held in R·V registers across all n
+// samples: per sample, V loads of x_s, R broadcasts of d_s and R·V mul + add
+// — the same single mul + add per element, in ascending s, as the scalar
+// spelling.
+template <std::size_t R, std::size_t V>
+inline void rank_k_tile(double* g, std::size_t ldg, std::size_t rows,
+                        std::size_t r, std::size_t c, const double* d,
+                        const double* const* x, std::size_t n) noexcept {
+  // The unroll pragmas keep acc and xv in registers at -O2 as well; without
+  // them GCC spills the arrays and the tile is slower than scalar code.
+  __m256d acc[R][V];
+#pragma GCC unroll 2
+  for (std::size_t i = 0; i < R; ++i)
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < V; ++j)
+      acc[i][j] = _mm256_loadu_pd(g + (r + i) * ldg + c + 4 * j);
+  for (std::size_t s = 0; s < n; ++s) {
+    const double* xs = x[s] + c;
+    __m256d xv[V];
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < V; ++j) xv[j] = _mm256_loadu_pd(xs + 4 * j);
+#pragma GCC unroll 2
+    for (std::size_t i = 0; i < R; ++i) {
+      const __m256d dv = _mm256_set1_pd(d[s * rows + r + i]);
+#pragma GCC unroll 4
+      for (std::size_t j = 0; j < V; ++j)
+        acc[i][j] = _mm256_add_pd(acc[i][j], _mm256_mul_pd(dv, xv[j]));
+    }
+  }
+#pragma GCC unroll 2
+  for (std::size_t i = 0; i < R; ++i)
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < V; ++j)
+      _mm256_storeu_pd(g + (r + i) * ldg + c + 4 * j, acc[i][j]);
+}
+
+// Columns of rows [r, r + R): 16-wide tiles, then 4-wide, then scalars.
+template <std::size_t R>
+inline void rank_k_rows(double* g, std::size_t ldg, std::size_t rows,
+                        std::size_t cols, std::size_t r, const double* d,
+                        const double* const* x, std::size_t n) noexcept {
+  std::size_t c = 0;
+  for (; c + 16 <= cols; c += 16)
+    rank_k_tile<R, 4>(g, ldg, rows, r, c, d, x, n);
+  for (; c + 4 <= cols; c += 4) rank_k_tile<R, 1>(g, ldg, rows, r, c, d, x, n);
+  for (; c < cols; ++c)
+    for (std::size_t i = 0; i < R; ++i) {
+      double a = g[(r + i) * ldg + c];
+      for (std::size_t s = 0; s < n; ++s) a += d[s * rows + r + i] * x[s][c];
+      g[(r + i) * ldg + c] = a;
+    }
+}
+
+void rank_k_update_avx2(double* g, std::size_t ldg, std::size_t rows,
+                        std::size_t cols, const double* d,
+                        const double* const* x, std::size_t n) noexcept {
+  // 2 × 16 tiles: 8 accumulators + 4 x vectors + 2 broadcasts = 14 of the
+  // 16 ymm registers.
   std::size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    double* a0 = a + r * lda;
-    double* a1 = a0 + lda;
-    double* a2 = a1 + lda;
-    double* a3 = a2 + lda;
-    const __m256d s0 = _mm256_set1_pd(alpha * x[r]);
-    const __m256d s1 = _mm256_set1_pd(alpha * x[r + 1]);
-    const __m256d s2 = _mm256_set1_pd(alpha * x[r + 2]);
-    const __m256d s3 = _mm256_set1_pd(alpha * x[r + 3]);
-    std::size_t c = 0;
-    for (; c + 4 <= cols; c += 4) {
-      const __m256d v = _mm256_loadu_pd(y + c);
-      _mm256_storeu_pd(a0 + c, _mm256_add_pd(_mm256_loadu_pd(a0 + c),
-                                             _mm256_mul_pd(s0, v)));
-      _mm256_storeu_pd(a1 + c, _mm256_add_pd(_mm256_loadu_pd(a1 + c),
-                                             _mm256_mul_pd(s1, v)));
-      _mm256_storeu_pd(a2 + c, _mm256_add_pd(_mm256_loadu_pd(a2 + c),
-                                             _mm256_mul_pd(s2, v)));
-      _mm256_storeu_pd(a3 + c, _mm256_add_pd(_mm256_loadu_pd(a3 + c),
-                                             _mm256_mul_pd(s3, v)));
-    }
-    for (; c < cols; ++c) {
-      const double v = y[c];
-      a0[c] += (alpha * x[r]) * v;
-      a1[c] += (alpha * x[r + 1]) * v;
-      a2[c] += (alpha * x[r + 2]) * v;
-      a3[c] += (alpha * x[r + 3]) * v;
-    }
+  for (; r + 2 <= rows; r += 2) rank_k_rows<2>(g, ldg, rows, cols, r, d, x, n);
+  if (r < rows) rank_k_rows<1>(g, ldg, rows, cols, r, d, x, n);
+}
+
+void exp_nonpositive_avx2(double* x, std::size_t n) noexcept {
+  // exp_nonpositive_one, four lanes at a time, op for op.
+  const __m256d inv_ln2 = _mm256_set1_pd(kExpInvLn2);
+  const __m256d shift = _mm256_set1_pd(kExpShift);
+  const __m256d ln2_hi = _mm256_set1_pd(kExpLn2Hi);
+  const __m256d ln2_lo = _mm256_set1_pd(kExpLn2Lo);
+  const __m256d cutoff = _mm256_set1_pd(kExpCutoff);
+  const __m256i shift_bits = _mm256_castpd_si256(shift);
+  const __m256i bias = _mm256_set1_epi64x(1023);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d v = _mm256_loadu_pd(x + i);
+    const __m256d t = _mm256_add_pd(_mm256_mul_pd(v, inv_ln2), shift);
+    const __m256d k = _mm256_sub_pd(t, shift);
+    const __m256d r = _mm256_sub_pd(_mm256_sub_pd(v, _mm256_mul_pd(k, ln2_hi)),
+                                    _mm256_mul_pd(k, ln2_lo));
+    __m256d p = _mm256_set1_pd(kExpPoly[kExpDegree]);
+#pragma GCC unroll 16
+    for (int j = kExpDegree - 1; j >= 0; --j)
+      p = _mm256_add_pd(_mm256_mul_pd(p, r), _mm256_set1_pd(kExpPoly[j]));
+    const __m256i scale_bits = _mm256_slli_epi64(
+        _mm256_add_epi64(_mm256_sub_epi64(_mm256_castpd_si256(t), shift_bits),
+                         bias),
+        52);
+    const __m256d y = _mm256_mul_pd(p, _mm256_castsi256_pd(scale_bits));
+    const __m256d below = _mm256_cmp_pd(v, cutoff, _CMP_LT_OQ);
+    _mm256_storeu_pd(x + i, _mm256_andnot_pd(below, y));
   }
-  for (; r < rows; ++r) {
-    double* ar = a + r * lda;
-    const __m256d sv = _mm256_set1_pd(alpha * x[r]);
-    const double s = alpha * x[r];
-    std::size_t c = 0;
-    for (; c + 4 <= cols; c += 4)
-      _mm256_storeu_pd(
-          ar + c, _mm256_add_pd(_mm256_loadu_pd(ar + c),
-                                _mm256_mul_pd(sv, _mm256_loadu_pd(y + c))));
-    for (; c < cols; ++c) ar[c] += s * y[c];
-  }
+  for (; i < n; ++i) x[i] = exp_nonpositive_one(x[i]);
 }
 
 const KernelTable kAvx2Table = {
@@ -213,7 +261,8 @@ const KernelTable kAvx2Table = {
     .scal = scal_avx2,
     .gemv = gemv_avx2,
     .gemv_t = gemv_t_avx2,
-    .rank1_update = rank1_update_avx2,
+    .rank_k_update = rank_k_update_avx2,
+    .exp_nonpositive = exp_nonpositive_avx2,
 };
 
 }  // namespace

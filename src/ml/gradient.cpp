@@ -10,7 +10,7 @@ Vector partition_gradient(const SoftmaxRegression& model, const Dataset& data,
                           std::span<const std::size_t> rows,
                           std::span<const double> params) {
   Vector grad(model.num_params(), 0.0);
-  model.loss_and_gradient(data, rows, params, grad);
+  model.gradient(data, rows, params, grad);
   return grad;
 }
 

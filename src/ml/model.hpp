@@ -5,6 +5,17 @@
 // partial gradients over partitions then add up to the full-dataset gradient
 // exactly — the property gradient coding depends on (g = Σ g_i, Section
 // III-A). Trainers normalize by the dataset size.
+//
+// Both walk the rows in blocks of 64: per-row logits (gemv, then the bias),
+// each row's peak subtracted, one kernels::exp_nonpositive over the block,
+// then per row z = Σ_c e_c in ascending class order. The gradient adds the
+// block's logit gradients into the weights with one kernels::rank_k_update,
+// whose per-element order is the per-sample rank-1 sequence, so the block
+// size never changes a bit.
+//
+// Every entry point validates its inputs once per call (params size, the
+// dataset's dim and classes, each row index and each row's label) and
+// throws std::invalid_argument; the block loops then index unchecked.
 #pragma once
 
 #include <span>
@@ -24,14 +35,12 @@ class SoftmaxRegression {
   std::string name() const { return "softmax-regression"; }
   std::size_t num_params() const;
 
-  /// Σ over `rows` of per-sample loss; adds Σ of per-sample gradients into
-  /// `grad` (caller zeroes it). params/grad have num_params() entries.
-  double loss_and_gradient(const Dataset& data,
-                           std::span<const std::size_t> rows,
-                           std::span<const double> params,
-                           std::span<double> grad) const;
+  /// Adds Σ over `rows` of per-sample loss gradients into `grad` (caller
+  /// zeroes it). params/grad have num_params() entries. Computes no loss.
+  void gradient(const Dataset& data, std::span<const std::size_t> rows,
+                std::span<const double> params, std::span<double> grad) const;
 
-  /// Σ of per-sample losses only.
+  /// Σ over `rows` of per-sample cross-entropy losses.
   double loss(const Dataset& data, std::span<const std::size_t> rows,
               std::span<const double> params) const;
 
@@ -43,13 +52,11 @@ class SoftmaxRegression {
   Vector init_params(Rng& rng) const;
 
  private:
+  void check_inputs(const Dataset& data, std::span<const std::size_t> rows,
+                    std::span<const double> params) const;
+
   std::size_t dim_;
   std::size_t classes_;
 };
-
-/// Numerically stable softmax cross-entropy over `logits` against `label`;
-/// when `grad_logits` is non-empty, writes (softmax − onehot) into it.
-double softmax_cross_entropy(std::span<double> logits, int label,
-                             std::span<double> grad_logits);
 
 }  // namespace hgc

@@ -116,7 +116,7 @@ BspTrainingResult train_bsp_ignore_stragglers(
     std::size_t covered = 0;
     for (const auto& [at, w] : arrivals) {
       (void)at;
-      model.loss_and_gradient(data, shards[w], params, grad);
+      model.gradient(data, shards[w], params, grad);
       covered += shards[w].size();
     }
     scale(1.0 / static_cast<double>(covered), grad);

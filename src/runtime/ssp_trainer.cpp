@@ -90,7 +90,7 @@ SspTrainingResult train_ssp(const Cluster& cluster,
 
     // Push: gradient of w's shard at the parameters w pulled (stale).
     std::fill(grad.begin(), grad.end(), 0.0);
-    model.loss_and_gradient(data, shards[w], snapshot[w], grad);
+    model.gradient(data, shards[w], snapshot[w], grad);
     const double inv_shard = 1.0 / static_cast<double>(shards[w].size());
     for (std::size_t i = 0; i < params.size(); ++i)
       params[i] -= push_lr * inv_shard * grad[i];

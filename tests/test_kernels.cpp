@@ -10,6 +10,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <span>
 #include <string>
 #include <thread>
@@ -122,22 +125,6 @@ TEST(Kernels, GemvTransposeMatchesNaive) {
       for (std::size_t r = 0; r < m; ++r) ref += x[r] * a(r, c);
       EXPECT_NEAR(y[c], ref, 1e-10);
     }
-  }
-}
-
-TEST(Kernels, Rank1UpdateMatchesNaive) {
-  Rng rng(106);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t m = 1 + static_cast<std::size_t>(trial % 9);
-    const std::size_t n = 1 + static_cast<std::size_t>((trial * 7) % 13);
-    Matrix a = random_matrix(m, n, rng);
-    Matrix ref = a;
-    const Vector x = random_vector(m, rng);
-    const Vector y = random_vector(n, rng);
-    kernels::rank1_update(a.data().data(), n, m, n, 0.73, x, y);
-    for (std::size_t r = 0; r < m; ++r)
-      for (std::size_t c = 0; c < n; ++c) ref(r, c) += (0.73 * x[r]) * y[c];
-    EXPECT_NEAR(Matrix::max_abs_diff(a, ref), 0.0, 1e-12);
   }
 }
 
@@ -544,25 +531,18 @@ TEST(KernelBackends, MatrixKernelsBitIdenticalToScalar) {
       const std::vector<double> a0 = random_buffer(s.rows * lda, rng);
       const std::vector<double> x_rows = random_buffer(s.rows, rng);
       const std::vector<double> x_cols = random_buffer(s.cols, rng);
-      const double alpha = rng.normal();
 
       ASSERT_TRUE(kernels::set_backend(kernels::Backend::kScalar));
       std::vector<double> gemv_ref(s.rows);
       kernels::gemv(a0.data(), lda, s.rows, s.cols, x_cols, gemv_ref);
       std::vector<double> gemv_t_ref(s.cols);
       kernels::gemv_t(a0.data(), lda, s.rows, s.cols, x_rows, gemv_t_ref);
-      std::vector<double> rank1_ref = a0;
-      kernels::rank1_update(rank1_ref.data(), lda, s.rows, s.cols, alpha,
-                            x_rows, x_cols);
 
       ASSERT_TRUE(kernels::set_backend(backend));
       std::vector<double> gemv_simd(s.rows);
       kernels::gemv(a0.data(), lda, s.rows, s.cols, x_cols, gemv_simd);
       std::vector<double> gemv_t_simd(s.cols);
       kernels::gemv_t(a0.data(), lda, s.rows, s.cols, x_rows, gemv_t_simd);
-      std::vector<double> rank1_simd = a0;
-      kernels::rank1_update(rank1_simd.data(), lda, s.rows, s.cols, alpha,
-                            x_rows, x_cols);
 
       const std::string where = std::string(kernels::backend_name(backend)) +
                                 " rows=" + std::to_string(s.rows) +
@@ -574,9 +554,6 @@ TEST(KernelBackends, MatrixKernelsBitIdenticalToScalar) {
       for (std::size_t c = 0; c < s.cols; ++c)
         ASSERT_EQ(bits(gemv_t_ref[c]), bits(gemv_t_simd[c]))
             << "gemv_t[" << c << "] " << where;
-      for (std::size_t i = 0; i < rank1_ref.size(); ++i)
-        ASSERT_EQ(bits(rank1_ref[i]), bits(rank1_simd[i]))
-            << "rank1[" << i << "] " << where;
     }
   }
 }
@@ -611,6 +588,125 @@ TEST(KernelBackends, Axpy4MatchesFourSequentialAxpys) {
       for (std::size_t i = 0; i < n; ++i)
         ASSERT_EQ(bits(fused[i]), bits(sequential[i]))
             << kernels::backend_name(backend) << " n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(KernelBackends, RankKUpdateMatchesPerSampleRank1Oracle) {
+  // rank_k_update's contract: bit-identical to n rank-1 updates
+  // G[r][c] += d_s[r]·x_s[c], s ascending, in every backend — over every
+  // column tail mod 16, odd and even row counts, and sample counts around
+  // the 64-row block. The x rows are scattered through one buffer in
+  // shuffled order, as the model's row gathers are.
+  BackendRestorer restore;
+  Rng rng(5150);
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  for (kernels::Backend b : available_simd_backends()) backends.push_back(b);
+  for (kernels::Backend backend : backends) {
+    ASSERT_TRUE(kernels::set_backend(backend));
+    for (std::size_t cols = 16; cols < 32; ++cols) {
+      for (std::size_t rows : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                               std::size_t{10}}) {
+        for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{63},
+                              std::size_t{64}, std::size_t{65}}) {
+          const std::size_t ldg = cols + 3;
+          const std::vector<double> g0 = random_buffer(rows * ldg, rng);
+          const std::vector<double> d = random_buffer(n * rows, rng);
+          const std::vector<double> pool = random_buffer((n + 1) * cols, rng);
+          std::vector<const double*> x(n);
+          for (std::size_t s = 0; s < n; ++s)
+            x[s] = pool.data() + ((s * 7 + 3) % (n + 1)) * cols;
+
+          std::vector<double> oracle = g0;
+          for (std::size_t s = 0; s < n; ++s)
+            for (std::size_t r = 0; r < rows; ++r)
+              for (std::size_t c = 0; c < cols; ++c)
+                oracle[r * ldg + c] += d[s * rows + r] * x[s][c];
+          std::vector<double> tiled = g0;
+          kernels::rank_k_update(tiled.data(), ldg, rows, cols, d, x);
+
+          for (std::size_t i = 0; i < oracle.size(); ++i)
+            ASSERT_EQ(bits(oracle[i]), bits(tiled[i]))
+                << kernels::backend_name(backend) << " rows=" << rows
+                << " cols=" << cols << " n=" << n << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+// [−710, 0] on a 2^-8 grid plus 20,000 uniform draws, so the
+// cross-backend check also sees arguments below the −708 cutoff.
+std::vector<double> exp_arguments(Rng& rng) {
+  std::vector<double> xs;
+  for (double x = 0.0; x >= -710.0; x -= 0x1p-8) xs.push_back(x);
+  for (int i = 0; i < 20000; ++i) xs.push_back(-710.0 * rng.uniform());
+  return xs;
+}
+
+TEST(KernelBackends, ExpNonpositiveBitIdenticalAcrossBackends) {
+  BackendRestorer restore;
+  Rng rng(2718);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {0.0, -0.0, -708.0, -709.0,
+                             -std::numeric_limits<double>::infinity(), nan};
+  // The specials lead (whole 16-element chunks in the scalar backend) and
+  // trail (its element-by-element tail).
+  std::vector<double> xs(std::begin(specials), std::end(specials));
+  for (double x : exp_arguments(rng)) xs.push_back(x);
+  xs.insert(xs.end(), std::begin(specials), std::end(specials));
+
+  ASSERT_TRUE(kernels::set_backend(kernels::Backend::kScalar));
+  std::vector<double> ref = xs;
+  kernels::exp_nonpositive(ref);
+  for (std::size_t at : {std::size_t{0}, xs.size() - std::size(specials)}) {
+    EXPECT_EQ(bits(ref[at]), bits(1.0)) << "exp(0) at " << at;
+    EXPECT_EQ(bits(ref[at + 1]), bits(1.0)) << "exp(-0) at " << at;
+    EXPECT_GT(ref[at + 2], 0.0) << "exp(-708) is normal, not flushed";
+    EXPECT_EQ(bits(ref[at + 3]), bits(0.0)) << "exp(-709) is +0 at " << at;
+    EXPECT_EQ(bits(ref[at + 4]), bits(0.0)) << "exp(-inf) is +0 at " << at;
+    EXPECT_TRUE(std::isnan(ref[at + 5])) << "NaN propagates at " << at;
+  }
+
+  for (kernels::Backend backend : available_simd_backends()) {
+    ASSERT_TRUE(kernels::set_backend(backend));
+    // Every start offset mod 4 shifts which elements the vector body and
+    // the scalar tail see.
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+      std::vector<double> simd = xs;
+      kernels::exp_nonpositive(std::span<double>(simd).subspan(offset));
+      for (std::size_t i = offset; i < xs.size(); ++i) {
+        if (std::isnan(ref[i])) {
+          ASSERT_TRUE(std::isnan(simd[i])) << "x=" << xs[i];
+          continue;
+        }
+        ASSERT_EQ(bits(ref[i]), bits(simd[i]))
+            << kernels::backend_name(backend) << " x=" << xs[i]
+            << " offset=" << offset;
+      }
+    }
+  }
+}
+
+TEST(KernelBackends, ExpNonpositiveWithinOneUlpOfStdExp) {
+  BackendRestorer restore;
+  Rng rng(1828);
+  std::vector<double> xs;
+  for (double x : exp_arguments(rng))
+    if (x >= -708.0) xs.push_back(x);
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  for (kernels::Backend b : available_simd_backends()) backends.push_back(b);
+  for (kernels::Backend backend : backends) {
+    ASSERT_TRUE(kernels::set_backend(backend));
+    std::vector<double> ys = xs;
+    kernels::exp_nonpositive(ys);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      // Both results are positive finite doubles, so their bit patterns
+      // order like the values and differ by the ULP distance.
+      const auto ulps = static_cast<std::int64_t>(bits(ys[i])) -
+                        static_cast<std::int64_t>(bits(std::exp(xs[i])));
+      ASSERT_LE(std::abs(ulps), 1)
+          << kernels::backend_name(backend) << " x=" << xs[i];
     }
   }
 }

@@ -3,7 +3,10 @@
 // coding rests on.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "ml/dataset.hpp"
 #include "ml/gradient.hpp"
@@ -80,21 +83,34 @@ TEST(PartitionRows, RejectsMorePartsThanRows) {
   EXPECT_THROW(partition_rows(2, 3), std::invalid_argument);
 }
 
-TEST(SoftmaxCrossEntropy, KnownValues) {
-  Vector logits = {0.0, 0.0};
-  Vector grad(2);
-  const double loss = softmax_cross_entropy(logits, 0, grad);
-  EXPECT_NEAR(loss, std::log(2.0), 1e-12);
-  EXPECT_NEAR(grad[0], -0.5, 1e-12);
-  EXPECT_NEAR(grad[1], 0.5, 1e-12);
+TEST(SoftmaxRegression, ZeroParamsGiveUniformSoftmax) {
+  // All-zero parameters: every row's softmax is uniform, so each row costs
+  // log(classes) and adds 1/classes − onehot to the bias gradient. Rows
+  // 0..38 of a balanced 4-class set hold 10, 10, 10 and 9 of each label.
+  Rng rng(86);
+  const Dataset ds = tiny_dataset(rng, 40, 5, 4);
+  SoftmaxRegression model(5, 4);
+  const Vector params(model.num_params(), 0.0);
+  const auto rows = all_rows(39);
+  EXPECT_NEAR(model.loss(ds, rows, params), 39.0 * std::log(4.0), 1e-12);
+  const Vector grad = partition_gradient(model, ds, rows, params);
+  const double count[4] = {10.0, 10.0, 10.0, 9.0};
+  for (std::size_t c = 0; c < 4; ++c)
+    EXPECT_NEAR(grad[4 * 5 + c], 39.0 / 4.0 - count[c], 1e-12);
 }
 
-TEST(SoftmaxCrossEntropy, StableUnderHugeLogits) {
-  Vector logits = {1000.0, -1000.0};
-  Vector grad(2);
-  const double loss = softmax_cross_entropy(logits, 0, grad);
-  EXPECT_TRUE(std::isfinite(loss));
-  EXPECT_NEAR(loss, 0.0, 1e-9);
+TEST(SoftmaxRegression, StableUnderHugeLogits) {
+  // Weights that put logits near ±1000: the peak shift keeps every exp
+  // argument nonpositive, so loss and gradient stay finite.
+  Rng rng(91);
+  const Dataset ds = tiny_dataset(rng, 20, 5, 3);
+  SoftmaxRegression model(5, 3);
+  Vector params = model.init_params(rng);
+  for (double& p : params) p *= 1000.0;
+  const auto rows = all_rows(ds.size());
+  EXPECT_TRUE(std::isfinite(model.loss(ds, rows, params)));
+  for (double g : partition_gradient(model, ds, rows, params))
+    EXPECT_TRUE(std::isfinite(g));
 }
 
 TEST(SoftmaxRegression, GradientMatchesFiniteDifferences) {
@@ -125,15 +141,31 @@ TEST(Models, PartitionGradientsSumToFullGradient) {
     EXPECT_NEAR(sum[i], full[i], 1e-9);
 }
 
-TEST(Models, LossConsistentWithLossAndGradient) {
+TEST(Models, GradientIsBitIdenticalAcrossCallSplits) {
+  // gradient() adds into grad with each element summing its samples in row
+  // order, so the 64-row blocking is invisible: one call over 150 rows
+  // (blocks of 64, 64, 22) equals three calls over 1, 70 and 79 rows, and
+  // equals 150 single-row calls, bit for bit.
   Rng rng(88);
-  const Dataset ds = tiny_dataset(rng);
+  const Dataset ds = tiny_dataset(rng, 150, 5, 3);
   SoftmaxRegression model(5, 3);
   const Vector params = model.init_params(rng);
   const auto rows = all_rows(ds.size());
-  Vector grad(model.num_params(), 0.0);
-  const double with_grad = model.loss_and_gradient(ds, rows, params, grad);
-  EXPECT_NEAR(with_grad, model.loss(ds, rows, params), 1e-12);
+  const Vector whole = partition_gradient(model, ds, rows, params);
+  Vector split(model.num_params(), 0.0);
+  const std::span<const std::size_t> all(rows);
+  model.gradient(ds, all.subspan(0, 1), params, split);
+  model.gradient(ds, all.subspan(1, 70), params, split);
+  model.gradient(ds, all.subspan(71), params, split);
+  Vector single(model.num_params(), 0.0);
+  for (std::size_t row : rows)
+    model.gradient(ds, std::span<const std::size_t>(&row, 1), params, single);
+  for (std::size_t i = 0; i < whole.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(whole[i]),
+              std::bit_cast<std::uint64_t>(split[i])) << "param " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(whole[i]),
+              std::bit_cast<std::uint64_t>(single[i])) << "param " << i;
+  }
 }
 
 TEST(Sgd, PlainStep) {
@@ -165,11 +197,61 @@ TEST(Models, RejectsWrongParameterSize) {
   Rng rng(90);
   const Dataset ds = tiny_dataset(rng);
   SoftmaxRegression model(5, 3);
+  const auto rows = all_rows(ds.size());
   Vector bad(3, 0.0);
   Vector grad(model.num_params(), 0.0);
-  EXPECT_THROW(
-      model.loss_and_gradient(ds, all_rows(ds.size()), bad, grad),
-      std::invalid_argument);
+  EXPECT_THROW(model.gradient(ds, rows, bad, grad), std::invalid_argument);
+  EXPECT_THROW(model.loss(ds, rows, bad), std::invalid_argument);
+  EXPECT_THROW(model.accuracy(ds, rows, bad), std::invalid_argument);
+  Vector short_grad(model.num_params() - 1, 0.0);
+  EXPECT_THROW(model.gradient(ds, rows, model.init_params(rng), short_grad),
+               std::invalid_argument);
+}
+
+TEST(Models, RejectsDatasetOfAnotherShape) {
+  // A dim-4 dataset against a dim-6 model used to read past the feature
+  // buffer in loss(); every entry point now checks dim and classes first.
+  Rng rng(92);
+  const Dataset narrow = tiny_dataset(rng, 20, 4, 3);
+  const Dataset more_classes = tiny_dataset(rng, 20, 6, 4);
+  SoftmaxRegression model(6, 3);
+  const Vector params = model.init_params(rng);
+  Vector grad(model.num_params(), 0.0);
+  for (const Dataset* ds : {&narrow, &more_classes}) {
+    const auto rows = all_rows(ds->size());
+    EXPECT_THROW(model.gradient(*ds, rows, params, grad),
+                 std::invalid_argument);
+    EXPECT_THROW(model.loss(*ds, rows, params), std::invalid_argument);
+    EXPECT_THROW(model.accuracy(*ds, rows, params), std::invalid_argument);
+  }
+}
+
+TEST(Models, RejectsRowOutOfRange) {
+  Rng rng(93);
+  const Dataset ds = tiny_dataset(rng, 20, 5, 3);
+  SoftmaxRegression model(5, 3);
+  const Vector params = model.init_params(rng);
+  Vector grad(model.num_params(), 0.0);
+  const std::vector<std::size_t> rows = {0, 5, 20};
+  EXPECT_THROW(model.gradient(ds, rows, params, grad), std::invalid_argument);
+  EXPECT_THROW(model.loss(ds, rows, params), std::invalid_argument);
+  EXPECT_THROW(model.accuracy(ds, rows, params), std::invalid_argument);
+}
+
+TEST(Models, RejectsLabelOutOfRange) {
+  Rng rng(94);
+  SoftmaxRegression model(5, 3);
+  const Vector params = model.init_params(rng);
+  Vector grad(model.num_params(), 0.0);
+  for (int label : {3, -1}) {
+    Dataset ds = tiny_dataset(rng, 20, 5, 3);
+    ds.labels[7] = label;
+    const auto rows = all_rows(ds.size());
+    EXPECT_THROW(model.gradient(ds, rows, params, grad),
+                 std::invalid_argument);
+    EXPECT_THROW(model.loss(ds, rows, params), std::invalid_argument);
+    EXPECT_THROW(model.accuracy(ds, rows, params), std::invalid_argument);
+  }
 }
 
 }  // namespace
