@@ -1,5 +1,7 @@
 #include "core/decoder.hpp"
 
+#include <algorithm>
+
 #include "core/robustness.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -31,6 +33,13 @@ std::optional<Vector> solve_decoding_coefficients(
   return coefficients;
 }
 
+std::optional<Vector> probe_decoding_coefficients(
+    const CodingScheme& scheme, const std::vector<bool>& received,
+    DecodingCache* cache) {
+  return cache ? cache->decode(received)
+               : solve_decoding_coefficients(scheme, received);
+}
+
 std::vector<DecodingRow> build_decoding_matrix(const CodingScheme& scheme) {
   const std::size_t m = scheme.num_workers();
   const std::size_t s = scheme.stragglers_tolerated();
@@ -58,8 +67,11 @@ std::vector<DecodingRow> build_decoding_matrix(const CodingScheme& scheme) {
   return rows;
 }
 
-QuorumTracker::QuorumTracker(const CodingScheme& scheme)
-    : scheme_(scheme), counts_(scheme.quorums().size(), 0) {}
+QuorumTracker::QuorumTracker(const CodingScheme& scheme, DecodingCache* cache)
+    : scheme_(scheme), cache_(cache), counts_(scheme.quorums().size(), 0) {
+  HGC_REQUIRE(!cache_ || &cache_->scheme() == &scheme_,
+              "decoding cache must wrap the decoded scheme");
+}
 
 bool QuorumTracker::add(WorkerId w) {
   const auto& quorums = scheme_.quorums();
@@ -71,32 +83,47 @@ bool QuorumTracker::add(WorkerId w) {
   return met_;
 }
 
-void QuorumTracker::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  met_ = false;
+std::optional<Vector> QuorumTracker::add_and_probe(
+    WorkerId w, const std::vector<bool>& received) {
+  if (!add(w)) return std::nullopt;  // no decode can succeed yet
+  return probe_decoding_coefficients(scheme_, received, cache_);
 }
 
-StreamingDecoder::StreamingDecoder(const CodingScheme& scheme,
-                                   DecodingCache* cache)
-    : scheme_(scheme),
-      cache_(cache),
-      quorums_(scheme),
-      received_(scheme.num_workers(), false),
-      coded_(scheme.num_workers()) {
-  HGC_REQUIRE(!cache_ || &cache_->scheme() == &scheme_,
-              "decoding cache must wrap the decoder's scheme");
+DecodablePrefix first_decodable_prefix(const CodingScheme& scheme,
+                                       std::span<Arrival> arrivals,
+                                       DecodingCache* cache) {
+  std::sort(arrivals.begin(), arrivals.end());
+  DecodablePrefix prefix;
+  QuorumTracker quorums(scheme, cache);
+  std::vector<bool> received(scheme.num_workers(), false);
+  for (const Arrival& arrival : arrivals) {
+    const WorkerId w = arrival.second;
+    HGC_REQUIRE(w < received.size() && !received[w],
+                "arrival from an unknown or repeated worker");
+    received[w] = true;
+    ++prefix.taken;
+    prefix.coefficients = quorums.add_and_probe(w, received);
+    if (prefix.coefficients) {
+      prefix.decisive = arrival;
+      break;
+    }
+  }
+  prefix.quorum_met = quorums.met();
+  return prefix;
 }
+
+StreamingDecoder::StreamingDecoder(const CodingScheme& scheme)
+    : quorums_(scheme),
+      received_(scheme.num_workers(), false),
+      coded_(scheme.num_workers()) {}
 
 bool StreamingDecoder::add_result(WorkerId w, Vector coded_gradient) {
   HGC_REQUIRE(w < received_.size(), "worker id out of range");
   HGC_REQUIRE(!received_[w], "duplicate result from worker");
   received_[w] = true;
   coded_[w] = std::move(coded_gradient);
-  ++received_count_;
   if (coefficients_) return false;  // already decodable, extra result unused
-  if (!quorums_.add(w)) return false;  // no decode can succeed yet
-  coefficients_ = cache_ ? cache_->decode(received_)
-                         : solve_decoding_coefficients(scheme_, received_);
+  coefficients_ = quorums_.add_and_probe(w, received_);
   return coefficients_.has_value();
 }
 
@@ -104,30 +131,6 @@ Vector StreamingDecoder::aggregate() const {
   if (!coefficients_)
     throw DecodeError("aggregate requested before the code is decodable");
   return combine_coded_gradients(*coefficients_, coded_);
-}
-
-const Vector& StreamingDecoder::coefficients() const {
-  if (!coefficients_)
-    throw DecodeError("coefficients requested before the code is decodable");
-  return *coefficients_;
-}
-
-std::vector<WorkerId> StreamingDecoder::unused_workers() const {
-  std::vector<WorkerId> unused;
-  for (std::size_t w = 0; w < received_.size(); ++w) {
-    const bool used =
-        coefficients_ && (*coefficients_)[w] != 0.0;
-    if (received_[w] && !used) unused.push_back(w);
-  }
-  return unused;
-}
-
-void StreamingDecoder::reset() {
-  std::fill(received_.begin(), received_.end(), false);
-  for (auto& v : coded_) v.clear();
-  received_count_ = 0;
-  coefficients_.reset();
-  quorums_.reset();
 }
 
 }  // namespace hgc

@@ -1,15 +1,18 @@
-// Offline decoding-matrix construction (Eq. 2) and a streaming decoder.
+// Offline decoding-matrix construction (Eq. 2) and the real-time decoders.
 //
 // The paper stores the decoding matrix A ∈ R^{S×m} (one row per straggler
 // pattern, S = C(m, s)) for "regular" patterns and solves irregular ones in
-// real time. StreamingDecoder is that real-time path packaged for the
-// simulator and the threaded runtime: feed results as they arrive, ask
-// whether the aggregate is ready. QuorumTracker is the gate every streaming
-// caller shares: it counts arrivals per decode quorum so the solver only
-// runs once a decode can succeed.
+// real time: a BSP round (Section III-C) takes results in arrival order and
+// stops at the first prefix that decodes. first_decodable_prefix applies
+// that rule to a whole round's arrivals, StreamingDecoder one result at a
+// time (the threaded master). Both gate on QuorumTracker, which counts
+// arrivals per decode quorum so the solver only runs once a decode can
+// succeed.
 #pragma once
 
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/coding_scheme.hpp"
@@ -39,70 +42,84 @@ std::vector<DecodingRow> build_decoding_matrix(const CodingScheme& scheme);
 std::optional<Vector> solve_decoding_coefficients(
     const CodingScheme& scheme, const std::vector<bool>& received);
 
+/// One decode probe of the received set: through `cache` when non-null
+/// (which must wrap `scheme`), else solve_decoding_coefficients.
+std::optional<Vector> probe_decoding_coefficients(
+    const CodingScheme& scheme, const std::vector<bool>& received,
+    DecodingCache* cache);
+
 /// Per-round arrival counters, one per decode quorum of a scheme. Each
 /// arrival costs O(quorums containing w + global quorums); once a quorum is
-/// met it stays met until reset(). Since a met quorum is necessary for
+/// met it stays met for the round. Since a met quorum is necessary for
 /// decoding_coefficients to succeed, every probe made while !met() would
 /// return nullopt — skipping them cannot change which arrival decodes
 /// first, nor its coefficients.
 class QuorumTracker {
  public:
-  explicit QuorumTracker(const CodingScheme& scheme);
+  /// `cache`, when non-null, must wrap `scheme`; probes then go through its
+  /// LRU instead of solve_decoding_coefficients.
+  explicit QuorumTracker(const CodingScheme& scheme,
+                         DecodingCache* cache = nullptr);
 
   /// Count worker w's arrival (each worker at most once per round).
   /// Returns met().
   bool add(WorkerId w);
 
-  bool met() const { return met_; }
+  /// The gate-and-probe step both real-time decoders share: add(w) and,
+  /// once a quorum is met, probe the prefix `received` (w already marked).
+  std::optional<Vector> add_and_probe(WorkerId w,
+                                      const std::vector<bool>& received);
 
-  /// Start a new round: all counters back to zero.
-  void reset();
+  bool met() const { return met_; }
 
  private:
   const CodingScheme& scheme_;
+  DecodingCache* cache_;
   std::vector<std::size_t> counts_;
   bool met_ = false;
 };
 
-/// Master-side streaming decoder. Results are added in arrival order; once
-/// a decode quorum is met the decoder solves at every arrival until the
-/// prefix decodes, then keeps the coefficients.
+/// One result reaching the master: (arrival time, worker).
+using Arrival = std::pair<double, WorkerId>;
+
+/// What first_decodable_prefix found.
+struct DecodablePrefix {
+  std::size_t taken = 0;  ///< up to the decisive arrival, else all of them
+  std::optional<Arrival> decisive;  ///< unset when no prefix decodes
+  std::optional<Vector> coefficients;  ///< set iff `decisive` is
+  bool quorum_met = false;  ///< whether the taken arrivals met any quorum
+};
+
+/// The T(B, S) rule of Section III-C: take `arrivals` (each worker at most
+/// once) in (time, worker) order and stop at the first prefix whose received
+/// set decodes, probing through QuorumTracker::add_and_probe.
+/// On return the first `taken` entries of `arrivals` are the taken ones;
+/// callers must not rely on the order of either part.
+DecodablePrefix first_decodable_prefix(const CodingScheme& scheme,
+                                       std::span<Arrival> arrivals,
+                                       DecodingCache* cache = nullptr);
+
+/// Master-side streaming decoder for the threaded trainer: one decoder per
+/// iteration, results added in arrival order. Once a decode quorum is met it
+/// solves at every arrival until the prefix decodes, then keeps the
+/// coefficients; later results are recorded but unused.
 class StreamingDecoder {
  public:
-  /// `cache`, when non-null, must wrap the same scheme instance; decodability
-  /// checks then go through its LRU (the paper's "regular stragglers"
-  /// optimization) instead of re-solving per arrival. The cache may be
-  /// shared across iterations but not across threads.
-  explicit StreamingDecoder(const CodingScheme& scheme,
-                            DecodingCache* cache = nullptr);
+  explicit StreamingDecoder(const CodingScheme& scheme);
 
   /// Record worker w's coded gradient. Returns true if the aggregate became
   /// decodable with this arrival.
   bool add_result(WorkerId w, Vector coded_gradient);
 
   bool ready() const { return coefficients_.has_value(); }
-  std::size_t results_received() const { return received_count_; }
 
   /// The decoded aggregate Σ g_j. Throws DecodeError if !ready().
   Vector aggregate() const;
 
-  /// Coefficients used for the decode (for inspection/tests).
-  const Vector& coefficients() const;
-
-  /// Workers whose results ended up unused (coefficient 0 despite arriving);
-  /// feeds the resource-usage metric of Fig. 5.
-  std::vector<WorkerId> unused_workers() const;
-
-  /// Reset for the next iteration, keeping the scheme.
-  void reset();
-
  private:
-  const CodingScheme& scheme_;
-  DecodingCache* cache_;
   QuorumTracker quorums_;
   std::vector<bool> received_;
   std::vector<Vector> coded_;
-  std::size_t received_count_ = 0;
   std::optional<Vector> coefficients_;
 };
 

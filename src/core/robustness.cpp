@@ -51,43 +51,35 @@ std::optional<double> completion_time(const CodingScheme& scheme,
                                       DecodingCache* cache) {
   const std::size_t m = scheme.num_workers();
   HGC_REQUIRE(c.size() == m, "one throughput per worker");
-  HGC_REQUIRE(!cache || &cache->scheme() == &scheme,
-              "decoding cache must wrap the queried scheme");
-  const auto decodable = [&](const std::vector<bool>& received) {
-    return cache ? cache->decode(received).has_value()
-                 : scheme.decoding_coefficients(received).has_value();
-  };
 
-  std::vector<bool> is_straggler(m, false);
+  std::vector<bool> received(m, true);
   for (WorkerId w : stragglers) {
     HGC_REQUIRE(w < m, "straggler id out of range");
-    is_straggler[w] = true;
+    received[w] = false;
   }
 
   // Finish times of surviving workers that actually hold data; the paper's
   // full-straggler assumption means stragglers never arrive.
-  std::vector<std::pair<double, WorkerId>> arrivals;
+  std::vector<Arrival> arrivals;
   for (std::size_t w = 0; w < m; ++w) {
-    if (is_straggler[w] || scheme.load(w) == 0) continue;
+    if (scheme.load(w) == 0) received[w] = false;
+    if (!received[w]) continue;
     HGC_REQUIRE(c[w] > 0.0, "non-straggler throughput must be positive");
     arrivals.emplace_back(static_cast<double>(scheme.load(w)) / c[w], w);
   }
-  std::sort(arrivals.begin(), arrivals.end());
 
-  std::vector<bool> received(m, false);
-  QuorumTracker quorums(scheme);
-  for (const auto& [time, w] : arrivals) {
-    received[w] = true;
-    if (quorums.add(w) && decodable(received)) return time;
-  }
-  // Tail case: when no quorum was ever met the loop never probed, so one
+  const DecodablePrefix prefix =
+      first_decodable_prefix(scheme, arrivals, cache);
+  if (prefix.decisive) return prefix.decisive->first;
+  // Tail case: when no quorum was ever met no prefix was probed, so one
   // final decode of everything received leaves the verdict to the scheme
-  // itself. Once a quorum is met the loop probes every later prefix, so its
-  // last attempt already was the full set and re-solving it would only
-  // confirm the failure.
-  if (!arrivals.empty() && !quorums.met() && decodable(received))
-    return arrivals.back().first;
-  return std::nullopt;
+  // itself. Once a quorum is met every later prefix is probed, so the last
+  // attempt already was the full set and re-solving it would only confirm
+  // the failure.
+  if (arrivals.empty() || prefix.quorum_met) return std::nullopt;
+  if (!probe_decoding_coefficients(scheme, received, cache))
+    return std::nullopt;
+  return std::max_element(arrivals.begin(), arrivals.end())->first;
 }
 
 std::optional<double> worst_case_time(const CodingScheme& scheme,

@@ -18,13 +18,6 @@ std::string to_string(const Assignment& assignment) {
   return os.str();
 }
 
-std::vector<WorkerId> missing_workers(const std::vector<bool>& received) {
-  std::vector<WorkerId> missing;
-  for (std::size_t w = 0; w < received.size(); ++w)
-    if (!received[w]) missing.push_back(w);
-  return missing;
-}
-
 std::size_t count_received(const std::vector<bool>& received) {
   std::size_t n = 0;
   for (bool r : received) n += r ? 1 : 0;

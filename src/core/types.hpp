@@ -27,9 +27,6 @@ using Throughputs = std::vector<double>;
 /// Render an assignment as e.g. "W0:{0,1} W1:{2}" for diagnostics.
 std::string to_string(const Assignment& assignment);
 
-/// Convert received-flags (size m) to the list of missing worker ids.
-std::vector<WorkerId> missing_workers(const std::vector<bool>& received);
-
 /// Count how many flags are set.
 std::size_t count_received(const std::vector<bool>& received);
 

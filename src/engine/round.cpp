@@ -1,6 +1,7 @@
 #include "engine/round.hpp"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -19,19 +20,16 @@ RoundOutcome run_round(const CodingScheme& scheme, const Cluster& cluster,
   const std::size_t m = scheme.num_workers();
   HGC_REQUIRE(cluster.size() == m, "cluster size must match scheme workers");
   HGC_REQUIRE(conditions.size() == m, "conditions size must match workers");
-  HGC_REQUIRE(!options.wire_frames || options.partition_gradients,
-              "wire frames require partition gradients");
 
   const std::uint32_t track = options.trace_track;
   const double base = options.trace_time_base;
-  const bool payloads = options.partition_gradients && !options.wire_frames;
   RoundOutcome outcome;
   outcome.compute_times.assign(m, kInf);
-  // Messages in flight, one slot per worker in the round's payload mode and
-  // empty otherwise; timing-only rounds deliver empty vectors.
-  std::vector<Vector> coded(payloads ? m : 0);
-  std::vector<std::vector<std::byte>> frames(options.wire_frames ? m : 0);
-  std::vector<std::pair<double, WorkerId>> arrivals;
+  // Wire frames in flight, one slot per worker in payload rounds and none
+  // in timing-only rounds.
+  std::vector<std::vector<std::byte>> frames(
+      options.partition_gradients ? m : 0);
+  std::vector<Arrival> arrivals;
   arrivals.reserve(m);
 
   // Launch in worker-id order so a seeded link's RNG draws (and the trace)
@@ -59,21 +57,14 @@ RoundOutcome run_round(const CodingScheme& scheme, const Cluster& cluster,
       obs::trace_virtual_span(track, row, "straggle", "engine",
                               base + compute, conditions.delay[w]);
 
-    // Build the payload now: the transmission carries real bytes.
+    // Build the frame now: the transmission carries real bytes.
     std::size_t bytes = 0;
     if (options.partition_gradients) {
-      Vector payload = encode_gradient(scheme, w, *options.partition_gradients);
-      if (options.wire_frames) {
-        GradientMessage message;
-        message.worker = checked_cast<std::uint32_t>(w);
-        message.iteration = options.iteration;
-        message.payload = std::move(payload);
-        frames[w] = encode_message(message);
-        bytes = frames[w].size();
-      } else {
-        bytes = payload.size() * sizeof(double);
-        coded[w] = std::move(payload);
-      }
+      frames[w] = encode_message(
+          {.worker = checked_cast<std::uint32_t>(w),
+           .iteration = options.iteration,
+           .payload = encode_gradient(scheme, w, *options.partition_gradients)});
+      bytes = frames[w].size();
     }
 
     const auto arrival = link.transmit(w, master_node, bytes, send_time);
@@ -83,7 +74,7 @@ RoundOutcome run_round(const CodingScheme& scheme, const Cluster& cluster,
                                  base + send_time);
       continue;
     }
-    // Also rejects NaN, which would leave the sort below undefined.
+    // Also rejects NaN, which would leave the arrival order undefined.
     HGC_REQUIRE(*arrival >= send_time,
                 "link answered a NaN or pre-send arrival for worker " +
                     std::to_string(w));
@@ -92,27 +83,11 @@ RoundOutcome run_round(const CodingScheme& scheme, const Cluster& cluster,
     arrivals.emplace_back(*arrival, w);
   }
 
-  // The master takes results in (time, worker) order and stops at the first
-  // decodable prefix: the BSP barrier is released, nothing later matters.
-  std::sort(arrivals.begin(), arrivals.end());
-  StreamingDecoder decoder(scheme, options.decoding_cache);
-  double decode_time = kInf;
-  for (const auto& [time, w] : arrivals) {
-    ++outcome.events_executed;
-    bool ready = false;
-    if (options.wire_frames) {
-      GradientMessage message = decode_message(frames[w]);
-      HGC_ASSERT(message.iteration == options.iteration,
-                 "cross-iteration frame");
-      ready = decoder.add_result(message.worker, std::move(message.payload));
-    } else {
-      ready = decoder.add_result(w, payloads ? std::move(coded[w]) : Vector{});
-    }
-    if (ready) {
-      decode_time = time;
-      break;
-    }
-  }
+  // The master stops at the first decodable prefix: the BSP barrier is
+  // released, nothing later matters.
+  DecodablePrefix prefix =
+      first_decodable_prefix(scheme, arrivals, options.decoding_cache);
+  outcome.events_executed = prefix.taken;
 
   if (obs::metrics_enabled()) {
     static const obs::Counter rounds =
@@ -123,14 +98,15 @@ RoundOutcome run_round(const CodingScheme& scheme, const Cluster& cluster,
         obs::Registry::global().counter("engine.events");
     rounds.add();
     events.add(outcome.events_executed);
-    if (!decoder.ready()) undecodable.add();
+    if (!prefix.decisive) undecodable.add();
   }
 
-  if (!decoder.ready()) {
+  if (!prefix.decisive) {
     obs::trace_virtual_instant(track, 0, "undecodable", "engine", base);
     return outcome;
   }
 
+  const double decode_time = prefix.decisive->first;
   if (obs::metrics_enabled()) {
     static const obs::StatHandle round_time =
         obs::Registry::global().stat("engine.round_time");
@@ -140,19 +116,31 @@ RoundOutcome run_round(const CodingScheme& scheme, const Cluster& cluster,
     round_latency.observe(decode_time);
   }
   obs::trace_virtual_span(track, 0, "round", "engine", base, decode_time,
-                          static_cast<std::int64_t>(decoder.results_received()));
+                          static_cast<std::int64_t>(prefix.taken));
 
   outcome.decoded = true;
   outcome.time = decode_time;
-  outcome.results_used = decoder.results_received();
-  outcome.coefficients = decoder.coefficients();
-  if (options.partition_gradients) outcome.aggregate = decoder.aggregate();
+  outcome.results_used = prefix.taken;
+  outcome.coefficients = std::move(prefix.coefficients);
+
+  // Only the taken arrivals' frames are opened; later ones were never read.
+  if (options.partition_gradients) {
+    std::vector<Vector> coded(m);
+    for (const auto& [time, w] : std::span(arrivals).first(prefix.taken)) {
+      GradientMessage message = decode_message(frames[w]);
+      HGC_ASSERT(message.iteration == options.iteration,
+                 "cross-iteration frame");
+      HGC_ASSERT(message.worker == w, "frame from another worker");
+      coded[w] = std::move(message.payload);
+    }
+    outcome.aggregate = combine_coded_gradients(*outcome.coefficients, coded);
+  }
 
   // Resource usage: busy = computing time clipped to the round window.
   double busy_total = 0.0;
   for (WorkerId w = 0; w < m; ++w) {
-    if (conditions.faulted[w]) continue;
-    if (outcome.compute_times[w] == kInf) continue;  // idle worker, no data
+    // Faulted and data-less workers never computed.
+    if (outcome.compute_times[w] == kInf) continue;
     busy_total += std::min(outcome.compute_times[w], outcome.time);
   }
   outcome.resource_usage =

@@ -1,22 +1,18 @@
-// One coded aggregation round as a sorted arrival list.
+// One coded aggregation round as an arrival list.
 //
 // This is the one round call: sim::run_experiment (and the coded trainer
 // hooked onto it) and the `loss` figure cell run their rounds through
-// run_round. Every Link answers each message on its own and no worker's
-// arrival depends on another's, so a round is fully defined by m arrival
-// times. run_round makes one pass in worker-id order (compute, injected
-// delay, optional encode, link.transmit; the order keeps a seeded link's
-// RNG draws fixed), sorts the arrivals by (time, worker), and feeds them to
-// a StreamingDecoder until the first decodable prefix — the T(B, S)
-// semantics of Section III-C. Equal arrival times resolve in worker-id
-// order.
+// run_round. No worker's arrival depends on another's, so a round is fully
+// defined by m arrival times. run_round makes one pass in worker-id order
+// (compute, injected delay, optional encode, link.transmit; the order keeps
+// a seeded link's RNG draws fixed), then first_decodable_prefix stops at the
+// first decodable prefix in (time, worker) order — the T(B, S) semantics of
+// Section III-C, with equal times resolved in worker-id order.
 //
-// Two payload modes share that flow:
-//   * timing-only (partition_gradients == nullptr): empty payloads; callers
-//     want the decode time, coefficients and resource usage (sim/).
-//   * real payloads, optionally wire-framed through net/wire with checksums
-//     and an iteration tag (net/, the `loss` cell), held until their
-//     arrival is fed to the decoder.
+// Decoding looks at arrival times only. With partition_gradients null the
+// round is timing-only (sim/); otherwise every worker ships its coded
+// gradient as a checksummed net/wire frame stamped with the iteration, and
+// the master opens only the taken arrivals' frames to combine the aggregate.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +30,10 @@ namespace hgc::engine {
 
 /// Optional knobs of run_round.
 struct RoundOptions {
-  /// When set, workers encode these partition gradients (g_j) and the master
-  /// reconstructs the aggregate; when null the round is timing-only.
+  /// When set, workers encode these partition gradients (g_j), ship them as
+  /// wire frames, and the master reconstructs the aggregate; when null the
+  /// round is timing-only.
   const std::vector<Vector>* partition_gradients = nullptr;
-  /// Serialize payloads into checksummed wire frames (requires gradients).
-  bool wire_frames = false;
   /// Iteration tag stamped into wire frames.
   std::uint64_t iteration = 0;
   /// Optional LRU of solved decoding coefficients (the paper's Section III-B
@@ -70,7 +65,8 @@ struct RoundOutcome {
   std::vector<double> compute_times;
   /// Fig. 5 metric Σ busy_i / (m · T); 0 when the round failed.
   double resource_usage = 0.0;
-  /// Arrivals fed to the decoder, up to and including the decisive one.
+  /// Arrivals taken by the master, up to and including the decisive one
+  /// (all of them when the round fails).
   std::size_t events_executed = 0;
 };
 

@@ -4,7 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <limits>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 
@@ -283,8 +283,7 @@ FigureSweep loss_sweep(std::size_t iterations) {
     SimulatedNetwork network(m + 1, {0.001, 1e8, drop}, Rng(31));
     // Real wire frames over the lossy network.
     engine::NetworkLink link(network);
-    engine::RoundOptions options{.partition_gradients = &local,
-                                 .wire_frames = true};
+    engine::RoundOptions options{.partition_gradients = &local};
     StragglerModel model;
     model.fluctuation_sigma = 0.02;
     Rng condition_rng(37);
@@ -540,18 +539,23 @@ std::vector<std::string> split(const std::string& text, char sep) {
   return parts;
 }
 
-double parse_double(const std::string& text) {
-  std::size_t used = 0;
-  const double v = std::stod(text, &used);
-  if (used != text.size())
-    throw std::invalid_argument("bad number in grid spec: " + text);
+/// Finite number for grid key `key`. strtod also reads "inf" and "nan";
+/// an infinite delay or noise level would run and print nan or plausible
+/// rows, so both are rejected (fail-stop is spelled fault=1).
+double parse_double(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() || !std::isfinite(v))
+    throw std::invalid_argument("grid spec key '" + key +
+                                "' wants a finite number, got: " + text);
   return v;
 }
 
-std::vector<double> parse_doubles(const std::string& text) {
+std::vector<double> parse_doubles(const std::string& key,
+                                  const std::string& text) {
   std::vector<double> out;
   for (const std::string& part : split(text, ','))
-    out.push_back(parse_double(part));
+    out.push_back(parse_double(key, part));
   return out;
 }
 
@@ -559,14 +563,8 @@ std::vector<double> parse_doubles(const std::string& text) {
 /// used to truncate `s=1.5` to 1 and wrap `s=-1` / `k=-2` / `iters=-5` to
 /// huge size_t values — both silently.
 std::size_t parse_size(const std::string& key, const std::string& text) {
-  double v = std::numeric_limits<double>::quiet_NaN();
-  try {
-    v = parse_double(text);
-  } catch (const std::exception&) {
-    // fall through to the named error below
-  }
-  if (!(v >= 0.0) || v != std::floor(v) ||
-      v > 9007199254740992.0 /* 2^53 */)
+  const double v = parse_double(key, text);
+  if (v < 0.0 || v != std::floor(v) || v > 9007199254740992.0 /* 2^53 */)
     throw std::invalid_argument("grid spec key '" + key +
                                 "' wants a non-negative integer, got: " +
                                 text);
@@ -661,7 +659,7 @@ SweepGrid parse_grid_spec(const std::string& spec) {
     } else if (key == "k") {
       grid.k_values = parse_sizes(key, value);
     } else if (key == "sigmas" || key == "sigma") {
-      grid.sigmas = parse_doubles(value);
+      grid.sigmas = parse_doubles(key, value);
     } else if (key == "seeds" || key == "seed") {
       grid.seeds = parse_seed_list(key, value);
     } else if (key == "iters" || key == "iterations") {
@@ -671,18 +669,18 @@ SweepGrid parse_grid_spec(const std::string& spec) {
       stragglers = value == "s" ? kMatchS : parse_size(key, value);
     } else if (key == "delay_factors" || key == "delay_factor") {
       any_model_key = true;
-      delay_factors = parse_doubles(value);
+      delay_factors = parse_doubles(key, value);
     } else if (key == "delays" || key == "delay") {
       any_model_key = true;
-      delays = parse_doubles(value);
+      delays = parse_doubles(key, value);
     } else if (key == "fault") {
       any_model_key = true;
-      fault = parse_double(value) != 0.0;
+      fault = parse_double(key, value) != 0.0;
     } else if (key == "fluct") {
       any_model_key = true;
-      fluct = parse_double(value);
+      fluct = parse_double(key, value);
     } else if (key == "latency") {
-      grid.sim.comm_latency = parse_double(value);
+      grid.sim.comm_latency = parse_double(key, value);
     } else if (key == "scenarios" || key == "scenario") {
       scenario_names = split(value, ',');
     } else if (key == "scenario_file" || key == "scenario_files") {

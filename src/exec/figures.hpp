@@ -114,9 +114,10 @@ FigureSweep make_figure(const std::string& name, std::size_t iterations = 0);
 /// (static|churn|trace), trace (CSV path for the trace scenario),
 /// scenario_file (DSL files, comma-separated and accumulating across
 /// repeats of the key; each file is one point on the scenario axis).
-/// Unknown keys, non-integral counts (s=1.5, k=-2), a trace= that no
-/// scenario consumes, and multi-s grids over the s-derived demo
-/// churn/trace schedules all throw std::invalid_argument.
+/// Unknown keys, non-finite numbers (inf, nan), non-integral counts
+/// (s=1.5, k=-2), a trace= that no scenario consumes, and multi-s grids
+/// over the s-derived demo churn/trace schedules all throw
+/// std::invalid_argument.
 SweepGrid parse_grid_spec(const std::string& spec);
 
 /// Load a scenario DSL file (scenario/dsl.hpp) into one scenario-axis

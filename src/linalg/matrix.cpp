@@ -53,12 +53,6 @@ void Matrix::set_row(std::size_t r, std::span<const double> values) {
   std::copy(values.begin(), values.end(), row(r).begin());
 }
 
-void Matrix::set_col(std::size_t c, std::span<const double> values) {
-  HGC_REQUIRE(c < cols_, "column index out of range");
-  HGC_REQUIRE(values.size() == rows_, "column length mismatch");
-  for (std::size_t r = 0; r < rows_; ++r) (*this)(r, c) = values[r];
-}
-
 Matrix Matrix::transposed() const {
   Matrix out(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r)
@@ -136,12 +130,6 @@ double Matrix::max_abs_diff(const Matrix& a, const Matrix& b) {
   for (std::size_t i = 0; i < a.data_.size(); ++i)
     worst = std::max(worst, std::abs(a.data_[i] - b.data_[i]));
   return worst;
-}
-
-double Matrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double x : data_) acc += x * x;
-  return std::sqrt(acc);
 }
 
 std::ostream& operator<<(std::ostream& os, const Matrix& m) {

@@ -62,7 +62,6 @@ class Matrix {
 
   Vector col(std::size_t c) const;
   void set_row(std::size_t r, std::span<const double> values);
-  void set_col(std::size_t c, std::span<const double> values);
 
   Matrix transposed() const;
 
@@ -90,9 +89,6 @@ class Matrix {
 
   /// Max |a_ij − b_ij|; matrices must be the same shape.
   static double max_abs_diff(const Matrix& a, const Matrix& b);
-
-  /// Frobenius norm.
-  double frobenius_norm() const;
 
   friend std::ostream& operator<<(std::ostream& os, const Matrix& m);
 

@@ -54,11 +54,13 @@ LayerwiseResult simulate_layerwise_iteration(const CodingScheme& scheme,
   result.layer_times.assign(num_layers, 0.0);
 
   double cumulative = 0.0;
+  std::vector<Arrival> arrivals;
+  arrivals.reserve(m);
   for (std::size_t layer = 0; layer < num_layers; ++layer) {
     cumulative += fractions[layer];
     // Layer arrival per worker: injected delay stalls the start of compute;
     // transfer overlaps the next layer's compute (dedicated send thread).
-    std::vector<std::pair<double, WorkerId>> arrivals;
+    arrivals.clear();
     for (WorkerId w = 0; w < m; ++w) {
       if (!active[w]) continue;
       const double compute_done = cond.delay[w] + cumulative * total_compute[w];
@@ -66,21 +68,9 @@ LayerwiseResult simulate_layerwise_iteration(const CodingScheme& scheme,
                                 fractions[layer] * params.full_transfer_time,
                             w);
     }
-    std::sort(arrivals.begin(), arrivals.end());
-
-    std::vector<bool> received(m, false);
-    QuorumTracker quorums(scheme);
-    bool layer_decoded = false;
-    for (const auto& [at, w] : arrivals) {
-      received[w] = true;
-      if (!quorums.add(w)) continue;
-      if (scheme.decoding_coefficients(received)) {
-        result.layer_times[layer] = at;
-        layer_decoded = true;
-        break;
-      }
-    }
-    if (!layer_decoded) return result;  // decoded stays false
+    const DecodablePrefix prefix = first_decodable_prefix(scheme, arrivals);
+    if (!prefix.decisive) return result;  // decoded stays false
+    result.layer_times[layer] = prefix.decisive->first;
   }
 
   result.decoded = true;

@@ -10,6 +10,8 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/straggler.hpp"
@@ -22,6 +24,8 @@
 #include "core/scheme_factory.hpp"
 #include "engine/link.hpp"
 #include "engine/round.hpp"
+#include "reference_round.hpp"
+#include "sim/experiment.hpp"
 #include "util/rng.hpp"
 
 namespace hgc {
@@ -113,7 +117,6 @@ TEST(StreamingDecoder, DecodesAtFirstSufficientArrival) {
   // Fourth arrival: only one worker missing <= s, decodable.
   EXPECT_TRUE(decoder.add_result(3, encode_gradient(scheme, 3, grads)));
   EXPECT_TRUE(decoder.ready());
-  EXPECT_EQ(decoder.results_received(), 4u);
   const Vector aggregate = decoder.aggregate();
   ASSERT_EQ(aggregate.size(), 1u);
   EXPECT_NEAR(aggregate[0], 28.0, 1e-8);
@@ -128,10 +131,9 @@ TEST(StreamingDecoder, ExtraResultsAreUnused) {
   for (WorkerId w = 0; w < 4; ++w)
     decoder.add_result(w, encode_gradient(scheme, w, grads));
   ASSERT_TRUE(decoder.ready());
-  // Late fifth result: recorded but not part of the decode.
-  EXPECT_FALSE(decoder.add_result(4, encode_gradient(scheme, 4, grads)));
-  const auto unused = decoder.unused_workers();
-  EXPECT_EQ(unused, (std::vector<WorkerId>{4}));
+  // Late fifth result, poisoned: recorded but not part of the decode.
+  EXPECT_FALSE(decoder.add_result(4, Vector{1e6}));
+  EXPECT_NEAR(decoder.aggregate()[0], 7.0, 1e-8);
 }
 
 TEST(StreamingDecoder, RejectsDuplicateResult) {
@@ -147,26 +149,6 @@ TEST(StreamingDecoder, ThrowsBeforeReady) {
   HeterAwareScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
   StreamingDecoder decoder(scheme);
   EXPECT_THROW(decoder.aggregate(), DecodeError);
-  EXPECT_THROW(decoder.coefficients(), DecodeError);
-}
-
-TEST(StreamingDecoder, ResetAllowsReuse) {
-  Rng rng(57);
-  HeterAwareScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
-  StreamingDecoder decoder(scheme);
-  std::vector<Vector> grads(7);
-  for (std::size_t p = 0; p < 7; ++p) grads[p] = {2.0};
-  for (WorkerId w = 0; w < 4; ++w)
-    decoder.add_result(w, encode_gradient(scheme, w, grads));
-  ASSERT_TRUE(decoder.ready());
-  decoder.reset();
-  EXPECT_FALSE(decoder.ready());
-  EXPECT_EQ(decoder.results_received(), 0u);
-  // Second iteration decodes again from scratch.
-  for (WorkerId w = 1; w < 5; ++w)
-    decoder.add_result(w, encode_gradient(scheme, w, grads));
-  EXPECT_TRUE(decoder.ready());
-  EXPECT_NEAR(decoder.aggregate()[0], 14.0, 1e-8);
 }
 
 TEST(StreamingDecoder, GroupFastPathDecodesBelowFullQuorum) {
@@ -188,7 +170,6 @@ TEST(StreamingDecoder, GroupFastPathDecodesBelowFullQuorum) {
   EXPECT_FALSE(decoder.ready());
   EXPECT_TRUE(decoder.add_result(3, encode_gradient(scheme, 3, grads)));
   EXPECT_TRUE(decoder.ready());
-  EXPECT_EQ(decoder.results_received(), 2u);
   EXPECT_NEAR(decoder.aggregate()[0], 28.0, 1e-8);
 }
 
@@ -196,7 +177,7 @@ TEST(StreamingDecoder, ArrivalOrderPastMinRequiresMoreSolves) {
   // Arrival order 0, 1, 2, 4: no quorum is met (no complete group, fewer
   // than active−s results), so the decoder keeps answering "not yet"
   // until group {0,1,4} completes on the fourth arrival. Worker 2's result
-  // ends up unused.
+  // ends up unused: poisoning it leaves the aggregate exact.
   Rng rng(41);
   GroupBasedScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
   StreamingDecoder decoder(scheme);
@@ -205,16 +186,12 @@ TEST(StreamingDecoder, ArrivalOrderPastMinRequiresMoreSolves) {
 
   EXPECT_FALSE(decoder.add_result(0, encode_gradient(scheme, 0, grads)));
   EXPECT_FALSE(decoder.add_result(1, encode_gradient(scheme, 1, grads)));
-  EXPECT_FALSE(decoder.add_result(2, encode_gradient(scheme, 2, grads)));
+  EXPECT_FALSE(decoder.add_result(2, Vector{1e6}));
   EXPECT_TRUE(decoder.add_result(4, encode_gradient(scheme, 4, grads)));
-  EXPECT_EQ(decoder.results_received(), 4u);
   EXPECT_NEAR(decoder.aggregate()[0], 28.0, 1e-8);
-  EXPECT_DOUBLE_EQ(decoder.coefficients()[2], 0.0);
-  EXPECT_EQ(decoder.unused_workers(), (std::vector<WorkerId>{2}));
 
   // A result arriving after decodability is recorded but changes nothing.
-  EXPECT_FALSE(decoder.add_result(3, encode_gradient(scheme, 3, grads)));
-  EXPECT_EQ(decoder.results_received(), 5u);
+  EXPECT_FALSE(decoder.add_result(3, Vector{1e6}));
   EXPECT_NEAR(decoder.aggregate()[0], 28.0, 1e-8);
 }
 
@@ -229,16 +206,6 @@ TEST(StreamingDecoder, DuplicateAfterDecodabilityStillThrows) {
   ASSERT_TRUE(decoder.ready());
   EXPECT_THROW(decoder.add_result(2, encode_gradient(scheme, 2, grads)),
                std::invalid_argument);
-}
-
-TEST(StreamingDecoder, ResetClearsDuplicateTracking) {
-  Rng rng(55);
-  HeterAwareScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
-  StreamingDecoder decoder(scheme);
-  decoder.add_result(0, Vector{1.0});
-  decoder.reset();
-  // The same worker may report again in the next iteration.
-  EXPECT_NO_THROW(decoder.add_result(0, Vector{1.0}));
 }
 
 TEST(OnesInRowSpan, BasicGeometry) {
@@ -293,6 +260,66 @@ TEST(CompletionTime, UndecodableReturnsNullopt) {
   NaiveScheme naive(3);
   const Throughputs c = {1, 1, 1};
   EXPECT_FALSE(completion_time(naive, c, {0}).has_value());
+}
+
+TEST(CompletionTime, MatchesStableSortReference) {
+  // Equal-throughput workers with equal loads finish at exactly the same
+  // time, so the (time, worker) tie-break decides which prefix decodes
+  // first. Every exact-s pattern on Table II clusters A–C, each paper
+  // scheme, s ∈ {1, 2}, uncached and with one cache shared across the
+  // enumeration (as worst_case_time shares it).
+  std::size_t decoded = 0;
+  std::size_t undecodable = 0;
+  std::size_t tied = 0;  // patterns where two arrivals share a time
+  for (const Cluster& cluster : {cluster_a(), cluster_b(), cluster_c()}) {
+    const Throughputs c = cluster.throughputs();
+    const std::size_t m = c.size();
+    for (SchemeKind kind : paper_schemes()) {
+      for (std::size_t s = 1; s <= 2; ++s) {
+        Rng rng(94);
+        const auto scheme = make_scheme(
+            kind, c, exact_partition_count(cluster, s), s, rng);
+        DecodingCache cache(*scheme);
+        for_each_straggler_pattern(m, s, [&](const StragglerSet& stragglers) {
+          std::vector<bool> straggles(m, false);
+          for (WorkerId w : stragglers) straggles[w] = true;
+          std::vector<std::pair<double, WorkerId>> arrivals;
+          std::vector<double> times;
+          for (WorkerId w = 0; w < m; ++w) {
+            if (straggles[w] || scheme->load(w) == 0) continue;
+            arrivals.emplace_back(
+                static_cast<double>(scheme->load(w)) / c[w], w);
+            times.push_back(arrivals.back().first);
+          }
+          std::sort(times.begin(), times.end());
+          if (std::adjacent_find(times.begin(), times.end()) != times.end())
+            ++tied;
+          const engine::RoundOutcome want = reference_round(*scheme, arrivals);
+          ++(want.decoded ? decoded : undecodable);
+          for (DecodingCache* maybe_cache :
+               {static_cast<DecodingCache*>(nullptr), &cache}) {
+            const auto got =
+                completion_time(*scheme, c, stragglers, maybe_cache);
+            const std::string where =
+                cluster.name() + "/" + to_string(kind) + "/s=" +
+                std::to_string(s) + ", straggler " +
+                std::to_string(stragglers.front()) +
+                (maybe_cache ? ", cached" : ", uncached");
+            EXPECT_EQ(got.has_value(), want.decoded) << where;
+            if (got && want.decoded) {
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(*got),
+                        std::bit_cast<std::uint64_t>(want.time))
+                  << where;
+            }
+          }
+          return true;
+        });
+      }
+    }
+  }
+  EXPECT_GT(decoded, 1000u);
+  EXPECT_GT(undecodable, 0u);
+  EXPECT_GT(tied, 1000u);
 }
 
 // ------------------------------------------------------- quorum gate --
@@ -372,14 +399,13 @@ TEST(QuorumGate, SoundOnTable2Clusters) {
 
 TEST(QuorumGate, TrackerAgreesWithDirectCheck) {
   // The incremental counters must report exactly scheme.quorum_met() of the
-  // current prefix after every arrival, and forget everything on reset().
+  // current prefix after every arrival; a fresh tracker starts unmet.
   Rng orders(78);
   for (const GateCase& gate_case : table2_cases()) {
     const CodingScheme& scheme = *gate_case.scheme;
     const std::size_t m = scheme.num_workers();
-    QuorumTracker tracker(scheme);
     for (int round = 0; round < 3; ++round) {
-      tracker.reset();
+      QuorumTracker tracker(scheme);
       EXPECT_FALSE(tracker.met()) << gate_case.label;
       std::vector<std::size_t> order(m);
       std::iota(order.begin(), order.end(), std::size_t{0});
@@ -396,9 +422,11 @@ TEST(QuorumGate, TrackerAgreesWithDirectCheck) {
 
 TEST(QuorumGate, GatedDecoderMatchesUngatedReference) {
   // 200 seeded arrival orders (a random number of stragglers never
-  // arrive): the gated StreamingDecoder, with and without a decoding cache,
-  // must decode at the same arrival as a reference probing every prefix,
-  // with bit-identical coefficients.
+  // arrive): the gated StreamingDecoder and first_decodable_prefix (with and
+  // without a decoding cache) must decode at the same arrival as a reference
+  // probing every prefix, with the same coefficients — bit for bit from
+  // first_decodable_prefix, and by value through the StreamingDecoder's
+  // aggregate of unit-vector results (Σ a_w e_w = a exactly).
   Rng orders(79);
   const auto cases = table2_cases();
   for (int trial = 0; trial < 200; ++trial) {
@@ -420,23 +448,72 @@ TEST(QuorumGate, GatedDecoderMatchesUngatedReference) {
       expected_at = i + 1;
     }
 
-    DecodingCache cache(scheme);
-    StreamingDecoder gated(scheme);
-    StreamingDecoder cached(scheme, &cache);
-    for (StreamingDecoder* decoder : {&gated, &cached}) {
-      std::size_t decoded_at = 0;
-      for (std::size_t i = 0; i < order.size() && !decoder->ready(); ++i)
-        if (decoder->add_result(order[i], {})) decoded_at = i + 1;
-      ASSERT_EQ(decoder->ready(), expected.has_value())
-          << gate_case.label << " trial " << trial;
-      if (!expected) continue;
-      EXPECT_EQ(decoded_at, expected_at) << gate_case.label;
-      const Vector& got = decoder->coefficients();
+    const auto expect_bit_identical = [&](const Vector& got) {
       ASSERT_EQ(got.size(), expected->size());
       for (std::size_t w = 0; w < m; ++w)
         ASSERT_EQ(std::bit_cast<std::uint64_t>(got[w]),
                   std::bit_cast<std::uint64_t>((*expected)[w]))
             << gate_case.label << " worker " << w;
+    };
+
+    StreamingDecoder decoder(scheme);
+    std::size_t decoded_at = 0;
+    for (std::size_t i = 0; i < order.size() && !decoder.ready(); ++i) {
+      Vector unit(m, 0.0);
+      unit[order[i]] = 1.0;
+      if (decoder.add_result(order[i], std::move(unit))) decoded_at = i + 1;
+    }
+    ASSERT_EQ(decoder.ready(), expected.has_value())
+        << gate_case.label << " trial " << trial;
+    if (expected) {
+      EXPECT_EQ(decoded_at, expected_at) << gate_case.label;
+      const Vector aggregate = decoder.aggregate();
+      ASSERT_EQ(aggregate.size(), m);
+      for (std::size_t w = 0; w < m; ++w)
+        ASSERT_EQ(aggregate[w], (*expected)[w])
+            << gate_case.label << " worker " << w;
+    }
+
+    // The i-th arrival of `order` lands at time i; the list is handed over
+    // reversed so the function's own ordering decides.
+    DecodingCache prefix_cache(scheme);
+    for (DecodingCache* maybe_cache :
+         {static_cast<DecodingCache*>(nullptr), &prefix_cache}) {
+      std::vector<Arrival> arrivals;
+      for (std::size_t i = order.size(); i-- > 0;)
+        arrivals.emplace_back(static_cast<double>(i), order[i]);
+      const DecodablePrefix prefix =
+          first_decodable_prefix(scheme, arrivals, maybe_cache);
+      const std::string where = gate_case.label + " trial " +
+                                std::to_string(trial) +
+                                (maybe_cache ? ", cached" : ", uncached");
+      ASSERT_EQ(prefix.decisive.has_value(), expected.has_value()) << where;
+      ASSERT_EQ(prefix.coefficients.has_value(), expected.has_value())
+          << where;
+      const std::size_t want_taken = expected ? expected_at : order.size();
+      ASSERT_EQ(prefix.taken, want_taken) << where;
+      // The first `taken` entries are exactly the taken arrivals.
+      std::vector<WorkerId> taken;
+      for (std::size_t i = 0; i < prefix.taken; ++i)
+        taken.push_back(arrivals[i].second);
+      std::sort(taken.begin(), taken.end());
+      std::vector<WorkerId> want(order.begin(),
+                                 order.begin() + static_cast<std::ptrdiff_t>(
+                                                     want_taken));
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(taken, want) << where;
+      std::vector<bool> all_taken(m, false);
+      for (WorkerId w : want) all_taken[w] = true;
+      if (!expected) {
+        EXPECT_EQ(prefix.quorum_met, scheme.quorum_met(all_taken)) << where;
+        continue;
+      }
+      EXPECT_TRUE(prefix.quorum_met) << where;
+      EXPECT_EQ(prefix.decisive->first,
+                static_cast<double>(expected_at - 1))
+          << where;
+      EXPECT_EQ(prefix.decisive->second, order[expected_at - 1]) << where;
+      expect_bit_identical(*prefix.coefficients);
     }
   }
 }

@@ -18,6 +18,7 @@
 #include "sim/experiment.hpp"
 #include "sim/iteration.hpp"
 
+#include "reference_round.hpp"
 #include "util/alloc_instrument.hpp"  // instruments this whole binary
 
 namespace hgc {
@@ -112,7 +113,8 @@ TEST(EngineRound, PayloadRoundRecoversAggregate) {
   cond.delay[1] = 50.0;  // absorbed by s = 1
   FixedLatencyLink link;
   RoundOptions options;
-  options.partition_gradients = &grads;
+  options.partition_gradients = &grads;  // shipped as wire frames
+  options.iteration = 3;
   const RoundOutcome round =
       engine::run_round(*scheme, cluster, cond, link, options);
   ASSERT_TRUE(round.decoded);
@@ -132,7 +134,6 @@ TEST(EngineRound, WireFramesOverNetworkRecoverAggregate) {
   NetworkLink link(network);
   RoundOptions options;
   options.partition_gradients = &grads;
-  options.wire_frames = true;
   options.iteration = 17;
   const RoundOutcome round = engine::run_round(
       *scheme, cluster, clean_conditions(5), link, options);
@@ -156,7 +157,6 @@ TEST(EngineRound, LostMessagesAreCountedAsDropped) {
   NetworkLink link(network);
   RoundOptions options;
   options.partition_gradients = &grads;
-  options.wire_frames = true;
   const RoundOutcome round = engine::run_round(
       *scheme, cluster, clean_conditions(5), link, options);
   EXPECT_FALSE(round.decoded);
@@ -255,31 +255,6 @@ class RecordingLink : public engine::Link {
  private:
   engine::Link* inner_;
 };
-
-// Reference master: stable-sort the arrivals by (time, worker) and probe
-// the scheme's decoder at every prefix until one decodes.
-RoundOutcome reference_round(const CodingScheme& scheme,
-                             std::vector<std::pair<double, WorkerId>> arrivals) {
-  std::stable_sort(arrivals.begin(), arrivals.end(),
-                   [](const auto& a, const auto& b) {
-                     if (a.first != b.first) return a.first < b.first;
-                     return a.second < b.second;
-                   });
-  RoundOutcome ref;
-  std::vector<bool> received(scheme.num_workers(), false);
-  for (const auto& [time, w] : arrivals) {
-    received[w] = true;
-    ++ref.events_executed;
-    ref.coefficients = scheme.decoding_coefficients(received);
-    if (ref.coefficients) {
-      ref.decoded = true;
-      ref.time = time;
-      ref.results_used = ref.events_executed;
-      break;
-    }
-  }
-  return ref;
-}
 
 TEST(EngineRound, TieOrderMatchesStableSortReference) {
   // Unit speed factors and delays from {0, d} make equal-throughput workers

@@ -390,6 +390,18 @@ TEST(GridSpec, RejectsUnknownKeysAndValues) {
                     "'clusters'");
   expect_spec_error("clusters=scale99999999999999999999999",
                     "scale99999999999999999999999");
+  // Non-finite numbers used to run (nan time_mean rows, infinite noise);
+  // every numeric key rejects them by name.
+  for (const char* key : {"delay_factors", "delays", "latency", "fluct",
+                          "sigmas", "fault"})
+    for (const char* value : {"inf", "-inf", "nan", "1e999"})
+      expect_spec_error(std::string(key) + "=" + value,
+                        "'" + std::string(key) + "'");
+  expect_spec_error("delay_factors=1.5,inf", "'delay_factors'");
+  expect_spec_error("sigmas=x", "'sigmas'");
+  for (const char* key : {"s", "k", "iters", "seeds", "stragglers"})
+    expect_spec_error(std::string(key) + "=inf", "'" + std::string(key) + "'");
+  EXPECT_NO_THROW(parse_grid_spec("delay_factors=1.5;latency=0.01;fluct=0.2"));
 }
 
 TEST(GridSpec, RejectsNonIntegralAndNegativeCounts) {

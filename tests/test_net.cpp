@@ -147,7 +147,6 @@ class CodedRoundTest : public ::testing::Test {
     engine::NetworkLink link(network);
     engine::RoundOptions options;
     options.partition_gradients = &grads_;
-    options.wire_frames = true;
     return engine::run_round(*scheme_, cluster_, conditions_, link, options);
   }
 

@@ -44,6 +44,14 @@ Rules (see RULES for scopes and per-rule allowlists):
                         unreviewed parallel summation-order decision — the
                         same bug class raw-fp-accumulation catches, one
                         level down.
+  prefix-loop           A BSP round's decode rule (take arrivals in
+                        (time, worker) order, stop at the first decodable
+                        prefix) lives once, in src/core/decoder:
+                        first_decodable_prefix for a round whose arrivals
+                        are known, StreamingDecoder for one fed result by
+                        result. Naming QuorumTracker anywhere else in src/
+                        is the start of another sort-gate-probe loop that
+                        can drift from it in tie order or gating.
 
 Suppressions: `// lint:allow(<rule>): <justification>` — trailing on the
 offending line, or alone on the line above (then it covers the next line
@@ -166,6 +174,17 @@ RULES = {
                        r"abs|neg|max|min)q?_(?:lane_)?f(?:32|64)\b"),
         ],
         exclude=["src/linalg/"],
+    ),
+    "prefix-loop": Rule(
+        name="prefix-loop",
+        description=(
+            "QuorumTracker outside src/core/decoder (decode a round with "
+            "first_decodable_prefix or StreamingDecoder instead of another "
+            "sort-gate-probe loop)"
+        ),
+        patterns=[re.compile(r"\bQuorumTracker\b")],
+        include=["src/"],
+        exclude=["src/core/decoder."],
     ),
 }
 

@@ -338,6 +338,43 @@ def test_stale_allow_is_an_error():
     assert "suppresses nothing" in out
 
 
+# --- prefix-loop ---------------------------------------------------------
+
+PREFIX_LOOP = """
+#include "core/decoder.hpp"
+double decode_time(const CodingScheme& scheme, Arrivals& arrivals) {
+  QuorumTracker quorums(scheme);
+  return 0.0;
+}
+"""
+
+
+def test_prefix_loop_fires_outside_decoder():
+    code, out = run_lint({"src/sim/my_round.cpp": PREFIX_LOOP})
+    assert code == 1
+    assert "src/sim/my_round.cpp:4: [prefix-loop]" in out
+    assert "first_decodable_prefix" in out  # the finding names the fix
+
+
+def test_prefix_loop_ignored_in_decoder_tests_and_comments():
+    code, out = run_lint({
+        "src/core/decoder.cpp": PREFIX_LOOP,
+        "src/core/decoder.hpp": "class QuorumTracker;\n",
+        "tests/test_gate.cpp": PREFIX_LOOP,
+        "src/engine/round.cpp": "// gated on QuorumTracker inside\nint x;\n",
+    })
+    assert code == 0, out
+
+
+def test_prefix_loop_allowed_with_justification():
+    snippet = PREFIX_LOOP.replace(
+        "QuorumTracker quorums(scheme);",
+        "QuorumTracker quorums(scheme);  "
+        "// lint:allow(prefix-loop): fixture for the gate itself")
+    code, out = run_lint({"src/sim/my_round.cpp": snippet})
+    assert code == 0, out
+
+
 # --- NOLINT budget -------------------------------------------------------
 
 def test_nolint_budget_enforced():
