@@ -324,7 +324,7 @@ BENCHMARK_CAPTURE(BM_GroupBasedConstruction, cluster_d_s2,
                   exact_partition_count(cluster_d(), 2), 2);
 
 void BM_GroupSearch(benchmark::State& state) {
-  // Alg. 2 alone (find_all_groups + prune_groups) on scale_cluster(m) at
+  // Alg. 2 alone (find_disjoint_groups) on scale_cluster(m) at
   // s = 2, k = 2m: the search a group-based scheme repeats on every churn
   // rebuild of the 10k-worker grid. The 256-cover cap binds, so this times
   // a DFS cut off at 256 emitted covers of ~0.57m workers each.
@@ -333,7 +333,7 @@ void BM_GroupSearch(benchmark::State& state) {
   const Assignment assignment = cyclic_assignment(
       heter_aware_counts(scale_cluster(m).throughputs(), k, 2), k);
   for (auto _ : state) {
-    std::vector<Group> groups = prune_groups(find_all_groups(assignment, k));
+    std::vector<Group> groups = find_disjoint_groups(assignment, k);
     benchmark::DoNotOptimize(groups);
   }
 }

@@ -1,6 +1,7 @@
 #include "core/decoder.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "core/robustness.hpp"
 #include "obs/metrics.hpp"
@@ -67,11 +68,8 @@ std::vector<DecodingRow> build_decoding_matrix(const CodingScheme& scheme) {
   return rows;
 }
 
-QuorumTracker::QuorumTracker(const CodingScheme& scheme, DecodingCache* cache)
-    : scheme_(scheme), cache_(cache), counts_(scheme.quorums().size(), 0) {
-  HGC_REQUIRE(!cache_ || &cache_->scheme() == &scheme_,
-              "decoding cache must wrap the decoded scheme");
-}
+QuorumTracker::QuorumTracker(const CodingScheme& scheme)
+    : scheme_(scheme), counts_(scheme.quorums().size(), 0) {}
 
 bool QuorumTracker::add(WorkerId w) {
   const auto& quorums = scheme_.quorums();
@@ -86,29 +84,104 @@ bool QuorumTracker::add(WorkerId w) {
 std::optional<Vector> QuorumTracker::add_and_probe(
     WorkerId w, const std::vector<bool>& received) {
   if (!add(w)) return std::nullopt;  // no decode can succeed yet
-  return probe_decoding_coefficients(scheme_, received, cache_);
+  return solve_decoding_coefficients(scheme_, received);
 }
+
+namespace {
+
+/// first_decodable_prefix's scratch, one per thread (the linalg workspace
+/// idiom): once a thread has seen the largest m, a round allocates nothing
+/// that grows with m. Results never depend on workspace history.
+struct PrefixWorkspace {
+  std::vector<bool> received;
+  std::vector<double> time_of;   ///< arrival time of each arriving worker
+  std::vector<Arrival> members;  ///< one quorum's arriving members
+};
+
+PrefixWorkspace& prefix_workspace() {
+  thread_local PrefixWorkspace ws;
+  return ws;
+}
+
+}  // namespace
 
 DecodablePrefix first_decodable_prefix(const CodingScheme& scheme,
                                        std::span<Arrival> arrivals,
                                        DecodingCache* cache) {
-  std::sort(arrivals.begin(), arrivals.end());
-  DecodablePrefix prefix;
-  QuorumTracker quorums(scheme, cache);
-  std::vector<bool> received(scheme.num_workers(), false);
-  for (const Arrival& arrival : arrivals) {
-    const WorkerId w = arrival.second;
-    HGC_REQUIRE(w < received.size() && !received[w],
+  HGC_REQUIRE(!cache || &cache->scheme() == &scheme,
+              "decoding cache must wrap the decoded scheme");
+  const std::size_t m = scheme.num_workers();
+  PrefixWorkspace& ws = prefix_workspace();
+  std::vector<bool>& received = ws.received;
+  received.assign(m, false);
+  ws.time_of.resize(m);
+  for (const auto& [time, w] : arrivals) {
+    HGC_REQUIRE(w < m && !received[w],
                 "arrival from an unknown or repeated worker");
     received[w] = true;
+    ws.time_of[w] = time;
+  }
+
+  // The first arrival at which a quorum is met: per quorum, the need-th
+  // smallest (time, worker) among its arriving members, by selection. The
+  // earliest of those is where QuorumTracker would first report met().
+  std::optional<Arrival> met_at;
+  const auto select = [&](std::span<Arrival> members, std::size_t need) {
+    if (members.size() < need) return;
+    const auto nth = members.begin() + static_cast<std::ptrdiff_t>(need - 1);
+    std::nth_element(members.begin(), nth, members.end());
+    if (!met_at || *nth < *met_at) met_at = *nth;
+  };
+  for (const DecodeQuorum& quorum : scheme.quorums()) {
+    if (quorum.workers.empty()) {
+      select(arrivals, quorum.need);
+      continue;
+    }
+    ws.members.clear();
+    for (WorkerId w : quorum.workers)
+      if (received[w]) ws.members.emplace_back(ws.time_of[w], w);
+    select(ws.members, quorum.need);
+  }
+
+  DecodablePrefix prefix;
+  prefix.quorum_met = met_at.has_value();
+  if (!met_at) {  // no probe can succeed
+    prefix.taken = arrivals.size();
+    return prefix;
+  }
+
+  // No probe happens before a quorum is met, so the arrivals up to it enter
+  // the received set at once, in any order; the first probe is there.
+  const auto later =
+      std::partition(arrivals.begin(), arrivals.end(),
+                     [&](const Arrival& a) { return a <= *met_at; });
+  received.assign(m, false);
+  for (auto it = arrivals.begin(); it != later; ++it) received[it->second] = true;
+  prefix.taken = static_cast<std::size_t>(later - arrivals.begin());
+  prefix.coefficients = probe_decoding_coefficients(scheme, received, cache);
+  if (prefix.coefficients) {
+    prefix.decisive = met_at;
+    return prefix;
+  }
+
+  // Then one probe per later arrival, popped from a min-heap in (time,
+  // worker) order, until one decodes.
+  const auto heap = arrivals.subspan(prefix.taken);
+  std::make_heap(heap.begin(), heap.end(), std::greater<>{});
+  for (auto end = heap.end(); end != heap.begin(); --end) {
+    std::pop_heap(heap.begin(), end, std::greater<>{});
+    const Arrival next = *(end - 1);
+    received[next.second] = true;
     ++prefix.taken;
-    prefix.coefficients = quorums.add_and_probe(w, received);
+    prefix.coefficients = probe_decoding_coefficients(scheme, received, cache);
     if (prefix.coefficients) {
-      prefix.decisive = arrival;
+      prefix.decisive = next;
+      // The popped arrivals sit at the back: move the taken ones forward.
+      std::partition(heap.begin(), heap.end(),
+                     [&](const Arrival& a) { return a <= next; });
       break;
     }
   }
-  prefix.quorum_met = quorums.met();
   return prefix;
 }
 

@@ -5,9 +5,9 @@
 // real time: a BSP round (Section III-C) takes results in arrival order and
 // stops at the first prefix that decodes. first_decodable_prefix applies
 // that rule to a whole round's arrivals, StreamingDecoder one result at a
-// time (the threaded master). Both gate on QuorumTracker, which counts
-// arrivals per decode quorum so the solver only runs once a decode can
-// succeed.
+// time (the threaded master). Both gate on the scheme's decode quorums, so
+// the solver only runs once a decode can succeed: the round finds the first
+// met quorum by selection, the stream counts arrivals in QuorumTracker.
 #pragma once
 
 #include <optional>
@@ -56,17 +56,14 @@ std::optional<Vector> probe_decoding_coefficients(
 /// first, nor its coefficients.
 class QuorumTracker {
  public:
-  /// `cache`, when non-null, must wrap `scheme`; probes then go through its
-  /// LRU instead of solve_decoding_coefficients.
-  explicit QuorumTracker(const CodingScheme& scheme,
-                         DecodingCache* cache = nullptr);
+  explicit QuorumTracker(const CodingScheme& scheme);
 
   /// Count worker w's arrival (each worker at most once per round).
   /// Returns met().
   bool add(WorkerId w);
 
-  /// The gate-and-probe step both real-time decoders share: add(w) and,
-  /// once a quorum is met, probe the prefix `received` (w already marked).
+  /// The streaming gate-and-probe step: add(w) and, once a quorum is met,
+  /// solve the prefix `received` (w already marked).
   std::optional<Vector> add_and_probe(WorkerId w,
                                       const std::vector<bool>& received);
 
@@ -74,7 +71,6 @@ class QuorumTracker {
 
  private:
   const CodingScheme& scheme_;
-  DecodingCache* cache_;
   std::vector<std::size_t> counts_;
   bool met_ = false;
 };
@@ -92,7 +88,10 @@ struct DecodablePrefix {
 
 /// The T(B, S) rule of Section III-C: take `arrivals` (each worker at most
 /// once) in (time, worker) order and stop at the first prefix whose received
-/// set decodes, probing through QuorumTracker::add_and_probe.
+/// set decodes. Probes (through `cache` when non-null, which must wrap
+/// `scheme`) start at the first prefix that meets a decode quorum, found
+/// by selecting each quorum's need-th arrival, so no sort: O(m + Σ|quorum|)
+/// plus O(log m) per later probe.
 /// On return the first `taken` entries of `arrivals` are the taken ones;
 /// callers must not rely on the order of either part.
 DecodablePrefix first_decodable_prefix(const CodingScheme& scheme,

@@ -24,9 +24,8 @@ GroupBasedScheme::Build make_build(const Throughputs& c, std::size_t k,
   Assignment assignment = cyclic_assignment(counts, k);
   const std::size_t m = assignment.size();
 
-  // Alg. 2: enumerate groups in the support, then prune to disjointness.
-  std::vector<Group> groups =
-      prune_groups(find_all_groups(assignment, k, limits));
+  // Alg. 2: the exact covers of the support, pruned to disjointness.
+  std::vector<Group> groups = find_disjoint_groups(assignment, k, limits);
   const std::size_t p = groups.size();
   HGC_ASSERT(p <= s + 1,
              "disjoint groups cannot exceed the replication factor");

@@ -8,11 +8,12 @@
 // worker-disjoint (condition ⋆⋆), which is what lets Theorem 6 charge one
 // straggler per damaged group.
 //
-// FindAllGroups is an exact-cover enumeration (Algorithm-X branching rule:
-// always extend on the lowest-index uncovered partition, so each cover is
-// produced exactly once). Exact cover is NP-complete in general, so the
-// search carries node/solution caps, and on the contiguous cyclic supports
-// the heterogeneity-aware allocator emits they do bind:
+// find_disjoint_groups runs Alg. 2 in one pass. The covers come from an
+// exact-cover enumeration (Algorithm-X branching rule: always extend on the
+// lowest-index uncovered partition, so each cover is produced exactly once).
+// Exact cover is NP-complete in general, so the search carries node/solution
+// caps, and on the contiguous cyclic supports the heterogeneity-aware
+// allocator emits they do bind:
 //   * Table II Cluster-D at s = 2 (k = exact_partition_count = 108) has
 //     28,561 exact covers; the search stops at 256 and pruning keeps 1.
 //   * scale_cluster(m) at s = 2, k = 2m, hits the 256-cover cap from
@@ -22,8 +23,12 @@
 // cap, so capped results are visible in a metrics snapshot.
 //
 // The search keeps one `covered` byte per partition and a CSR list of each
-// partition's holders: memory is O(m + k + output), and each node costs
-// O(|support|) per candidate worker.
+// partition's holders, so each node costs O(|support|) per candidate worker.
+// Found covers are not built as worker lists: they are leaves of a trie of
+// DFS paths (consecutive covers share the path down to where the DFS
+// backtracked), and pruning reads their order and conflicts off the trie.
+// Only the kept groups are built as sorted lists, so memory is
+// O(m + k + trie nodes + G²/64 words) for G covers found, not O(G·m).
 #pragma once
 
 #include <cstddef>
@@ -36,24 +41,22 @@ namespace hgc {
 /// A group: worker ids, sorted ascending.
 using Group = std::vector<WorkerId>;
 
-/// Search limits for FindAllGroups.
+/// Search limits for find_disjoint_groups.
 struct GroupSearchLimits {
   std::size_t max_groups = 256;   ///< stop after this many covers found
   std::size_t max_nodes = 200000; ///< stop after this many search nodes
 };
 
-/// Enumerate worker sets satisfying condition ⋆ (exact covers of the k
-/// partitions by the workers' assignments). Workers with empty assignments
-/// never join a group.
-std::vector<Group> find_all_groups(const Assignment& assignment,
-                                   std::size_t k,
-                                   const GroupSearchLimits& limits = {});
-
-/// Condition ⋆⋆: drop groups until the survivors are pairwise
-/// worker-disjoint. Greedy rule from the paper: repeatedly remove the group
-/// that intersects the most others (ties: the larger group, then the later
-/// one), so small easily-completed groups survive.
-std::vector<Group> prune_groups(std::vector<Group> groups);
+/// Alg. 2: the groups a group-based scheme keeps, each sorted ascending and
+/// the list in lexicographic order. Condition ⋆: enumerate the exact covers of the k partitions by
+/// the workers' assignments (workers with empty assignments never join one),
+/// up to `limits`. Condition ⋆⋆: drop covers until the survivors are pairwise
+/// worker-disjoint, by the paper's greedy rule — repeatedly remove the cover
+/// that intersects the most others (ties: the larger cover, then the later
+/// one in sorted order), so small easily-completed groups survive.
+std::vector<Group> find_disjoint_groups(const Assignment& assignment,
+                                        std::size_t k,
+                                        const GroupSearchLimits& limits = {});
 
 /// True iff `group` exactly partitions the k partitions (condition ⋆).
 bool is_exact_cover(const Assignment& assignment, std::size_t k,

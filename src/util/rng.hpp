@@ -79,7 +79,9 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  /// Choose `count` distinct indices from [0, n) uniformly at random.
+  /// Choose `count` distinct indices from [0, n) uniformly at random,
+  /// returned ascending. O(count) memory and O(count²) time, so a few
+  /// stragglers out of 10,000 workers cost a few draws, not a pool of n.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t count);
 

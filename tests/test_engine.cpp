@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "core/scheme_factory.hpp"
 #include "engine/link.hpp"
 #include "engine/round.hpp"
+#include "obs/metrics.hpp"
 #include "sim/experiment.hpp"
 #include "sim/iteration.hpp"
 
@@ -256,6 +258,31 @@ class RecordingLink : public engine::Link {
   engine::Link* inner_;
 };
 
+/// Bit-for-bit equality of a round and its reference.
+void expect_same_round(const RoundOutcome& got, const RoundOutcome& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.decoded, want.decoded) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.time),
+            std::bit_cast<std::uint64_t>(want.time))
+      << where;
+  EXPECT_EQ(got.results_used, want.results_used) << where;
+  EXPECT_EQ(got.events_executed, want.events_executed) << where;
+  if (!got.decoded) return;
+  ASSERT_EQ(got.coefficients->size(), want.coefficients->size()) << where;
+  for (std::size_t i = 0; i < got.coefficients->size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>((*got.coefficients)[i]),
+              std::bit_cast<std::uint64_t>((*want.coefficients)[i]))
+        << where << ", coefficient " << i;
+}
+
+/// Whether a round's arrival list holds two equal times.
+bool has_tie(const std::vector<std::pair<double, WorkerId>>& answers) {
+  std::vector<double> times;
+  for (const auto& answer : answers) times.push_back(answer.first);
+  std::sort(times.begin(), times.end());
+  return std::adjacent_find(times.begin(), times.end()) != times.end();
+}
+
 TEST(EngineRound, TieOrderMatchesStableSortReference) {
   // Unit speed factors and delays from {0, d} make equal-throughput workers
   // arrive at exactly the same time, so the (time, worker) tie-break decides
@@ -332,6 +359,66 @@ TEST(EngineRound, TieOrderMatchesStableSortReference) {
     EXPECT_GT(undecodable, 0u);
     EXPECT_GT(tied, 100u);
   }
+}
+
+TEST(EngineRound, TieOrderMatchesStableSortReferenceAtScale) {
+  // scale_cluster has a handful of throughput classes, so with unit speed
+  // factors and {0, d} delays thousands of workers tie and the selection
+  // of a round's decisive arrival runs over large tied blocks. Up to s + 1
+  // faults make some rounds undecodable. Fractional repetition's quorum
+  // (one result per block, counted globally) is met well before every
+  // block is covered, so its first probe fails and the later arrivals are
+  // probed one by one.
+  obs::Registry::global().reset();
+  obs::set_metrics_enabled(true);
+  const auto solves = [] {
+    return obs::Registry::global().snapshot().counter("decode.solves");
+  };
+  std::size_t decoded = 0, undecodable = 0, tied = 0, probed_past_quorum = 0;
+  for (const std::size_t m : {1000, 10000}) {
+    const Cluster cluster = scale_cluster(m);
+    const double d = 0.5 * ideal_iteration_time(cluster, 1);
+    std::vector<SchemeKind> kinds = paper_schemes();
+    kinds.push_back(SchemeKind::kFractionalRepetition);
+    for (const SchemeKind kind : kinds) {
+      const std::size_t s = kind == SchemeKind::kFractionalRepetition ? 1 : 2;
+      Rng build_rng(95);
+      const auto scheme =
+          make_scheme(kind, cluster.throughputs(), 2 * m, s, build_rng);
+      for (std::uint64_t seed = 0; seed < (m == 1000 ? 6 : 2); ++seed) {
+        Rng rng(3000 + seed);
+        auto cond = clean_conditions(m);
+        for (WorkerId w = 0; w < m; ++w)
+          if (rng.bernoulli(0.3)) cond.delay[w] = d;
+        const auto faults = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(s) + 1));
+        for (WorkerId w : rng.sample_without_replacement(m, faults))
+          cond.faulted[w] = true;
+
+        FixedLatencyLink fixed(0.001);
+        RecordingLink link(fixed);
+        const std::uint64_t solves_before = solves();
+        const RoundOutcome got = engine::run_round(*scheme, cluster, cond, link);
+        const std::uint64_t probes = solves() - solves_before;
+        const RoundOutcome want = reference_round(*scheme, link.answers);
+        if (has_tie(link.answers)) ++tied;
+        const std::string where = scheme->name() + ", m " + std::to_string(m) +
+                                  ", seed " + std::to_string(seed);
+        expect_same_round(got, want, where);
+        ++(got.decoded ? decoded : undecodable);
+        if (kind == SchemeKind::kFractionalRepetition && got.decoded) {
+          EXPECT_GT(probes, 1u) << where;
+          ++probed_past_quorum;
+        }
+      }
+    }
+  }
+  obs::set_metrics_enabled(false);
+  obs::Registry::global().reset();
+  EXPECT_GT(decoded, 20u);
+  EXPECT_GT(undecodable, 0u);
+  EXPECT_EQ(tied, decoded + undecodable);
+  EXPECT_GT(probed_past_quorum, 0u);
 }
 
 TEST(EngineRound, RejectsMismatchedSizes) {

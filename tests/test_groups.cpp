@@ -1,4 +1,5 @@
-// Tests for Algorithm 2: FindAllGroups (exact covers) and PruneGroups.
+// Tests for Algorithm 2: find_disjoint_groups (exact covers, pruned to
+// pairwise-disjoint groups).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,8 +19,9 @@ namespace hgc {
 namespace {
 
 // The k-bit-mask DFS and the full-rescan pruning that core/groups.cpp
-// replaced, kept verbatim as an oracle: the library must return exactly
-// these ordered lists, including where a search cap cuts the DFS short.
+// replaced, kept verbatim as an oracle: find_disjoint_groups must return
+// exactly prune_groups(find_all_groups(...)), including where a search cap
+// cuts the DFS short.
 namespace oracle {
 namespace {
 
@@ -190,12 +192,12 @@ std::vector<Group> prune_groups(std::vector<Group> groups) {
 
 }  // namespace oracle
 
-TEST(FindAllGroups, PaperExample1Groups) {
+TEST(FindDisjointGroups, PaperExample1Groups) {
   // Example 1 allocation: W0:{0} W1:{1,2} W2:{3,4,5} W3:{0,1,2,6}
-  // W4:{3,4,5,6}. Exact covers: {W0,W1,W4} and {W2,W3}.
+  // W4:{3,4,5,6}. Exact covers: {W0,W1,W4} and {W2,W3}, already disjoint.
   const auto assignment =
       cyclic_assignment(std::vector<std::size_t>{1, 2, 3, 4, 4}, 7);
-  const auto groups = find_all_groups(assignment, 7);
+  const auto groups = find_disjoint_groups(assignment, 7);
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0], (Group{0, 1, 4}));
   EXPECT_EQ(groups[1], (Group{2, 3}));
@@ -203,88 +205,70 @@ TEST(FindAllGroups, PaperExample1Groups) {
   EXPECT_TRUE(is_exact_cover(assignment, 7, groups[1]));
 }
 
-TEST(FindAllGroups, SingleWorkerHoldingEverything) {
+TEST(FindDisjointGroups, SingleWorkerHoldingEverything) {
   const Assignment assignment = {{0, 1, 2}, {0}, {1, 2}};
-  const auto groups = find_all_groups(assignment, 3);
+  const auto groups = find_disjoint_groups(assignment, 3);
   // {W0} alone and {W1, W2} are both exact covers.
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0], (Group{0}));
   EXPECT_EQ(groups[1], (Group{1, 2}));
 }
 
-TEST(FindAllGroups, NoGroupsWhenNothingTiles) {
+TEST(FindDisjointGroups, NoGroupsWhenNothingTiles) {
   // Overlapping supports that can never partition D exactly.
   const Assignment assignment = {{0, 1}, {1, 2}, {0, 2}};
-  EXPECT_TRUE(find_all_groups(assignment, 3).empty());
+  EXPECT_TRUE(find_disjoint_groups(assignment, 3).empty());
 }
 
-TEST(FindAllGroups, IgnoresEmptyWorkers) {
+TEST(FindDisjointGroups, IgnoresEmptyWorkers) {
   const Assignment assignment = {{}, {0}, {1}, {}};
-  const auto groups = find_all_groups(assignment, 2);
+  const auto groups = find_disjoint_groups(assignment, 2);
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0], (Group{1, 2}));
 }
 
-TEST(FindAllGroups, EnumeratesEachCoverOnce) {
+TEST(FindDisjointGroups, EnumeratesEachCoverOnce) {
   // Two disjoint tilings sharing no structure: {0},{1} and {0,1}.
   const Assignment assignment = {{0}, {1}, {0, 1}};
-  const auto groups = find_all_groups(assignment, 2);
+  const auto groups = find_disjoint_groups(assignment, 2);
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0], (Group{0, 1}));
   EXPECT_EQ(groups[1], (Group{2}));
 }
 
-TEST(FindAllGroups, RespectsSolutionCap) {
-  // Every pair {i, i+5} tiles; many covers exist. Cap at 3.
+TEST(FindDisjointGroups, RespectsSolutionCap) {
+  // Every pair {i, i+5} tiles: 25 covers, of which a greedy prune keeps
+  // several disjoint ones. Capped at 3 the search finds {0,5}, {0,6} and
+  // {0,7}, which all share worker 0: the later ones go, {0,5} stays.
   Assignment assignment;
   for (int i = 0; i < 5; ++i) assignment.push_back({0});
   for (int i = 0; i < 5; ++i) assignment.push_back({1});
   GroupSearchLimits limits;
   limits.max_groups = 3;
-  const auto groups = find_all_groups(assignment, 2, limits);
-  EXPECT_EQ(groups.size(), 3u);
+  EXPECT_EQ(find_disjoint_groups(assignment, 2, limits),
+            (std::vector<Group>{{0, 5}}));
+  EXPECT_GT(find_disjoint_groups(assignment, 2).size(), 1u);
 }
 
-TEST(FindAllGroups, WorksBeyond64Partitions) {
+TEST(FindDisjointGroups, WorksBeyond64Partitions) {
   // 130 partitions, alternating between two complementary workers.
   const std::size_t k = 130;
   Assignment assignment(2);
   for (std::size_t p = 0; p < k; ++p)
     assignment[p % 2].push_back(p);
-  const auto groups = find_all_groups(assignment, k);
+  const auto groups = find_disjoint_groups(assignment, k);
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0], (Group{0, 1}));
 }
 
-TEST(PruneGroups, AlreadyDisjointUntouched) {
-  std::vector<Group> groups = {{0, 1}, {2, 3}};
-  const auto pruned = prune_groups(groups);
-  EXPECT_EQ(pruned, groups);
-  EXPECT_TRUE(are_disjoint(pruned));
-}
-
-TEST(PruneGroups, RemovesMostConflictingGroup) {
-  // Group {0,1,2} intersects both {0,3} and {1,4}; they don't intersect
-  // each other, so pruning drops the big one.
-  const std::vector<Group> groups = {{0, 1, 2}, {0, 3}, {1, 4}};
-  const auto pruned = prune_groups(groups);
-  ASSERT_EQ(pruned.size(), 2u);
-  EXPECT_TRUE(are_disjoint(pruned));
-  EXPECT_EQ(pruned[0], (Group{0, 3}));
-  EXPECT_EQ(pruned[1], (Group{1, 4}));
-}
-
-TEST(PruneGroups, ChainConflictKeepsMaximalSet) {
-  // a-{0,1}, b-{1,2}, c-{2,3}: b conflicts with both; pruning b leaves two
-  // disjoint groups.
-  const std::vector<Group> groups = {{0, 1}, {1, 2}, {2, 3}};
-  const auto pruned = prune_groups(groups);
-  ASSERT_EQ(pruned.size(), 2u);
-  EXPECT_TRUE(are_disjoint(pruned));
-}
-
-TEST(PruneGroups, EmptyInput) {
-  EXPECT_TRUE(prune_groups({}).empty());
+TEST(FindDisjointGroups, RemovesMostConflictingGroup) {
+  // W0:{0} W1:{1} W2:{2} W3:{1,2} W4:{0,2}. Exact covers: {0,1,2}, {0,3}
+  // and {1,4}. {0,1,2} intersects both others, which are disjoint, so
+  // pruning drops the big one.
+  const Assignment assignment = {{0}, {1}, {2}, {1, 2}, {0, 2}};
+  const auto groups = find_disjoint_groups(assignment, 3);
+  EXPECT_EQ(groups, (std::vector<Group>{{0, 3}, {1, 4}}));
+  EXPECT_TRUE(are_disjoint(groups));
 }
 
 TEST(AreDisjoint, DetectsSharedWorker) {
@@ -305,8 +289,8 @@ TEST(IsExactCover, RejectsOutOfRangeIds) {
   EXPECT_FALSE(is_exact_cover(assignment, 1, Group{5}));
 }
 
-// Property: on allocator-produced supports, every found group is an exact
-// cover, and pruning always yields pairwise-disjoint groups.
+// Property: on allocator-produced supports, every kept group is an exact
+// cover, and the kept groups are pairwise disjoint.
 class GroupSweep
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
 
@@ -318,12 +302,11 @@ TEST_P(GroupSweep, FoundGroupsAreCoversAndPruneDisjoint) {
     Throughputs c(m);
     for (double& x : c) x = rng.uniform(1.0, 8.0);
     const auto assignment = cyclic_assignment(heter_aware_counts(c, k, s), k);
-    const auto groups = find_all_groups(assignment, k);
+    const auto groups = find_disjoint_groups(assignment, k);
     for (const Group& g : groups)
       EXPECT_TRUE(is_exact_cover(assignment, k, g));
-    const auto pruned = prune_groups(groups);
-    EXPECT_TRUE(are_disjoint(pruned));
-    EXPECT_LE(pruned.size(), s + 1);  // ≤ replication factor
+    EXPECT_TRUE(are_disjoint(groups));
+    EXPECT_LE(groups.size(), s + 1);  // ≤ replication factor
   }
 }
 
@@ -335,19 +318,19 @@ INSTANTIATE_TEST_SUITE_P(Grid, GroupSweep,
                                   "_s" + std::to_string(std::get<1>(test_info.param));
                          });
 
-TEST(FindAllGroups, RejectsWorkerListingAPartitionTwice) {
+TEST(FindDisjointGroups, RejectsWorkerListingAPartitionTwice) {
   // A repeated partition would let a worker "cover" it twice; the search
   // must refuse the input rather than return non-covers.
   const Assignment assignment = {{0, 0}, {1}};
   try {
-    find_all_groups(assignment, 2);
+    find_disjoint_groups(assignment, 2);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("worker 0 lists partition 0"), std::string::npos)
         << what;
   }
-  EXPECT_THROW(find_all_groups(Assignment{{0}, {1, 2, 1}}, 3),
+  EXPECT_THROW(find_disjoint_groups(Assignment{{0}, {1, 2, 1}}, 3),
                std::invalid_argument);
 }
 
@@ -358,13 +341,11 @@ Assignment heter_assignment(const Throughputs& c, std::size_t k,
   return cyclic_assignment(heter_aware_counts(c, k, s), k);
 }
 
-/// find_all_groups and prune_groups return the oracle's exact ordered lists.
+/// find_disjoint_groups returns the oracle's exact ordered kept list.
 void expect_matches_oracle(const Assignment& assignment, std::size_t k,
                            const GroupSearchLimits& limits = {}) {
-  const auto found = find_all_groups(assignment, k, limits);
-  const auto expected = oracle::find_all_groups(assignment, k, limits);
-  ASSERT_EQ(found, expected);
-  EXPECT_EQ(prune_groups(found), oracle::prune_groups(expected));
+  EXPECT_EQ(find_disjoint_groups(assignment, k, limits),
+            oracle::prune_groups(oracle::find_all_groups(assignment, k, limits)));
 }
 
 TEST(GroupsOracle, PaperClusters) {
@@ -380,13 +361,14 @@ TEST(GroupsOracle, PaperClusters) {
   // Cluster-D at s = 2 is the paper case where the 256-cover cap binds.
   const Cluster d = cluster_d();
   const std::size_t k = exact_partition_count(d, 2);
-  const auto groups = find_all_groups(heter_assignment(d.throughputs(), k, 2), k);
-  EXPECT_EQ(groups.size(), GroupSearchLimits{}.max_groups);
-  EXPECT_EQ(prune_groups(groups).size(), 1u);
+  const Assignment assignment = heter_assignment(d.throughputs(), k, 2);
+  EXPECT_EQ(oracle::find_all_groups(assignment, k, {}).size(),
+            GroupSearchLimits{}.max_groups);
+  EXPECT_EQ(find_disjoint_groups(assignment, k).size(), 1u);
 }
 
 TEST(GroupsOracle, ScaleClusters) {
-  for (std::size_t m : {58, 100, 1000}) {
+  for (std::size_t m : {58, 100, 1000, 10000}) {
     SCOPED_TRACE("m=" + std::to_string(m));
     const std::size_t k = 2 * m;
     expect_matches_oracle(
@@ -449,34 +431,6 @@ TEST(GroupsOracle, LimitsThatBindMidSearch) {
       }
 }
 
-TEST(GroupsOracle, PruneRandomGroupLists) {
-  // Small worker universes make conflict-count and size ties common, and
-  // some lists repeat a group outright.
-  Rng rng(1603);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 14));
-    const auto universe = rng.uniform_int(2, 10);
-    std::vector<Group> groups;
-    for (std::size_t g = 0; g < n; ++g) {
-      if (!groups.empty() && rng.bernoulli(0.1)) {
-        groups.push_back(groups[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(groups.size()) - 1))]);
-        continue;
-      }
-      Group group;
-      for (WorkerId w = 0; w < static_cast<WorkerId>(universe); ++w)
-        if (rng.bernoulli(0.3)) group.push_back(w);
-      if (group.empty())
-        group.push_back(static_cast<WorkerId>(rng.uniform_int(0, universe - 1)));
-      groups.push_back(std::move(group));
-    }
-    SCOPED_TRACE("trial " + std::to_string(trial));
-    const auto pruned = prune_groups(groups);
-    EXPECT_EQ(pruned, oracle::prune_groups(groups));
-    EXPECT_TRUE(are_disjoint(pruned));
-  }
-}
-
 // --- Observability ------------------------------------------------------
 
 TEST(GroupsMetrics, SearchTruncatedCountsCappedSearches) {
@@ -489,16 +443,16 @@ TEST(GroupsMetrics, SearchTruncatedCountsCappedSearches) {
 
   const Cluster a = cluster_a();
   const std::size_t ka = exact_partition_count(a, 1);
-  find_all_groups(heter_assignment(a.throughputs(), ka, 1), ka);
+  find_disjoint_groups(heter_assignment(a.throughputs(), ka, 1), ka);
   EXPECT_EQ(truncated(), 0u);
 
   const Cluster d = cluster_d();
   const std::size_t kd = exact_partition_count(d, 2);
-  find_all_groups(heter_assignment(d.throughputs(), kd, 2), kd);
+  find_disjoint_groups(heter_assignment(d.throughputs(), kd, 2), kd);
   EXPECT_EQ(truncated(), 1u);
 
   obs::set_metrics_enabled(false);
-  find_all_groups(heter_assignment(d.throughputs(), kd, 2), kd);
+  find_disjoint_groups(heter_assignment(d.throughputs(), kd, 2), kd);
   EXPECT_EQ(truncated(), 1u);  // disabled: no count
   obs::Registry::global().reset();
 }

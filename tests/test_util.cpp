@@ -1,7 +1,9 @@
 // Unit tests for src/util: RNG, stats, tables, args.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "util/args.hpp"
@@ -87,6 +89,36 @@ TEST(Rng, SampleWholePopulation) {
   Rng rng(5);
   const auto sample = rng.sample_without_replacement(5, 5);
   EXPECT_EQ(sample, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(Rng, SampleMatchesDensePoolFisherYates) {
+  // The dense-pool partial Fisher-Yates the sparse one replaced: the same
+  // uniform_int draws must give the same sample and leave the stream in the
+  // same state.
+  const auto dense = [](Rng& rng, std::size_t n, std::size_t count) {
+    std::vector<std::size_t> pool(n);
+    for (std::size_t i = 0; i < n; ++i) pool[i] = i;
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto j = static_cast<std::size_t>(
+          rng.uniform_int(static_cast<std::int64_t>(i),
+                          static_cast<std::int64_t>(n) - 1));
+      std::swap(pool[i], pool[j]);
+    }
+    pool.resize(count);
+    std::sort(pool.begin(), pool.end());
+    return pool;
+  };
+  for (std::size_t n : {1, 2, 58, 10000})
+    for (std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{2}, n}) {
+      if (count > n) continue;
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng sparse_rng(seed), dense_rng(seed);
+        EXPECT_EQ(sparse_rng.sample_without_replacement(n, count),
+                  dense(dense_rng, n, count))
+            << "n=" << n << " count=" << count << " seed=" << seed;
+        EXPECT_EQ(sparse_rng.engine()(), dense_rng.engine()());
+      }
+    }
 }
 
 TEST(Rng, SampleRejectsOversizedRequest) {
