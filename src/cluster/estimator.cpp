@@ -35,11 +35,6 @@ void ThroughputEstimator::observe(WorkerId w, double work_fraction,
   ++counts_[w];
 }
 
-std::size_t ThroughputEstimator::observations(WorkerId w) const {
-  HGC_REQUIRE(w < counts_.size(), "worker id out of range");
-  return counts_[w];
-}
-
 double ThroughputEstimator::relative_deviation(
     const Throughputs& other) const {
   HGC_REQUIRE(other.size() == estimates_.size(), "size mismatch");

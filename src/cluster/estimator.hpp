@@ -28,7 +28,6 @@ class ThroughputEstimator {
   void observe(WorkerId w, double work_fraction, double seconds);
 
   const Throughputs& estimates() const { return estimates_; }
-  std::size_t observations(WorkerId w) const;
   std::size_t num_workers() const { return estimates_.size(); }
 
   /// Largest relative deviation between the current estimates and `other`

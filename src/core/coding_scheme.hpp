@@ -10,8 +10,8 @@
 // SparseRowMatrix: construction, encode, decode packing and the
 // load/assignment accessors all run off nonzero structure — O(m·s) instead
 // of the dense O(m·k) that walls out 10k-worker clusters. No dense copy of B
-// is ever built; a caller that wants one (a test at toy size) calls
-// sparse_matrix().to_dense().
+// is ever built in the library; tests build one at toy size from
+// sparse_matrix().
 //
 // The master's one linear-algebra question — does 1 lie in the row span of
 // B_R, and with which coefficients — is answered by one least-squares solve

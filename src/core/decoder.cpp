@@ -124,7 +124,7 @@ DecodablePrefix first_decodable_prefix(const CodingScheme& scheme,
 
   // The first arrival at which a quorum is met: per quorum, the need-th
   // smallest (time, worker) among its arriving members, by selection. The
-  // earliest of those is where QuorumTracker would first report met().
+  // earliest of those is where QuorumTracker::add would first return true.
   std::optional<Arrival> met_at;
   const auto select = [&](std::span<Arrival> members, std::size_t need) {
     if (members.size() < need) return;

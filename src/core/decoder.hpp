@@ -51,23 +51,21 @@ std::optional<Vector> probe_decoding_coefficients(
 /// Per-round arrival counters, one per decode quorum of a scheme. Each
 /// arrival costs O(quorums containing w + global quorums); once a quorum is
 /// met it stays met for the round. Since a met quorum is necessary for
-/// decoding_coefficients to succeed, every probe made while !met() would
-/// return nullopt — skipping them cannot change which arrival decodes
+/// decoding_coefficients to succeed, every probe made while none is met
+/// would return nullopt — skipping them cannot change which arrival decodes
 /// first, nor its coefficients.
 class QuorumTracker {
  public:
   explicit QuorumTracker(const CodingScheme& scheme);
 
   /// Count worker w's arrival (each worker at most once per round).
-  /// Returns met().
+  /// Returns whether some quorum is met.
   bool add(WorkerId w);
 
   /// The streaming gate-and-probe step: add(w) and, once a quorum is met,
   /// solve the prefix `received` (w already marked).
   std::optional<Vector> add_and_probe(WorkerId w,
                                       const std::vector<bool>& received);
-
-  bool met() const { return met_; }
 
  private:
   const CodingScheme& scheme_;

@@ -352,25 +352,4 @@ std::vector<Group> find_disjoint_groups(const Assignment& assignment,
   return prune(search);
 }
 
-bool is_exact_cover(const Assignment& assignment, std::size_t k,
-                    const Group& group) {
-  std::vector<std::size_t> copies(k, 0);
-  for (WorkerId w : group) {
-    if (w >= assignment.size()) return false;
-    for (PartitionId p : assignment[w]) {
-      if (p >= k) return false;
-      ++copies[p];
-    }
-  }
-  return std::all_of(copies.begin(), copies.end(),
-                     [](std::size_t c) { return c == 1; });
-}
-
-bool are_disjoint(const std::vector<Group>& groups) {
-  std::vector<WorkerId> all;
-  for (const Group& g : groups) all.insert(all.end(), g.begin(), g.end());
-  std::sort(all.begin(), all.end());
-  return std::adjacent_find(all.begin(), all.end()) == all.end();
-}
-
 }  // namespace hgc

@@ -18,6 +18,9 @@
 //     28,561 exact covers; the search stops at 256 and pruning keeps 1.
 //   * scale_cluster(m) at s = 2, k = 2m, hits the 256-cover cap from
 //     m = 100 up (1,136 covers exist at m = 100); pruning then keeps 1.
+//   * bench_micro_coding's spread_throughputs(m) inputs (heter-aware, s = 1,
+//     k = 2m) reach a cap from m = 16: pruning keeps 2 groups at m = 16 and
+//     1 at m = 32, against a complete search at m = 8.
 // Clusters A–C, and Cluster-D at s = 1 and 3, complete under the caps. The
 // `groups.search_truncated` metrics counter counts searches that reached a
 // cap, so capped results are visible in a metrics snapshot.
@@ -57,12 +60,5 @@ struct GroupSearchLimits {
 std::vector<Group> find_disjoint_groups(const Assignment& assignment,
                                         std::size_t k,
                                         const GroupSearchLimits& limits = {});
-
-/// True iff `group` exactly partitions the k partitions (condition ⋆).
-bool is_exact_cover(const Assignment& assignment, std::size_t k,
-                    const Group& group);
-
-/// True iff all groups are pairwise worker-disjoint (condition ⋆⋆).
-bool are_disjoint(const std::vector<Group>& groups);
 
 }  // namespace hgc

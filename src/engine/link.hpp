@@ -45,8 +45,8 @@ class FixedLatencyLink : public Link {
   double latency_;
 };
 
-/// Adapter over the seeded lossy network model; drops and byte accounting
-/// stay inside the wrapped SimulatedNetwork.
+/// Adapter over the seeded lossy network model; the drop draws stay inside
+/// the wrapped SimulatedNetwork.
 class NetworkLink : public Link {
  public:
   explicit NetworkLink(SimulatedNetwork& network) : network_(&network) {}

@@ -135,13 +135,7 @@ FigureSweep fig4_sweep(std::size_t iterations) {
       result.metrics.emplace_back(
           "failed_iters", static_cast<double>(bsp.failed_iterations));
     } else {
-      SspTrainingConfig config;
-      config.iterations = iters;
-      config.learning_rate = 0.4;
-      config.staleness = 3;
-      config.straggler_model = cell.experiment.model;
-      config.seed = cell.experiment.seed;
-      config.record_every = record_every;
+      const SspTrainingConfig config{cell.experiment, 0.4, record_every, 3};
       const auto ssp = train_ssp(*cell.cluster, model, *data, config);
       emit_trace(ssp.trace, result);
       result.metrics.emplace_back("failed_iters", 0.0);
@@ -187,13 +181,7 @@ FigureSweep fig4_noniid_sweep(std::size_t iterations) {
                                        bsp_config);
       result.metrics.emplace_back("final_loss", bsp.trace.final_loss());
     } else if (series == 1) {
-      SspTrainingConfig config;
-      config.iterations = iters;
-      config.learning_rate = 0.4;
-      config.staleness = 3;
-      config.straggler_model = cell.experiment.model;
-      config.seed = cell.experiment.seed;
-      config.record_every = record_every;
+      const SspTrainingConfig config{cell.experiment, 0.4, record_every, 3};
       const auto ssp = train_ssp(*cell.cluster, model, *sorted, config);
       result.metrics.emplace_back("final_loss", ssp.trace.final_loss());
     } else {

@@ -39,13 +39,6 @@ std::size_t SweepGrid::num_cells() const {
   return n;
 }
 
-double Cell::custom_value(const SweepGrid& grid,
-                          const std::string& name) const {
-  for (std::size_t i = 0; i < grid.custom_axes.size(); ++i)
-    if (grid.custom_axes[i].name == name) return custom.at(i);
-  throw std::invalid_argument("unknown custom axis: " + name);
-}
-
 namespace {
 
 std::string custom_axis_label(const CustomAxis& axis, std::size_t i) {
@@ -284,10 +277,7 @@ ResultTable run_sweep(const SweepGrid& grid, const CellFn& fn,
       results[cell.index] = guarded(cell);
     });
   pool.wait_idle();
-  if (recorder) {
-    recorder->stop();
-    if (opts.metrics_series) *opts.metrics_series = recorder->samples();
-  }
+  if (recorder) recorder->stop();
   if (opts.metrics_snapshot)
     *opts.metrics_snapshot = obs::Registry::global().snapshot();
 

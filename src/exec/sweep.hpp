@@ -127,9 +127,6 @@ struct Cell {
   std::uint64_t forked_seed = 0;
   /// Precomputed (axis, value) coordinates for the result row.
   std::vector<std::pair<std::string, std::string>> axes;
-
-  /// Value of the named custom axis (by grid order); throws if absent.
-  double custom_value(const SweepGrid& grid, const std::string& name) const;
 };
 
 /// What a cell reports back; everything lands in the cell's ResultRow.
@@ -167,9 +164,6 @@ struct SweepOptions {
   /// Optional recorder sink: one compact snapshot JSON per line (JSONL),
   /// appended at every sample. Not owned; ignored unless the recorder runs.
   std::ostream* metrics_log = nullptr;
-  /// When non-null (and the recorder ran), filled with the recorder's ring
-  /// contents — the last ~600 samples, oldest first — after the pool drains.
-  std::vector<obs::Snapshot>* metrics_series = nullptr;
 };
 
 /// Expand the grid into cells (cartesian product, deterministic order:

@@ -50,11 +50,6 @@ void ThreadPool::wait_idle() {
   idle_cv_.wait(lock, [this] { return unfinished_ == 0; });
 }
 
-std::size_t ThreadPool::steals() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return steals_;
-}
-
 std::size_t ThreadPool::default_threads() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
@@ -84,10 +79,8 @@ bool ThreadPool::try_steal(std::size_t self, std::function<void()>& task) {
 void ThreadPool::worker_loop(std::size_t self) {
   for (;;) {
     std::function<void()> task;
-    bool stolen = false;
     if (!try_pop_own(self, task)) {
-      stolen = try_steal(self, task);
-      if (!stolen) {
+      if (!try_steal(self, task)) {
         std::unique_lock<std::mutex> lock(state_mu_);
         // Re-check under the lock: a submit may have raced the failed scans.
         work_cv_.wait(lock, [this, self] {
@@ -113,7 +106,6 @@ void ThreadPool::worker_loop(std::size_t self) {
     }
     {
       std::lock_guard<std::mutex> lock(state_mu_);
-      if (stolen) ++steals_;
       if (--unfinished_ == 0) idle_cv_.notify_all();
     }
   }

@@ -40,10 +40,6 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Total tasks executed via steals (not from the owner's own deque);
-  /// diagnostics for tests and the sweep CLI's --verbose output.
-  std::size_t steals() const;
-
   /// hardware_concurrency, floored at 1.
   static std::size_t default_threads();
 
@@ -65,7 +61,6 @@ class ThreadPool {
   std::condition_variable idle_cv_;   ///< wakes wait_idle()
   std::size_t unfinished_ = 0;        ///< submitted but not yet completed
   std::size_t next_queue_ = 0;        ///< round-robin submit cursor
-  std::size_t steals_ = 0;
   bool stopping_ = false;
 };
 

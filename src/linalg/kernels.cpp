@@ -259,10 +259,6 @@ bool set_backend(Backend backend) noexcept {
   return true;
 }
 
-bool backend_available(Backend backend) noexcept {
-  return table_for(backend) != nullptr;
-}
-
 const char* backend_name(Backend backend) noexcept {
   switch (backend) {
     case Backend::kScalar:

@@ -86,9 +86,6 @@ Backend active_backend() noexcept;
 /// backend is not available on this build/host.
 bool set_backend(Backend backend) noexcept;
 
-/// Whether a backend is compiled in AND executable on this host.
-bool backend_available(Backend backend) noexcept;
-
 /// Stable lower-case name: "scalar" or "avx2".
 const char* backend_name(Backend backend) noexcept;
 

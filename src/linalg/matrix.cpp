@@ -19,12 +19,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   }
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 Matrix Matrix::ones(std::size_t rows, std::size_t cols) {
   Matrix m(rows, cols);
   std::fill(m.data_.begin(), m.data_.end(), 1.0);
@@ -51,31 +45,6 @@ Vector Matrix::col(std::size_t c) const {
 void Matrix::set_row(std::size_t r, std::span<const double> values) {
   HGC_REQUIRE(values.size() == cols_, "row length mismatch");
   std::copy(values.begin(), values.end(), row(r).begin());
-}
-
-Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
-  return out;
-}
-
-Matrix Matrix::select_rows(std::span<const std::size_t> indices) const {
-  Matrix out(indices.size(), cols_);
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    HGC_REQUIRE(indices[i] < rows_, "row selection out of range");
-    out.set_row(i, row(indices[i]));
-  }
-  return out;
-}
-
-Matrix Matrix::select_cols(std::span<const std::size_t> indices) const {
-  Matrix out(rows_, indices.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    HGC_REQUIRE(indices[i] < cols_, "column selection out of range");
-    for (std::size_t r = 0; r < rows_; ++r) out(r, i) = (*this)(r, indices[i]);
-  }
-  return out;
 }
 
 Matrix& Matrix::operator+=(const Matrix& other) {
@@ -110,28 +79,6 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Vector Matrix::apply(std::span<const double> x) const {
-  HGC_REQUIRE(x.size() == cols_, "vector length must equal matrix cols");
-  Vector out(rows_);
-  kernels::gemv(data_.data(), cols_, rows_, cols_, x, out);
-  return out;
-}
-
-Vector Matrix::apply_transpose(std::span<const double> x) const {
-  HGC_REQUIRE(x.size() == rows_, "vector length must equal matrix rows");
-  Vector out(cols_);
-  kernels::gemv_t(data_.data(), cols_, rows_, cols_, x, out);
-  return out;
-}
-
-double Matrix::max_abs_diff(const Matrix& a, const Matrix& b) {
-  HGC_REQUIRE(a.rows_ == b.rows_ && a.cols_ == b.cols_, "shape mismatch");
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.data_.size(); ++i)
-    worst = std::max(worst, std::abs(a.data_[i] - b.data_[i]));
-  return worst;
-}
-
 std::ostream& operator<<(std::ostream& os, const Matrix& m) {
   for (std::size_t r = 0; r < m.rows(); ++r) {
     os << (r == 0 ? "[" : " ");
@@ -150,8 +97,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
   return kernels::dot(a, b);
 }
 
-double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
-
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   HGC_REQUIRE(x.size() == y.size(), "axpy length mismatch");
   kernels::axpy(alpha, x, y);
@@ -164,19 +109,6 @@ Vector add(std::span<const double> a, std::span<const double> b) {
   Vector out(a.begin(), a.end());
   axpy(1.0, b, out);
   return out;
-}
-
-Vector subtract(std::span<const double> a, std::span<const double> b) {
-  HGC_REQUIRE(a.size() == b.size(), "subtract length mismatch");
-  Vector out(a.begin(), a.end());
-  axpy(-1.0, b, out);
-  return out;
-}
-
-double max_abs(std::span<const double> a) {
-  double worst = 0.0;
-  for (double x : a) worst = std::max(worst, std::abs(x));
-  return worst;
 }
 
 }  // namespace hgc

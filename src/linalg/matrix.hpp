@@ -29,7 +29,6 @@ class Matrix {
   /// Construct from nested braces: Matrix{{1,2},{3,4}}.
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
-  static Matrix identity(std::size_t n);
   /// All-ones matrix (the paper's 1-matrix).
   static Matrix ones(std::size_t rows, std::size_t cols);
 
@@ -63,13 +62,6 @@ class Matrix {
   Vector col(std::size_t c) const;
   void set_row(std::size_t r, std::span<const double> values);
 
-  Matrix transposed() const;
-
-  /// Submatrix keeping the given rows (in the given order; repeats allowed).
-  Matrix select_rows(std::span<const std::size_t> indices) const;
-  /// Submatrix keeping the given columns (in the given order).
-  Matrix select_cols(std::span<const std::size_t> indices) const;
-
   Matrix& operator+=(const Matrix& other);
   Matrix& operator-=(const Matrix& other);
   Matrix& operator*=(double scalar);
@@ -81,14 +73,6 @@ class Matrix {
 
   /// Matrix product (naive triple loop with the k-loop innermost hoisted).
   friend Matrix operator*(const Matrix& a, const Matrix& b);
-
-  /// Matrix-vector product a·x.
-  Vector apply(std::span<const double> x) const;
-  /// Row-vector product xᵀ·a (length-rows x, returns length-cols).
-  Vector apply_transpose(std::span<const double> x) const;
-
-  /// Max |a_ij − b_ij|; matrices must be the same shape.
-  static double max_abs_diff(const Matrix& a, const Matrix& b);
 
   friend std::ostream& operator<<(std::ostream& os, const Matrix& m);
 
@@ -104,13 +88,10 @@ class Matrix {
 // --- vector helpers (used heavily by the coding and ML layers) ---
 
 double dot(std::span<const double> a, std::span<const double> b);
-double norm2(std::span<const double> a);
 /// y ← y + alpha·x
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
 /// x ← alpha·x
 void scale(double alpha, std::span<double> x);
 Vector add(std::span<const double> a, std::span<const double> b);
-Vector subtract(std::span<const double> a, std::span<const double> b);
-double max_abs(std::span<const double> a);
 
 }  // namespace hgc

@@ -25,8 +25,8 @@ void QrWorkspace::factor(const Matrix& a) {
 void QrWorkspace::factor_transposed(const SparseRowMatrix& b,
                                     std::span<const std::size_t> rows) {
   // Pack (B_R)ᵀ column by column: zero-fill, then scatter row i's nonzeros
-  // down column i. Absent entries are +0.0, exactly what a dense gather of
-  // to_dense() would read, so the packed bytes match it.
+  // down column i. Absent entries are +0.0, exactly what a gather from the
+  // dense B would read, so the packed bytes match it.
   qr_.reshape(b.cols(), rows.size());
   std::fill(qr_.data().begin(), qr_.data().end(), 0.0);
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -12,35 +12,6 @@ double SparseRowMatrix::at(std::size_t r, std::size_t c) const {
   return row_values(r)[static_cast<std::size_t>(it - cols.begin())];
 }
 
-SparseRowMatrix SparseRowMatrix::from_dense(const Matrix& dense) {
-  SparseRowMatrix out;
-  out.cols_ = dense.cols();
-  out.row_ptr_.assign(1, 0);
-  out.row_ptr_.reserve(dense.rows() + 1);
-  for (std::size_t r = 0; r < dense.rows(); ++r) {
-    const auto row = dense.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (row[c] != 0.0) {
-        out.col_idx_.push_back(c);
-        out.values_.push_back(row[c]);
-      }
-    }
-    out.row_ptr_.push_back(out.values_.size());
-  }
-  return out;
-}
-
-Matrix SparseRowMatrix::to_dense() const {
-  Matrix dense(rows(), cols_);
-  for (std::size_t r = 0; r < rows(); ++r) {
-    const auto cols = row_cols(r);
-    const auto values = row_values(r);
-    const auto out = dense.row(r);
-    for (std::size_t i = 0; i < cols.size(); ++i) out[cols[i]] = values[i];
-  }
-  return dense;
-}
-
 SparseRowBuilder::SparseRowBuilder(std::size_t rows, std::size_t cols)
     : cols_(cols), entries_(rows) {
   HGC_REQUIRE(cols > 0, "sparse builder needs at least one column");

@@ -12,8 +12,7 @@
 //
 // Determinism contract (mirrors linalg/kernels.hpp for the dense side):
 //   * Within a row, nonzeros are stored in strictly ascending column order
-//     (the builder sorts, from_dense scans ascending) — every kernel walks
-//     them in that order.
+//     (the builder sorts) — every kernel walks them in that order.
 //   * row_dot() accumulates the ≤(s+1) products of one row left to right in
 //     a single scalar chain. Rows here are short by construction, so no
 //     lane tree: the ascending-column scalar order IS the contract.
@@ -28,8 +27,8 @@
 //     accumulators never hold -0.0 (they start at +0.0 and schemes store
 //     no signed zeros — the support validation rejects stored zeros).
 //   * The decode-solve packing (QrWorkspace::factor_transposed) zero-fills
-//     and scatters, producing a byte-identical packed buffer to a dense
-//     gather of to_dense() — so the QR results are unchanged bytes.
+//     and scatters, producing a byte-identical packed buffer to a gather
+//     from the dense B — so the QR results are unchanged bytes.
 // Changing any loop here changes numeric results globally; re-baseline the
 // figure outputs if you do.
 //
@@ -48,7 +47,7 @@ namespace hgc {
 
 /// Immutable CSR matrix of doubles. Row r's nonzeros live at positions
 /// [row_ptr[r], row_ptr[r+1]) of col_idx/values, columns strictly
-/// ascending. Construct via SparseRowBuilder or from_dense().
+/// ascending. Construct via SparseRowBuilder.
 class SparseRowMatrix {
  public:
   SparseRowMatrix() = default;
@@ -79,14 +78,6 @@ class SparseRowMatrix {
   /// Entry (r, c); 0.0 when absent from the structure. Binary search over
   /// the row — O(log row_nnz), for tests and spot checks, not hot loops.
   double at(std::size_t r, std::size_t c) const;
-
-  /// Convert a dense matrix, keeping entries that compare != 0.0 (signed
-  /// zeros are structural zeros, matching the dense support convention).
-  static SparseRowMatrix from_dense(const Matrix& dense);
-
-  /// Materialize the dense equivalent (absent entries become +0.0, so a
-  /// from_dense round trip of a support-clean matrix is byte-identical).
-  Matrix to_dense() const;
 
  private:
   friend class SparseRowBuilder;

@@ -42,8 +42,6 @@ class LuWorkspace {
   /// Factor the square gather a[:, cols] without materializing select_cols.
   bool factor_cols(const Matrix& a, std::span<const std::size_t> cols);
 
-  bool is_singular() const { return singular_; }
-
   /// Solve A·x = b against the last factor; x is resized (no allocation
   /// once its capacity covers the shape). Throws hgc::InternalError when
   /// the factored matrix was singular.
@@ -69,8 +67,8 @@ class QrWorkspace {
   /// Factor (B_R)ᵀ for a row selection of a sparse B (repeats allowed, any
   /// order): each selected row is zero-filled then scattered into its packed
   /// column, with no B_R or transpose temporaries. The packed buffer is
-  /// byte-identical to factor(B.to_dense().select_rows(rows).transposed()),
-  /// so the factorization is too. Throws std::invalid_argument for an
+  /// byte-identical to factor() of (B_R)ᵀ gathered from the dense B, so the
+  /// factorization is too. Throws std::invalid_argument for an
   /// out-of-range row.
   void factor_transposed(const SparseRowMatrix& b,
                          std::span<const std::size_t> rows);

@@ -25,32 +25,11 @@ std::vector<Vector> all_partition_gradients(
   return grads;
 }
 
-Vector full_gradient(const SoftmaxRegression& model, const Dataset& data,
-                     std::span<const double> params) {
-  return partition_gradient(model, data, all_rows(data.size()), params);
-}
-
 double mean_loss(const SoftmaxRegression& model, const Dataset& data,
                  std::span<const double> params) {
   HGC_REQUIRE(data.size() > 0, "empty dataset");
   const auto rows = all_rows(data.size());
   return model.loss(data, rows, params) / static_cast<double>(data.size());
-}
-
-Vector numeric_gradient(const SoftmaxRegression& model, const Dataset& data,
-                        std::span<const std::size_t> rows,
-                        std::span<const double> params, double step) {
-  Vector perturbed(params.begin(), params.end());
-  Vector grad(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    perturbed[i] = params[i] + step;
-    const double up = model.loss(data, rows, perturbed);
-    perturbed[i] = params[i] - step;
-    const double down = model.loss(data, rows, perturbed);
-    perturbed[i] = params[i];
-    grad[i] = (up - down) / (2.0 * step);
-  }
-  return grad;
 }
 
 std::vector<std::size_t> all_rows(std::size_t n) {

@@ -19,18 +19,9 @@ std::vector<Vector> all_partition_gradients(
     const std::vector<std::vector<std::size_t>>& partitions,
     std::span<const double> params);
 
-/// Full-dataset sum gradient (equals Σ of the partition gradients).
-Vector full_gradient(const SoftmaxRegression& model, const Dataset& data,
-                     std::span<const double> params);
-
 /// Mean loss over the whole dataset.
 double mean_loss(const SoftmaxRegression& model, const Dataset& data,
                  std::span<const double> params);
-
-/// Central-difference numeric gradient for model verification (tests).
-Vector numeric_gradient(const SoftmaxRegression& model, const Dataset& data,
-                        std::span<const std::size_t> rows,
-                        std::span<const double> params, double step = 1e-5);
 
 /// All row indices [0, n).
 std::vector<std::size_t> all_rows(std::size_t n);

@@ -4,47 +4,26 @@
 
 namespace hgc {
 
-SimulatedNetwork::SimulatedNetwork(std::size_t nodes, LinkParams defaults,
+SimulatedNetwork::SimulatedNetwork(std::size_t nodes, LinkParams params,
                                    Rng rng)
-    : nodes_(nodes), links_(nodes * nodes, defaults), rng_(rng) {
+    : nodes_(nodes), params_(params), rng_(rng) {
   HGC_REQUIRE(nodes > 0, "network needs at least one node");
-  HGC_REQUIRE(defaults.latency >= 0.0 && defaults.bytes_per_second > 0.0 &&
-                  defaults.drop_probability >= 0.0 &&
-                  defaults.drop_probability <= 1.0,
-              "invalid default link parameters");
-}
-
-std::size_t SimulatedNetwork::index(NodeId from, NodeId to) const {
-  HGC_REQUIRE(from < nodes_ && to < nodes_, "node id out of range");
-  return from * nodes_ + to;
-}
-
-void SimulatedNetwork::set_link(NodeId from, NodeId to, LinkParams params) {
   HGC_REQUIRE(params.latency >= 0.0 && params.bytes_per_second > 0.0 &&
                   params.drop_probability >= 0.0 &&
                   params.drop_probability <= 1.0,
               "invalid link parameters");
-  links_[index(from, to)] = params;
-}
-
-const LinkParams& SimulatedNetwork::link(NodeId from, NodeId to) const {
-  return links_[index(from, to)];
 }
 
 std::optional<double> SimulatedNetwork::transmit(NodeId from, NodeId to,
                                                  std::size_t bytes,
                                                  double send_time) {
+  HGC_REQUIRE(from < nodes_ && to < nodes_, "node id out of range");
   HGC_REQUIRE(send_time >= 0.0, "send time must be non-negative");
-  const LinkParams& params = links_[index(from, to)];
-  ++sent_;
-  bytes_sent_ += bytes;
-  if (params.drop_probability > 0.0 &&
-      rng_.bernoulli(params.drop_probability)) {
-    ++dropped_;
+  if (params_.drop_probability > 0.0 &&
+      rng_.bernoulli(params_.drop_probability))
     return std::nullopt;
-  }
-  return send_time + params.latency +
-         static_cast<double>(bytes) / params.bytes_per_second;
+  return send_time + params_.latency +
+         static_cast<double>(bytes) / params_.bytes_per_second;
 }
 
 }  // namespace hgc

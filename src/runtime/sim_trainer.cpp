@@ -130,29 +130,4 @@ BspTrainingResult train_bsp_ignore_stragglers(
   return result;
 }
 
-BspTrainingResult train_serial(const SoftmaxRegression& model,
-                               const Dataset& data,
-                               const BspTrainingConfig& config) {
-  HGC_REQUIRE(config.record_every > 0, "record_every must be positive");
-  const std::size_t iterations = config.experiment.iterations;
-  const SgdOptimizer optimizer(config.learning_rate);
-  Rng init_rng(config.experiment.seed + 0x1111);
-  Vector params = model.init_params(init_rng);
-  const double inv_n = 1.0 / static_cast<double>(data.size());
-
-  BspTrainingResult result;
-  result.trace.label = "serial";
-  result.trace.points.push_back({0.0, mean_loss(model, data, params), 0});
-  for (std::size_t iter = 1; iter <= iterations; ++iter) {
-    Vector grad = full_gradient(model, data, params);
-    scale(inv_n, grad);
-    optimizer.step(params, grad);
-    if (iter % config.record_every == 0 || iter == iterations)
-      result.trace.points.push_back(
-          {static_cast<double>(iter), mean_loss(model, data, params), iter});
-  }
-  result.final_params = std::move(params);
-  return result;
-}
-
 }  // namespace hgc

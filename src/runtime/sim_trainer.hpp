@@ -43,13 +43,6 @@ BspTrainingResult train_bsp_coded(SchemeKind kind, const Cluster& cluster,
                                   const Dataset& data,
                                   const BspTrainingConfig& config);
 
-/// Serial single-machine SGD reference: identical parameter trajectory to
-/// any decodable BSP coded run (the exactness property tests rely on). Reads
-/// only the iteration count and seed of `config.experiment`.
-BspTrainingResult train_serial(const SoftmaxRegression& model,
-                               const Dataset& data,
-                               const BspTrainingConfig& config);
-
 /// The *approximate* straggler-ignoring baseline the paper declines to use
 /// ([35]/[36]: "at the cost of sacrificing optimization accuracy"): uncoded
 /// even allocation, the master sums whichever m−s shard gradients arrive

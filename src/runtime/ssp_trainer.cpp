@@ -14,13 +14,13 @@ SspTrainingResult train_ssp(const Cluster& cluster,
                             const Dataset& data,
                             const SspTrainingConfig& config) {
   const std::size_t m = cluster.size();
-  HGC_REQUIRE(config.iterations > 0, "need at least one iteration");
+  HGC_REQUIRE(config.experiment.iterations > 0, "need at least one iteration");
   HGC_REQUIRE(config.learning_rate > 0.0, "learning rate must be positive");
   HGC_REQUIRE(config.record_every > 0, "record_every must be positive");
 
   const auto shards = partition_rows(data.size(), m);
-  Rng condition_rng(config.seed + 0x79b9);
-  Rng init_rng(config.seed + 0x1111);
+  Rng condition_rng(config.experiment.seed + 0x79b9);
+  Rng init_rng(config.experiment.seed + 0x1111);
 
   Vector params = model.init_params(init_rng);
   // Per-push learning rate: m pushes with shard-mean gradients approximate
@@ -44,7 +44,7 @@ SspTrainingResult train_ssp(const Cluster& cluster,
   // probability num_stragglers/m; a "fault" becomes a long stall (the VM
   // restarts) rather than a permanent loss, since a permanently dead worker
   // would pin min_clock and deadlock every SSP variant.
-  const StragglerModel& sm = config.straggler_model;
+  const StragglerModel& sm = config.experiment.model;
   const double victim_probability =
       m == 0 ? 0.0
              : static_cast<double>(sm.num_stragglers) / static_cast<double>(m);
@@ -64,10 +64,10 @@ SspTrainingResult train_ssp(const Cluster& cluster,
     if (sm.num_stragglers > 0 &&
         condition_rng.bernoulli(std::min(1.0, victim_probability)))
       delay = sm.fault ? 50.0 * base : sm.delay_seconds;
-    return base + delay + config.comm_latency;
+    return base + delay + config.experiment.sim.comm_latency;
   };
 
-  const std::size_t total_pushes = config.iterations * m;
+  const std::size_t total_pushes = config.experiment.iterations * m;
   std::size_t pushes = 0;
   std::size_t blocked_events = 0;
   double spread_sum = 0.0;

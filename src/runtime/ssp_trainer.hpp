@@ -15,31 +15,28 @@
 // priority queue; a worker has at most one push in flight.
 #pragma once
 
-#include <cstdint>
-
 #include "cluster/cluster.hpp"
-#include "cluster/straggler.hpp"
 #include "ml/gradient.hpp"
 #include "ml/model.hpp"
 #include "runtime/loss_trace.hpp"
+#include "sim/experiment.hpp"
 
 namespace hgc {
 
 /// SSP hyperparameters.
 struct SspTrainingConfig {
-  /// Staleness bound: a worker at clock c blocks until c − min_clock ≤ this.
-  std::size_t staleness = 3;
+  /// The run's cluster-side parameters, shared with the BSP series of the
+  /// same cell: the update budget (the run stops after iterations·m worker
+  /// pushes, matching the gradient work of that many BSP iterations), the
+  /// straggler model, the seed, and sim.comm_latency, which every push pays.
+  /// k, s and the estimation error do not apply to SSP.
+  ExperimentConfig experiment;
   /// Per-update learning rate; scaled by 1/m so that m pushes approximate
   /// one full-batch BSP step.
   double learning_rate = 0.1;
-  /// Total update budget expressed in "epoch equivalents": the run stops
-  /// after iterations·m worker pushes, matching the gradient work of the
-  /// same number of BSP iterations.
-  std::size_t iterations = 100;
-  StragglerModel straggler_model;
-  double comm_latency = 0.0;
-  std::uint64_t seed = 42;
   std::size_t record_every = 1;  ///< trace sampling stride, in epochs
+  /// Staleness bound: a worker at clock c blocks until c − min_clock ≤ this.
+  std::size_t staleness = 3;
 };
 
 /// Outcome of an SSP run.

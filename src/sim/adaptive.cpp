@@ -8,13 +8,20 @@
 
 namespace hgc {
 
+namespace {
+
+/// Weight of the newest compute-time sample in the throughput EWMA.
+constexpr double kEwmaSmoothing = 0.25;
+
+}  // namespace
+
 AdaptiveRecoder::AdaptiveRecoder(const AdaptivePolicy& policy,
                                  std::size_t num_workers)
     : policy_(policy),
       estimator_(policy.initial_estimates.empty()
                      ? Throughputs(num_workers, 1.0)
                      : policy.initial_estimates,
-                 policy.ewma_smoothing),
+                 kEwmaSmoothing),
       basis_(estimator_.estimates()) {
   HGC_REQUIRE(basis_.size() == num_workers, "initial estimates size mismatch");
 }

@@ -27,7 +27,6 @@ struct AdaptivePolicy {
   /// Rebuild only if estimates deviate from the ones the current scheme was
   /// built with by more than this relative amount.
   double recode_threshold = 0.10;
-  double ewma_smoothing = 0.25;
   /// Initial throughput estimates; empty = uniform (cold start).
   Throughputs initial_estimates;
 };

@@ -77,7 +77,6 @@ struct SchemeSummary {
   std::size_t decode_misses = 0;
 
   double mean_time() const { return iteration_time.mean(); }
-  double mean_usage() const { return resource_usage.mean(); }
   bool ever_failed() const { return failures > 0; }
 };
 

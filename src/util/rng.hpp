@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <random>
-#include <span>
 #include <vector>
 
 #include "util/error.hpp"
@@ -67,12 +66,6 @@ class Rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  /// Exponential draw with the given rate (lambda).
-  double exponential(double rate) {
-    HGC_REQUIRE(rate > 0.0, "exponential rate must be positive");
-    return std::exponential_distribution<double>(rate)(engine_);
-  }
-
   /// Bernoulli draw.
   bool bernoulli(double p) {
     HGC_REQUIRE(p >= 0.0 && p <= 1.0, "probability must be in [0,1]");
@@ -84,17 +77,6 @@ class Rng {
   /// stragglers out of 10,000 workers cost a few draws, not a pool of n.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t count);
-
-  /// In-place Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::span<T> values) {
-    for (std::size_t i = values.size(); i > 1; --i) {
-      const auto j = static_cast<std::size_t>(
-          uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      using std::swap;
-      swap(values[i - 1], values[j]);
-    }
-  }
 
   std::mt19937_64& engine() { return engine_; }
 

@@ -64,7 +64,6 @@ class ReservoirQuantiles {
 
   /// Total samples observed (not just those retained).
   std::size_t count() const { return count_; }
-  std::size_t sample_size() const { return sample_.size(); }
   std::size_t capacity() const { return capacity_; }
 
   /// Linear-interpolated quantile, q in [0, 100]. Requires count() > 0.

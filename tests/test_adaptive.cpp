@@ -15,8 +15,8 @@ TEST(ThroughputEstimator, FirstObservationReplacesPrior) {
   est.observe(0, 0.5, 0.125);  // 4 datasets/s
   EXPECT_DOUBLE_EQ(est.estimates()[0], 4.0);
   EXPECT_DOUBLE_EQ(est.estimates()[1], 1.0);
-  EXPECT_EQ(est.observations(0), 1u);
-  EXPECT_EQ(est.observations(1), 0u);
+  est.observe(0, 0.5, 0.25);  // 2 datasets/s, now blended: 0.2·2 + 0.8·4
+  EXPECT_DOUBLE_EQ(est.estimates()[0], 0.2 * 2.0 + 0.8 * 4.0);
 }
 
 TEST(ThroughputEstimator, EwmaConvergesToTrueRate) {
@@ -31,7 +31,9 @@ TEST(ThroughputEstimator, IgnoresUnusableSamples) {
   est.observe(0, 0.1, 0.0);
   est.observe(0, 0.1, std::numeric_limits<double>::infinity());
   EXPECT_DOUBLE_EQ(est.estimates()[0], 2.0);
-  EXPECT_EQ(est.observations(0), 0u);
+  // None of them counted: the first usable sample still replaces the prior.
+  est.observe(0, 0.5, 0.125);
+  EXPECT_DOUBLE_EQ(est.estimates()[0], 4.0);
 }
 
 TEST(ThroughputEstimator, RelativeDeviation) {

@@ -5,6 +5,7 @@
 #include "core/alg1.hpp"
 #include "core/allocation.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg_reference.hpp"
 #include "util/rng.hpp"
 
 namespace hgc {
@@ -24,8 +25,8 @@ Vector apply_transpose(const SparseRowMatrix& b, const Vector& a) {
 TEST(Alg1, CbEqualsOnes) {
   Rng rng(11);
   const auto build = build_alg1(example1_assignment(), 7, 1, rng);
-  const Matrix cb = build.code.c() * build.b.to_dense();
-  EXPECT_LT(Matrix::max_abs_diff(cb, Matrix::ones(2, 7)), 1e-9);
+  const Matrix cb = build.code.c() * ref::to_dense(build.b);
+  EXPECT_LT(ref::max_abs_diff(cb, Matrix::ones(2, 7)), 1e-9);
 }
 
 TEST(Alg1, SupportMatchesAssignment) {

@@ -24,6 +24,7 @@
 #include "core/robustness.hpp"
 #include "core/scheme_factory.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg_reference.hpp"
 #include "sim/experiment.hpp"
 #include "util/rng.hpp"
 
@@ -77,7 +78,7 @@ std::size_t check_decodes(const CodingScheme& scheme, std::size_t stragglers,
     if (decoded.size() != kGradientDim) return false;
     Vector diff = decoded;
     axpy(-1.0, exact, diff);
-    const double error = norm2(diff) / norm2(exact);
+    const double error = ref::norm2(diff) / ref::norm2(exact);
     EXPECT_LE(error, kRelativeErrorBound)
         << where.str() << ": relative error " << error
         << ", ‖a‖∞ = " << a_inf;

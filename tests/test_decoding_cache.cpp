@@ -7,6 +7,7 @@
 #include "core/decoding_cache.hpp"
 #include "core/heter_aware.hpp"
 #include "core/robustness.hpp"
+#include "linalg_reference.hpp"
 #include "util/rng.hpp"
 
 namespace hgc {
@@ -153,7 +154,7 @@ class CountingScheme : public CodingScheme {
 class NeverDecodableScheme : public CodingScheme {
  public:
   NeverDecodableScheme()
-      : CodingScheme(SparseRowMatrix::from_dense(Matrix::ones(3, 2)),
+      : CodingScheme(ref::from_dense(Matrix::ones(3, 2)),
                      Assignment{{0, 1}, {0, 1}, {0, 1}}, 1, {{{}, 1}}) {}
 
   std::string name() const override { return "never"; }

@@ -53,7 +53,6 @@ TEST(Links, NetworkLinkForwardsDrops) {
   SimulatedNetwork network(4, params, Rng(9));
   NetworkLink link(network);
   EXPECT_FALSE(link.transmit(0, 3, 100, 0.0).has_value());
-  EXPECT_EQ(network.messages_dropped(), 1u);
 }
 
 TEST(EngineRound, TimingOnlyHitsAnalyticDecodeTime) {
@@ -142,7 +141,6 @@ TEST(EngineRound, WireFramesOverNetworkRecoverAggregate) {
   ASSERT_TRUE(round.decoded);
   ASSERT_EQ(round.aggregate.size(), 1u);
   EXPECT_NEAR(round.aggregate[0], 28.0, 1e-8);
-  EXPECT_GT(network.bytes_sent(), 0u);
 }
 
 TEST(EngineRound, LostMessagesAreCountedAsDropped) {

@@ -218,11 +218,10 @@ TEST(RunSweep, CustomCellFnSeesCustomAxes) {
   grid.schemes = {SchemeKind::kNaive};
   grid.iterations = 1;
   grid.custom_axes = {{"x", {1.0, 2.0}, {}}, {"y", {10.0, 20.0}, {}}};
-  const CellFn fn = [&grid](const Cell& cell) {
+  const CellFn fn = [](const Cell& cell) {
     CellResult result;
-    result.metrics.emplace_back(
-        "product", cell.custom_value(grid, "x") * cell.custom_value(grid,
-                                                                    "y"));
+    result.metrics.emplace_back("product",
+                                cell.custom.at(0) * cell.custom.at(1));
     return result;
   };
   const ResultTable table = run_sweep(grid, fn, {.threads = 2});
@@ -587,6 +586,23 @@ TEST(Figures, Fig4EmitsIdenticalCurvesAtAnyThreadCount) {
     EXPECT_NE(serial.find("ssp"), std::string::npos) << figure.name;
     EXPECT_EQ(fnv1a(serial), pinned) << figure.name << ":\n" << serial;
   }
+}
+
+TEST(Figures, Fig4SspPaysTheCellsCommLatency) {
+  // Every fig4 series trains from the cell's ExperimentConfig, so a grid
+  // with a per-message latency slows SSP as it slows the coded BSP series.
+  FigureSweep figure = fig4_sweep(4);
+  figure.grid.custom_axes = {{"series", {4.0}, {"ssp"}}};
+  const auto ssp_final_time = [&figure](double latency) {
+    figure.grid.sim.comm_latency = latency;
+    const ResultTable table = run_figure(figure, {.threads = 1});
+    const ResultRow* row = table.find({{"series", "ssp"}});
+    double time = 0.0;
+    EXPECT_TRUE(row != nullptr && row->value("final_time", time));
+    return time;
+  };
+  const double without = ssp_final_time(0.0);
+  EXPECT_GT(ssp_final_time(0.05), without);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/robustness.hpp"
 #include "core/scheme_factory.hpp"
 #include "net/wire.hpp"
+#include "shuffle.hpp"
 #include "util/rng.hpp"
 
 namespace hgc {
@@ -57,7 +58,7 @@ TEST_P(DecoderFuzz, ArrivalOrderNeverChangesTheAggregate) {
 
   for (int trial = 0; trial < 20; ++trial) {
     auto order = senders;
-    rng.shuffle(std::span<WorkerId>(order));
+    shuffle(rng, std::span<WorkerId>(order));
     StreamingDecoder decoder(*scheme);
     bool done = false;
     for (WorkerId w : order) {

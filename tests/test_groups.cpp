@@ -10,6 +10,7 @@
 #include "cluster/cluster.hpp"
 #include "core/allocation.hpp"
 #include "core/groups.hpp"
+#include "groups_reference.hpp"
 #include "obs/metrics.hpp"
 #include "sim/experiment.hpp"
 #include "util/error.hpp"

@@ -4,6 +4,7 @@
 
 #include "core/heter_aware.hpp"
 #include "core/robustness.hpp"
+#include "linalg_reference.hpp"
 #include "util/rng.hpp"
 
 namespace hgc {
@@ -61,7 +62,7 @@ TEST(HeterAware, QuorumExcludesIdleWorkers) {
   std::vector<bool> received = {false, true, true, false};
   const auto a = scheme.decoding_coefficients(received);
   ASSERT_TRUE(a.has_value());
-  const Vector ab = scheme.sparse_matrix().to_dense().apply_transpose(*a);
+  const Vector ab = ref::apply_transpose(scheme.sparse_matrix(), *a);
   for (double v : ab) EXPECT_NEAR(v, 1.0, 1e-8);
 }
 

@@ -109,10 +109,10 @@ TEST(Fig4Shape, TimeToTargetLossOrdering) {
       train_bsp_coded(SchemeKind::kNaive, cluster, model, data, config);
 
   SspTrainingConfig ssp_config;
-  ssp_config.iterations = 40;
+  ssp_config.experiment.iterations = 40;
+  ssp_config.experiment.model = config.experiment.model;
   ssp_config.learning_rate = 0.5;
   ssp_config.staleness = 2;
-  ssp_config.straggler_model = config.experiment.model;
   const auto ssp = train_ssp(cluster, model, data, ssp_config);
 
   // Target: the loss the BSP runs provably reach (identical loss path per
@@ -138,10 +138,12 @@ TEST(Fig5Shape, ResourceUsageOrdering) {
        SchemeKind::kGroupBased},
       cluster, config);
   // Paper's ordering: naive lowest, cyclic middle, heter/group highest.
-  EXPECT_LT(summaries[0].mean_usage(), summaries[1].mean_usage());
-  EXPECT_LT(summaries[1].mean_usage(), summaries[2].mean_usage());
-  EXPECT_GT(summaries[2].mean_usage(), 0.8);
-  EXPECT_GT(summaries[3].mean_usage(), 0.8);
+  EXPECT_LT(summaries[0].resource_usage.mean(),
+            summaries[1].resource_usage.mean());
+  EXPECT_LT(summaries[1].resource_usage.mean(),
+            summaries[2].resource_usage.mean());
+  EXPECT_GT(summaries[2].resource_usage.mean(), 0.8);
+  EXPECT_GT(summaries[3].resource_usage.mean(), 0.8);
 }
 
 TEST(SectionV, GroupBasedAtLeastMatchesHeterUnderEstimationError) {

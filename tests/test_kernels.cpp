@@ -21,9 +21,12 @@
 #include "core/cyclic.hpp"
 #include "core/robustness.hpp"
 #include "linalg/kernels.hpp"
+#include "linalg/kernels_dispatch.hpp"
 #include "linalg/nullspace.hpp"
 #include "linalg/sparse.hpp"
 #include "linalg/workspace.hpp"
+#include "linalg_reference.hpp"
+#include "util/cpu.hpp"
 #include "util/rng.hpp"
 
 // Instruments this whole binary; the zero-alloc regression snapshots the
@@ -167,7 +170,7 @@ TEST(LuWorkspace, ReusedWorkspaceMatchesFreshOverRandomShapes) {
     ASSERT_TRUE(fresh.factor(a));
     fresh.solve_into(b, ref);
     expect_same_bits(x, ref, "trial " + std::to_string(trial));
-    const Vector ax = a.apply(x);
+    const Vector ax = ref::apply(a, x);
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], b[i], 1e-8);
   }
 }
@@ -181,7 +184,7 @@ TEST(LuWorkspace, FactorColsMatchesSelectCols) {
   Vector x, ref;
   ASSERT_TRUE(ws.factor_cols(c, cols));
   ws.solve_into(b, x);
-  ASSERT_TRUE(ref_ws.factor(c.select_cols(cols)));
+  ASSERT_TRUE(ref_ws.factor(ref::select_cols(c, cols)));
   ref_ws.solve_into(b, ref);
   expect_same_bits(x, ref, "factor_cols");
 }
@@ -222,19 +225,19 @@ TEST(QrWorkspace, RankDeficientSolveIsExactOnItsRange) {
     a(i, 2) = a(i, 0) + a(i, 1);  // rank 2
   }
   // b in the column space: the basic solution must reproduce it.
-  const Vector b = a.apply(Vector{0.5, -1.0, 2.0});
+  const Vector b = ref::apply(a, Vector{0.5, -1.0, 2.0});
   QrWorkspace ws;
   Vector x;
   ws.factor(a);
   EXPECT_EQ(ws.rank(), 2u);
   EXPECT_NEAR(ws.solve_into(b, x), 0.0, 1e-10);
-  const Vector ax = a.apply(x);
+  const Vector ax = ref::apply(a, x);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(ax[i], b[i], 1e-10);
 }
 
 TEST(QrWorkspace, FactorTransposedMatchesMaterializedTranspose) {
   // The decoder's sparse scatter must pack exactly the bytes of the dense
-  // gather B.select_rows(rows).transposed(): same rank, same residual bits,
+  // gather of B_R transposed: same rank, same residual bits,
   // same solution bits.
   Rng rng(111);
   QrWorkspace ws, ref_ws;
@@ -245,7 +248,7 @@ TEST(QrWorkspace, FactorTransposedMatchesMaterializedTranspose) {
     Matrix dense = random_matrix(m, k, rng);
     for (double& v : dense.data())
       if (rng.uniform(0.0, 1.0) < 0.3) v = 0.0;  // structural zeros
-    const SparseRowMatrix b = SparseRowMatrix::from_dense(dense);
+    const SparseRowMatrix b = ref::from_dense(dense);
     // A random row subset, unsorted order on odd trials.
     std::vector<std::size_t> rows;
     for (std::size_t w = 0; w < m; ++w)
@@ -256,7 +259,7 @@ TEST(QrWorkspace, FactorTransposedMatchesMaterializedTranspose) {
     const Vector ones(k, 1.0);
     ws.factor_transposed(b, rows);
     const double residual = ws.solve_into(ones, x);
-    ref_ws.factor(dense.select_rows(rows).transposed());
+    ref_ws.factor(ref::transposed(ref::select_rows(dense, rows)));
     const double ref_residual = ref_ws.solve_into(ones, ref);
     const std::string where = "trial " + std::to_string(trial);
     EXPECT_EQ(ws.rank(), ref_ws.rank()) << where;
@@ -268,7 +271,7 @@ TEST(QrWorkspace, FactorTransposedMatchesMaterializedTranspose) {
 }
 
 TEST(QrWorkspace, FactorTransposedRejectsOutOfRangeRows) {
-  const SparseRowMatrix b = SparseRowMatrix::from_dense(Matrix::ones(3, 2));
+  const SparseRowMatrix b = ref::from_dense(Matrix::ones(3, 2));
   const std::vector<std::size_t> bad{1, 3};
   QrWorkspace ws;
   EXPECT_THROW(ws.factor_transposed(b, bad), std::invalid_argument);
@@ -288,7 +291,7 @@ TEST(NullSpace, ReusedScratchMatchesFresh) {
     null_space_basis_into(a, fresh_rref, fresh_pivots, ref);
     ASSERT_EQ(basis.rows(), ref.rows());
     ASSERT_EQ(basis.cols(), ref.cols());
-    EXPECT_EQ(Matrix::max_abs_diff(basis, ref), 0.0);
+    EXPECT_EQ(ref::max_abs_diff(basis, ref), 0.0);
     EXPECT_EQ(pivots, fresh_pivots);
   }
 }
@@ -303,10 +306,10 @@ struct GoodAndBroken {
 };
 
 GoodAndBroken good_and_broken(const CyclicScheme& scheme) {
-  Matrix broken = scheme.sparse_matrix().to_dense();
+  Matrix broken = ref::to_dense(scheme.sparse_matrix());
   for (std::size_t j = 0; j < broken.cols(); ++j)
     broken(0, j) = broken(1, j) = broken(2, j) = 0.0;
-  return {scheme.sparse_matrix(), SparseRowMatrix::from_dense(broken)};
+  return {scheme.sparse_matrix(), ref::from_dense(broken)};
 }
 
 TEST(Robustness, OnesInRowSpanAgreesWithGenericDecode) {
@@ -427,8 +430,9 @@ class BackendRestorer {
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 std::vector<kernels::Backend> available_simd_backends() {
+  BackendRestorer restore;
   std::vector<kernels::Backend> simd;
-  if (kernels::backend_available(kernels::Backend::kAvx2))
+  if (kernels::set_backend(kernels::Backend::kAvx2))
     simd.push_back(kernels::Backend::kAvx2);
   return simd;
 }
@@ -714,15 +718,18 @@ TEST(KernelBackends, ExpNonpositiveWithinOneUlpOfStdExp) {
 TEST(KernelBackends, NamesParseAndAvailabilityAgree) {
   BackendRestorer restore;
   // scalar is always present; names round-trip through the parser.
-  EXPECT_TRUE(kernels::backend_available(kernels::Backend::kScalar));
+  EXPECT_TRUE(kernels::set_backend(kernels::Backend::kScalar));
   for (kernels::Backend b :
        {kernels::Backend::kScalar, kernels::Backend::kAvx2}) {
     const auto parsed = kernels::parse_backend(kernels::backend_name(b));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, b);
-    // set_backend succeeds exactly when the backend is available.
-    EXPECT_EQ(kernels::set_backend(b), kernels::backend_available(b));
   }
+  // set_backend succeeds for AVX2 exactly when it is compiled in and the
+  // host can execute it.
+  EXPECT_EQ(kernels::set_backend(kernels::Backend::kAvx2),
+            kernels::detail::avx2_table() != nullptr &&
+                util::cpu_supports_avx2());
   EXPECT_FALSE(kernels::parse_backend("sse2").has_value());
   EXPECT_FALSE(kernels::parse_backend("").has_value());
   EXPECT_FALSE(kernels::parse_backend("AVX2").has_value());

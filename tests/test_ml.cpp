@@ -12,6 +12,7 @@
 #include "ml/gradient.hpp"
 #include "ml/model.hpp"
 #include "ml/sgd.hpp"
+#include "training_reference.hpp"
 
 namespace hgc {
 namespace {

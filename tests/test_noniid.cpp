@@ -104,7 +104,7 @@ TEST(SspNonIid, SkewedShardsHurtConvergence) {
   SoftmaxRegression model(6, 4);
 
   SspTrainingConfig config;
-  config.iterations = 40;
+  config.experiment.iterations = 40;
   config.learning_rate = 0.4;
   config.staleness = 2;
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/scheme_cache.hpp"
+#include "linalg_reference.hpp"
 #include "util/rng.hpp"
 
 namespace hgc {
@@ -63,8 +64,8 @@ TEST(SchemeCache, MatchesUncachedConstruction) {
     const auto cached = cache.get_or_create(kind, six, 12, 1, 99);
     Rng rng(99);
     const auto direct = make_scheme(kind, six, 12, 1, rng);
-    expect_same_matrix(cached->sparse_matrix().to_dense(),
-                       direct->sparse_matrix().to_dense());
+    expect_same_matrix(ref::to_dense(cached->sparse_matrix()),
+                       ref::to_dense(direct->sparse_matrix()));
   }
 }
 

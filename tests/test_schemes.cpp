@@ -7,6 +7,7 @@
 #include "core/naive.hpp"
 #include "core/robustness.hpp"
 #include "core/scheme_factory.hpp"
+#include "linalg_reference.hpp"
 #include "util/rng.hpp"
 
 namespace hgc {
@@ -18,8 +19,8 @@ TEST(Naive, IdentityCodingMatrix) {
   EXPECT_EQ(naive.num_partitions(), 4u);
   EXPECT_EQ(naive.stragglers_tolerated(), 0u);
   EXPECT_LT(
-      Matrix::max_abs_diff(naive.sparse_matrix().to_dense(),
-                           Matrix::identity(4)),
+      ref::max_abs_diff(ref::to_dense(naive.sparse_matrix()),
+                           ref::identity(4)),
       1e-15);
   for (WorkerId w = 0; w < 4; ++w) EXPECT_EQ(naive.load(w), 1u);
 }
@@ -59,7 +60,7 @@ TEST(Cyclic, DecodesWithAnyTwoMissing) {
       const auto coeffs = cyclic.decoding_coefficients(received);
       ASSERT_TRUE(coeffs.has_value()) << a << "," << b;
       const Vector ab =
-          cyclic.sparse_matrix().to_dense().apply_transpose(*coeffs);
+          ref::apply_transpose(cyclic.sparse_matrix(), *coeffs);
       for (double v : ab) EXPECT_NEAR(v, 1.0, 1e-8);
     }
 }
@@ -86,7 +87,7 @@ TEST(Fractional, DecodesFromOnePerBlock) {
   std::vector<bool> received = {true, false, false, true, true, false};
   const auto a = frc.decoding_coefficients(received);
   ASSERT_TRUE(a.has_value());
-  const Vector ab = frc.sparse_matrix().to_dense().apply_transpose(*a);
+  const Vector ab = ref::apply_transpose(frc.sparse_matrix(), *a);
   for (double v : ab) EXPECT_NEAR(v, 1.0, 1e-12);
   ASSERT_EQ(frc.quorums().size(), 1u);
   EXPECT_TRUE(frc.quorums()[0].workers.empty());
@@ -181,7 +182,7 @@ TEST(CodingScheme, RejectsSupportMismatch) {
   class Broken : public CodingScheme {
    public:
     Broken()
-        : CodingScheme(SparseRowMatrix::from_dense(Matrix{{1.0, 0.0}}),
+        : CodingScheme(ref::from_dense(Matrix{{1.0, 0.0}}),
                        {{0, 1}}, 0, {{{}, 1}}) {}
     std::string name() const override { return "broken"; }
     std::optional<Vector> decoding_coefficients(
@@ -196,7 +197,7 @@ TEST(CodingScheme, RejectsMalformedQuorums) {
   class WithQuorums : public CodingScheme {
    public:
     explicit WithQuorums(std::vector<DecodeQuorum> quorums)
-        : CodingScheme(SparseRowMatrix::from_dense(Matrix{{1.0}, {1.0}}),
+        : CodingScheme(ref::from_dense(Matrix{{1.0}, {1.0}}),
                        {{0}, {0}}, 1, std::move(quorums)) {}
     std::string name() const override { return "with-quorums"; }
     std::optional<Vector> decoding_coefficients(

@@ -158,7 +158,7 @@ TEST(Experiment, DeterministicAcrossRuns) {
   const auto a = run_experiment(SchemeKind::kHeterAware, cluster, config);
   const auto b = run_experiment(SchemeKind::kHeterAware, cluster, config);
   EXPECT_DOUBLE_EQ(a.mean_time(), b.mean_time());
-  EXPECT_DOUBLE_EQ(a.mean_usage(), b.mean_usage());
+  EXPECT_DOUBLE_EQ(a.resource_usage.mean(), b.resource_usage.mean());
 }
 
 TEST(Experiment, SeedChangesResults) {

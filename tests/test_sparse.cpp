@@ -32,6 +32,7 @@
 #include "linalg/kernels.hpp"
 #include "linalg/sparse.hpp"
 #include "linalg/workspace.hpp"
+#include "linalg_reference.hpp"
 #include "util/rng.hpp"
 
 namespace hgc {
@@ -41,8 +42,10 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 std::vector<kernels::Backend> all_available_backends() {
   std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
-  if (kernels::backend_available(kernels::Backend::kAvx2))
+  const kernels::Backend original = kernels::active_backend();
+  if (kernels::set_backend(kernels::Backend::kAvx2))
     backends.push_back(kernels::Backend::kAvx2);
+  kernels::set_backend(original);
   return backends;
 }
 
@@ -114,8 +117,8 @@ TEST(SparseBuilder, DuplicateEntryThrows) {
 TEST(SparseRowMatrix, DenseRoundTripIsExact) {
   Rng rng(301);
   const SparseRowMatrix sparse = random_sparse(7, 11, 0.3, rng);
-  const Matrix dense = sparse.to_dense();
-  const SparseRowMatrix back = SparseRowMatrix::from_dense(dense);
+  const Matrix dense = ref::to_dense(sparse);
+  const SparseRowMatrix back = ref::from_dense(dense);
 
   ASSERT_EQ(back.rows(), sparse.rows());
   ASSERT_EQ(back.cols(), sparse.cols());
@@ -170,7 +173,7 @@ TEST(SparseKernels, GemvTransposeBitIdenticalToDenseOnEveryBackend) {
        {std::tuple{1ul, 1ul, 1.0}, {5ul, 9ul, 0.4}, {16ul, 33ul, 0.2},
         {58ul, 116ul, 0.05}}) {
     const SparseRowMatrix a = random_sparse(rows, cols, fill, rng);
-    const Matrix dense = a.to_dense();
+    const Matrix dense = ref::to_dense(a);
     std::vector<double> x(rows);
     for (double& v : x) v = rng.normal();
 
@@ -243,14 +246,14 @@ TEST(SparseSchemes, SolvePackingBitIdenticalToDenseGather) {
     Rng rng(305);
     const auto scheme = make_scheme(kind, c, k, s, rng);
     const SparseRowMatrix& b = scheme->sparse_matrix();
-    const Matrix dense = b.to_dense();
+    const Matrix dense = ref::to_dense(b);
     const Vector ones(b.cols(), 1.0);
 
     for (const auto& received : receive_patterns(scheme->num_workers(), s)) {
       std::vector<std::size_t> rows;
       for (std::size_t w = 0; w < received.size(); ++w)
         if (received[w]) rows.push_back(w);
-      const Matrix dense_brt = dense.select_rows(rows).transposed();
+      const Matrix dense_brt = ref::transposed(ref::select_rows(dense, rows));
 
       for (kernels::Backend backend : all_available_backends()) {
         ASSERT_TRUE(kernels::set_backend(backend));
@@ -317,7 +320,7 @@ TEST(SparseSchemes, EncodeGradientMatchesDenseAxpyOrder) {
   for (SchemeKind kind : paper_schemes()) {
     Rng rng(307);
     const auto scheme = make_scheme(kind, c, k, s, rng);
-    const Matrix dense = scheme->sparse_matrix().to_dense();
+    const Matrix dense = ref::to_dense(scheme->sparse_matrix());
     std::vector<Vector> gradients(scheme->num_partitions());
     for (auto& g : gradients) {
       g.resize(dim);
@@ -447,7 +450,7 @@ TEST(Robustness, OnesInRowSpanAgreesWithDenseSolve) {
   Rng rng(313);
   const CyclicScheme scheme(8, 2, rng);
   const SparseRowMatrix& b = scheme.sparse_matrix();
-  const Matrix dense = b.to_dense();
+  const Matrix dense = ref::to_dense(b);
   const Vector ones(b.cols(), 1.0);
   QrWorkspace ws;
   Vector x;
@@ -458,7 +461,7 @@ TEST(Robustness, OnesInRowSpanAgreesWithDenseSolve) {
       if (std::find(stragglers.begin(), stragglers.end(), w) ==
           stragglers.end())
         rows.push_back(w);
-    ws.factor(dense.select_rows(rows).transposed());
+    ws.factor(ref::transposed(ref::select_rows(dense, rows)));
     EXPECT_EQ(ones_in_row_span(b, rows), ws.solve_into(ones, x) <= 1e-8);
     return true;
   }, pattern);

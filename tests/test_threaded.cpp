@@ -13,6 +13,7 @@
 #include "exec/sweep.hpp"
 #include "runtime/sim_trainer.hpp"
 #include "runtime/threaded_trainer.hpp"
+#include "training_reference.hpp"
 
 namespace hgc {
 namespace {

@@ -5,6 +5,7 @@
 
 #include "runtime/sim_trainer.hpp"
 #include "runtime/ssp_trainer.hpp"
+#include "training_reference.hpp"
 
 namespace hgc {
 namespace {
@@ -157,7 +158,7 @@ TEST(SspTrainer, LossDecreases) {
   const Dataset data = small_data();
   SoftmaxRegression model(6, 3);
   SspTrainingConfig config;
-  config.iterations = 40;
+  config.experiment.iterations = 40;
   config.learning_rate = 0.5;
   const auto result = train_ssp(cluster, model, data, config);
   ASSERT_GE(result.trace.points.size(), 2u);
@@ -169,7 +170,7 @@ TEST(SspTrainer, StalenessBoundLimitsClockSpread) {
   const Dataset data = small_data();
   SoftmaxRegression model(6, 3);
   SspTrainingConfig config;
-  config.iterations = 30;
+  config.experiment.iterations = 30;
   config.staleness = 2;
   const auto result = train_ssp(cluster, model, data, config);
   // The spread can exceed the staleness by at most 1 transiently (the
@@ -181,7 +182,7 @@ TEST(SspTrainer, HeterogeneityCausesBlocking) {
   const Dataset data = small_data();
   SoftmaxRegression model(6, 3);
   SspTrainingConfig config;
-  config.iterations = 30;
+  config.experiment.iterations = 30;
   config.staleness = 1;
   // On the heterogeneous Cluster-A the 12-vCPU worker runs 6× faster than
   // the 2-vCPU ones; with staleness 1 it must block regularly — the paper's
@@ -201,7 +202,7 @@ TEST(SspTrainer, DeterministicForFixedSeed) {
   const Dataset data = small_data();
   SoftmaxRegression model(6, 3);
   SspTrainingConfig config;
-  config.iterations = 10;
+  config.experiment.iterations = 10;
   const auto a = train_ssp(cluster, model, data, config);
   const auto b = train_ssp(cluster, model, data, config);
   ASSERT_EQ(a.trace.points.size(), b.trace.points.size());
@@ -215,13 +216,13 @@ TEST(SspTrainer, RejectsNonPositiveLearningRateAndZeroRecordEvery) {
   SoftmaxRegression model(6, 3);
   for (const double rate : {0.0, -0.5}) {
     SspTrainingConfig config;
-    config.iterations = 2;
+    config.experiment.iterations = 2;
     config.learning_rate = rate;
     EXPECT_THROW(train_ssp(cluster, model, data, config),
                  std::invalid_argument);
   }
   SspTrainingConfig config;
-  config.iterations = 2;
+  config.experiment.iterations = 2;
   config.record_every = 0;
   EXPECT_THROW(train_ssp(cluster, model, data, config),
                std::invalid_argument);
@@ -240,7 +241,7 @@ TEST(SspTrainer, ConvergesWorseThanBspPerGradientWork) {
                                    data, config);
 
   SspTrainingConfig ssp_config;
-  ssp_config.iterations = 30;
+  ssp_config.experiment.iterations = 30;
   ssp_config.learning_rate = 0.5;
   ssp_config.staleness = 3;
   const auto ssp = train_ssp(cluster, model, data, ssp_config);

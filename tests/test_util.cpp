@@ -203,7 +203,7 @@ TEST(ReservoirQuantiles, ExactWhileUnderCapacity) {
   ReservoirQuantiles q(1024);
   for (int i = 100; i >= 1; --i) q.add(static_cast<double>(i));
   EXPECT_EQ(q.count(), 100u);
-  EXPECT_EQ(q.sample_size(), 100u);
+  EXPECT_EQ(q.retained().size(), 100u);
   EXPECT_DOUBLE_EQ(q.quantile(0.0), 1.0);
   EXPECT_DOUBLE_EQ(q.quantile(100.0), 100.0);
   EXPECT_DOUBLE_EQ(q.p50(), 50.5);
@@ -220,7 +220,7 @@ TEST(ReservoirQuantiles, ApproximatesLargeStreams) {
   Rng rng(21);
   for (int i = 0; i < 200000; ++i) q.add(rng.uniform());
   EXPECT_EQ(q.count(), 200000u);
-  EXPECT_EQ(q.sample_size(), 512u);
+  EXPECT_EQ(q.retained().size(), 512u);
   EXPECT_NEAR(q.p50(), 0.5, 0.08);
   EXPECT_NEAR(q.p95(), 0.95, 0.05);
   EXPECT_NEAR(q.p99(), 0.99, 0.03);
@@ -244,7 +244,7 @@ TEST(RunningStats, MergeTreeMatchesSequentialStream) {
   std::vector<RunningStats> partials(8);
   Rng rng(23);
   for (int i = 0; i < 400; ++i) {
-    const double x = rng.exponential(0.5);
+    const double x = std::exponential_distribution<double>(0.5)(rng.engine());
     sequential.add(x);
     partials[static_cast<std::size_t>(i) % 8].add(x);
   }
@@ -272,7 +272,7 @@ TEST(ReservoirQuantiles, MergeUnderCapacityEqualsSequential) {
   }
   left.merge(right);
   EXPECT_EQ(left.count(), 500u);
-  EXPECT_EQ(left.sample_size(), 500u);
+  EXPECT_EQ(left.retained().size(), 500u);
   EXPECT_DOUBLE_EQ(left.p50(), sequential.p50());
   EXPECT_DOUBLE_EQ(left.p95(), sequential.p95());
   EXPECT_DOUBLE_EQ(left.p99(), sequential.p99());
@@ -291,7 +291,7 @@ TEST(ReservoirQuantiles, MergeIsDeterministicAndCountExact) {
   a1.merge(b1);
   a2.merge(b2);
   EXPECT_EQ(a1.count(), 10000u);
-  EXPECT_EQ(a1.sample_size(), 128u);
+  EXPECT_EQ(a1.retained().size(), 128u);
   // Same operands, same merge: bit-identical quantiles.
   EXPECT_DOUBLE_EQ(a1.p50(), a2.p50());
   EXPECT_DOUBLE_EQ(a1.p95(), a2.p95());
@@ -338,7 +338,7 @@ TEST(ReservoirQuantiles, AdoptSubsamplesUniformlyNotByPrefix) {
   for (int i = 0; i < 500; ++i) src.add(static_cast<double>(i));
   dst.merge(src);
   EXPECT_EQ(dst.count(), 500u);
-  EXPECT_EQ(dst.sample_size(), 32u);
+  EXPECT_EQ(dst.retained().size(), 32u);
   EXPECT_NEAR(dst.p50(), 249.5, 90.0);
 }
 

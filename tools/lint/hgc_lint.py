@@ -52,6 +52,18 @@ Rules (see RULES for scopes and per-rule allowlists):
                         result. Naming QuorumTracker anywhere else in src/
                         is the start of another sort-gate-probe loop that
                         can drift from it in tie order or gating.
+  unconsumed-public     No code without a consumer. Every public name a
+                        src/ header declares (namespace-scope functions,
+                        types and variables; public member functions and
+                        fields) must be referenced by a non-test file —
+                        anywhere under src/ (the header's own .cpp
+                        included), apps/, bench/, examples/ or perfbench/ —
+                        outside its own declaration and definition. A test
+                        is not a consumer: a name only tests call is deleted
+                        or moved into a tests/ header. Names are matched as
+                        identifiers, so a name that collides with another
+                        identifier in use reads as consumed. examples/ and
+                        perfbench/ are read as consumers, never linted.
 
 Suppressions: `// lint:allow(<rule>): <justification>` — trailing on the
 offending line, or alone on the line above (then it covers the next line
@@ -76,6 +88,9 @@ from dataclasses import dataclass, field
 
 # Directories walked when no explicit paths are given, relative to --root.
 DEFAULT_PATHS = ["src", "apps", "bench", "tests"]
+# Roots whose C++ files count as consumers for unconsumed-public. They are
+# read, never linted: examples/ and perfbench/ are not in DEFAULT_PATHS.
+CONSUMER_ROOTS = ["src", "apps", "bench", "examples", "perfbench"]
 CXX_EXTENSIONS = {".cpp", ".hpp", ".h", ".cc", ".hh"}
 
 # Total NOLINT markers (NOLINT, NOLINTNEXTLINE, NOLINTBEGIN) tolerated
@@ -186,7 +201,19 @@ RULES = {
         include=["src/"],
         exclude=["src/core/decoder."],
     ),
+    "unconsumed-public": Rule(
+        name="unconsumed-public",
+        description=(
+            "public name declared in a src/ header that no file under "
+            "src/, apps/, bench/, examples/ or perfbench/ references outside "
+            "its own declaration and definition (a test is not a consumer)"
+        ),
+        # Detection is tree-level (every consumer file is read), not a
+        # per-line pattern — see _check_unconsumed_public.
+        include=["src/"],
+    ),
 }
+
 
 # Meta-rule names used in findings (not suppressible via lint:allow).
 META_ALLOW = "lint-allow"
@@ -331,7 +358,256 @@ def _check_unordered_iteration(relpath, stripped_lines, stripped_text):
                 "ordered container or sort the keys first")
 
 
-def lint_file(root, relpath, findings, nolint_sites):
+# --- unconsumed-public -----------------------------------------------------
+
+_IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+_ACCESS_RE = re.compile(r"\s*(public|private|protected)\s*:(?!:)")
+_PREPROCESSOR_RE = re.compile(r"(?m)^[ \t]*#(?:[^\n]*\\\n)*[^\n]*")
+_TYPE_HEAD_RE = re.compile(
+    r"\s*(?:typedef\s+)?(struct|class|union|enum)\b(?:\s+(?:class|struct)\b)?"
+    r"\s*(\w+)?")
+# Words that can stand right before a declaration's first '(' without
+# being the declared name.
+_NOT_A_NAME = {"alignas", "decltype", "__attribute__"}
+
+
+@dataclass
+class _Scope:
+    kind: str  # "namespace" or "class"
+    public: bool
+    name: str = ""
+
+
+@dataclass
+class _Decl:
+    name: str
+    pos: int  # offset of the name token
+    start: int  # [start, end): the declaration and any definition body
+    end: int
+    public: bool
+    checked: bool  # False for forward declarations and X::name definitions
+
+
+def _match_close(text, i, opening, closing):
+    """Offset just past the bracket matching the one at text[i]."""
+    depth = 0
+    for j in range(i, len(text)):
+        if text[j] == opening:
+            depth += 1
+        elif text[j] == closing:
+            depth -= 1
+            if depth == 0:
+                return j + 1
+    return len(text)
+
+
+def _blank_prefixes(seg):
+    """Blank `template <...>` heads, `requires (...)` clauses and `[[...]]`
+    attributes (same length, so offsets hold)."""
+    out = list(seg)
+    for m in re.finditer(r"\btemplate\s*<", seg):
+        depth, j = 0, m.end() - 1
+        while j < len(seg):
+            depth += {"<": 1, ">": -1}.get(seg[j], 0)
+            j += 1
+            if depth == 0:
+                break
+        out[m.start():j] = " " * (j - m.start())
+    for m in re.finditer(r"\brequires\s*\(", seg):
+        j = _match_close(seg, m.end() - 1, "(", ")")
+        out[m.start():j] = " " * (j - m.start())
+    for m in re.finditer(r"\[\[.*?\]\]", seg, re.S):
+        out[m.start():m.end()] = " " * (m.end() - m.start())
+    return "".join(out)
+
+
+def _top_level(seg, chars):
+    """Offset of the first char of `chars` outside (), [] and <>, or -1.
+    An '=' that is part of ==, !=, <= or >= does not count."""
+    paren = angle = 0
+    for j, ch in enumerate(seg):
+        if ch in chars and paren == 0 and angle == 0 and not (
+                ch == "=" and (seg[j - 1:j] in ("=", "!", "<", ">")
+                               or seg[j + 1:j + 2] == "=")):
+            return j
+        if ch in "([":
+            paren += 1
+        elif ch in ")]":
+            paren -= 1
+        elif ch == "<" and paren == 0:
+            angle += 1
+        elif ch == ">" and paren == 0 and angle > 0:
+            angle -= 1
+    return -1
+
+
+def _qualifier(lead):
+    """The class X of a `X::name` declarator, given the text before name."""
+    if not lead.endswith("::"):
+        return ""
+    q = list(_IDENT_RE.finditer(lead[:-2].rstrip()))
+    return q[-1].group(0) if q else ""
+
+
+def _is_public(scopes):
+    return all(s.public for s in scopes if s.kind == "class")
+
+
+def _declare(text, seg_start, head_end, span_end, scopes, decls):
+    """Record what the declaration text[seg_start:head_end] declares; its
+    span (declaration plus any body) ends at span_end."""
+    seg = _blank_prefixes(text[seg_start:head_end])
+    if re.match(r"\s*(?:friend|using\s+namespace|static_assert)\b", seg) \
+            or re.search(r"\boperator\b", seg) or not seg.strip():
+        return
+    public = _is_public(scopes)
+    enclosing = scopes[-1].name if scopes[-1].kind == "class" else ""
+
+    def add(name_match, qualifier="", checked=True):
+        name = name_match.group(0)
+        if name in _NOT_A_NAME or name == enclosing:
+            return  # constructors live in their class's span
+        pos = seg_start + name_match.start()
+        decls.append(_Decl(name, pos, seg_start, span_end, public,
+                           checked and not qualifier))
+        if qualifier:
+            # An out-of-line member definition is part of its class's.
+            decls.append(_Decl(qualifier, pos, seg_start, span_end, public,
+                               False))
+
+    alias = re.match(r"\s*using\s+(\w+)\s*=", seg)
+    if alias:
+        add(_IDENT_RE.search(seg, alias.start(1)))
+        return
+    if re.match(r"\s*using\b", seg):
+        return
+    head = _TYPE_HEAD_RE.match(seg)
+    if head and head.group(2) and not re.search(r"[(=]", seg):
+        # `struct X;` or `enum class X : int;` — a forward declaration.
+        add(_IDENT_RE.search(seg, head.start(2)), checked=False)
+        return
+    cut = _top_level(seg, "=")
+    body = seg if cut < 0 else seg[:cut]
+    paren = _top_level(body, "(")
+    pointer = re.match(r"\(\s*\*\s*(\w+)\s*\)\s*\(", body[paren:]) \
+        if paren >= 0 else None
+    if pointer:  # a function-pointer field: `R (*name)(args)`
+        add(_IDENT_RE.search(body, paren + pointer.start(1)))
+        return
+    if paren >= 0:
+        before = body[:paren].rstrip()
+        names = list(_IDENT_RE.finditer(before))
+        if not names or names[-1].end() != len(before):
+            return  # `(*fn)(...)`, a cast, or no name
+        name = names[-1]
+        lead = before[:name.start()].rstrip()
+        if not lead.endswith("~"):  # destructors live in their class's span
+            add(name, _qualifier(lead))
+        return
+    body = re.sub(r"(?:\[[^\]]*\]|:\s*\d+)\s*$", "", body.rstrip()).rstrip()
+    names = list(_IDENT_RE.finditer(body))
+    if len(names) < 2 or names[-1].end() != len(body):
+        return  # a lone word: a macro use or a trailing `} x` of a struct
+    add(names[-1], _qualifier(body[:names[-1].start()].rstrip()))
+
+
+def scan_declarations(stripped_text):
+    """Declarations at namespace and class scope of comment/string-stripped
+    C++ source, with their spans. Function and initializer bodies are
+    skipped whole; preprocessor lines are ignored."""
+    text = _PREPROCESSOR_RE.sub(
+        lambda m: re.sub(r"[^\n]", " ", m.group(0)), stripped_text)
+    decls = []
+    scopes = [_Scope("namespace", True)]
+    seg_start = i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "(":
+            i = _match_close(text, i, "(", ")")
+            continue
+        if c == ":" and scopes[-1].kind == "class":
+            m = _ACCESS_RE.match(text, seg_start)
+            if m and m.end() == i + 1:
+                scopes[-1].public = m.group(1) == "public"
+                seg_start = i + 1
+        elif c == ";":
+            _declare(text, seg_start, i, i + 1, scopes, decls)
+            seg_start = i + 1
+        elif c == "{":
+            close = _match_close(text, i, "{", "}")
+            seg = _blank_prefixes(text[seg_start:i])
+            head = _TYPE_HEAD_RE.match(seg)
+            if re.match(r"\s*(?:inline\s+)?namespace\b|\s*extern\s*$", seg):
+                scopes.append(_Scope("namespace", True))
+                seg_start = i + 1
+            elif head and (head.group(2) or head.group(1) != "enum"):
+                # A type definition: its span is the whole body.
+                if head.group(2):
+                    decls.append(_Decl(
+                        head.group(2), seg_start + head.start(2), seg_start,
+                        close, _is_public(scopes), True))
+                if head.group(1) == "enum":
+                    i = seg_start = close
+                    continue
+                scopes.append(_Scope("class", head.group(1) != "class",
+                                     head.group(2) or ""))
+                seg_start = i + 1
+            else:  # a function body or a braced initializer: skip it whole
+                _declare(text, seg_start, i, close, scopes, decls)
+                i = seg_start = close
+                continue
+        elif c == "}":
+            if len(scopes) > 1:
+                scopes.pop()
+            seg_start = i + 1
+        i += 1
+    return decls
+
+
+def _check_unconsumed_public(root, headers):
+    """Yield (relpath, lineno, message) for each public name declared in one
+    of `headers` (repo-relative src/ headers) that no consumer file
+    references outside a declaration or definition of that name."""
+    texts = {}
+    for relpath in collect_files(root, CONSUMER_ROOTS):
+        try:
+            with open(os.path.join(root, relpath), encoding="utf-8",
+                      errors="replace") as f:
+                texts[relpath] = strip_comments_and_strings(f.read())
+        except OSError:
+            continue
+    spans = {}  # name -> {relpath: [(start, end)]}
+    declared = {}  # relpath -> [_Decl]
+    for relpath, text in texts.items():
+        decls = scan_declarations(text)
+        declared[relpath] = decls
+        for d in decls:
+            spans.setdefault(d.name, {}).setdefault(relpath, []).append(
+                (d.start, d.end))
+    wanted = {d.name for h in headers for d in declared.get(h, [])
+              if d.checked and d.public}
+    consumed = set()
+    for relpath, text in texts.items():
+        for m in _IDENT_RE.finditer(text):
+            name = m.group(0)
+            if name in wanted and name not in consumed and not any(
+                    start <= m.start() < end
+                    for start, end in spans[name].get(relpath, ())):
+                consumed.add(name)
+    for relpath in headers:
+        text = texts.get(relpath)
+        for d in declared.get(relpath, []):
+            if d.checked and d.public and d.name not in consumed:
+                yield relpath, text.count("\n", 0, d.pos) + 1, (
+                    f"'{d.name}' has no consumer outside tests/; delete it, "
+                    "move it into tests/, or give it a caller")
+
+
+def lint_file(root, relpath, findings, nolint_sites, tree_findings=()):
+    """Lint one file. `tree_findings` holds (lineno, rule, message) found
+    for this file by a tree-level rule; they go through the same
+    suppressions as the per-file rules."""
     path = os.path.join(root, relpath)
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
@@ -360,6 +636,8 @@ def lint_file(root, relpath, findings, nolint_sites):
     for rule in RULES.values():
         if not rule_applies(rule, relpath):
             continue
+        if rule.name == "unconsumed-public":
+            continue  # tree-level: arrives in tree_findings
         if rule.name == "unordered-iteration":
             for lineno, message in _check_unordered_iteration(
                     relpath, stripped_lines, stripped_text):
@@ -372,6 +650,9 @@ def lint_file(root, relpath, findings, nolint_sites):
                     report(lineno, rule.name,
                            f"'{m.group(0).strip()}' — {rule.description}")
                     break  # one finding per rule per line
+
+    for lineno, rule_name, message in tree_findings:
+        report(lineno, rule_name, message)
 
     # A suppression that suppressed nothing is stale — fail it so allows
     # cannot outlive the code they were written for.
@@ -432,8 +713,16 @@ def main():
     findings = []
     nolint_sites = []
     files = collect_files(root, paths)
+    rule = RULES["unconsumed-public"]
+    headers = [f for f in files
+               if f.endswith(".hpp") and rule_applies(rule, f)]
+    tree_findings = {}
+    for relpath, lineno, message in _check_unconsumed_public(root, headers):
+        tree_findings.setdefault(relpath, []).append(
+            (lineno, rule.name, message))
     for relpath in files:
-        lint_file(root, relpath, findings, nolint_sites)
+        lint_file(root, relpath, findings, nolint_sites,
+                  tree_findings.get(relpath, ()))
 
     if len(nolint_sites) > NOLINT_BUDGET:
         listing = ", ".join(nolint_sites)

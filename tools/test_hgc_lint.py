@@ -90,7 +90,12 @@ def test_unordered_iteration_fires_on_begin():
 
 
 def test_unordered_lookup_only_is_ignored():
-    code, out = run_lint({"src/core/cache.hpp": UNORDERED_LOOKUP_ONLY})
+    # apps/ consumes Cache so that unconsumed-public stays quiet too.
+    code, out = run_lint({
+        "src/core/cache.hpp": UNORDERED_LOOKUP_ONLY,
+        "apps/use.cpp":
+            "double f(Cache& c) { return c.has(1) ? c.get(1) : 0; }\n",
+    })
     assert code == 0, out
 
 
@@ -373,6 +378,136 @@ def test_prefix_loop_allowed_with_justification():
         "// lint:allow(prefix-loop): fixture for the gate itself")
     code, out = run_lint({"src/sim/my_round.cpp": snippet})
     assert code == 0, out
+
+
+# --- unconsumed-public ---------------------------------------------------
+
+WIDGET_HPP = """
+#pragma once
+namespace hgc {
+struct Widget {
+  int used_field = 0;
+  double spare() const;
+};
+int widget_count(const Widget& w);
+}  // namespace hgc
+"""
+
+# The definitions alone: neither names spare nor widget_count anywhere else.
+WIDGET_CPP = """
+#include "core/widget.hpp"
+namespace hgc {
+double Widget::spare() const { return used_field * 0.5; }
+int widget_count(const Widget& w) { return w.used_field; }
+}  // namespace hgc
+"""
+
+WIDGET_USER = """
+#include "core/widget.hpp"
+int use(const hgc::Widget& w) { return hgc::widget_count(w) + (int)w.spare(); }
+"""
+
+
+def test_unconsumed_public_fires_when_only_tests_use_a_name():
+    code, out = run_lint({
+        "src/core/widget.hpp": WIDGET_HPP,
+        "src/core/widget.cpp": WIDGET_CPP,
+        "tests/test_widget.cpp": WIDGET_USER,
+    })
+    assert code == 1
+    # Reported on the declaring header line, once per name.
+    assert "src/core/widget.hpp:6: [unconsumed-public] 'spare'" in out
+    assert "src/core/widget.hpp:8: [unconsumed-public] 'widget_count'" in out
+    assert "'Widget'" not in out and "'used_field'" not in out
+    assert "2 finding(s)" in out
+
+
+def test_unconsumed_public_counts_examples_and_perfbench_as_consumers():
+    for consumer in ("examples/demo.cpp", "perfbench/hgc_perfbench.cpp"):
+        code, out = run_lint({
+            "src/core/widget.hpp": WIDGET_HPP,
+            "src/core/widget.cpp": WIDGET_CPP,
+            consumer: WIDGET_USER,
+        })
+        assert code == 0, f"{consumer}:\n{out}"
+        # Consumer roots are read, never linted.
+        assert "2 files" in out
+
+
+def test_unconsumed_public_counts_a_use_in_the_headers_own_cpp():
+    cpp = WIDGET_CPP + (
+        "namespace hgc {\n"
+        "double total(const Widget& w) {\n"
+        "  return w.spare() + widget_count(w);\n"
+        "}\n"
+        "}  // namespace hgc\n")
+    code, out = run_lint({
+        "src/core/widget.hpp": WIDGET_HPP,
+        "src/core/widget.cpp": cpp,
+    })
+    assert code == 0, out
+
+
+def test_unconsumed_public_ignores_private_members_comments_and_strings():
+    header = """
+#pragma once
+namespace hgc {
+class Gadget {
+ public:
+  int size() const { return helper(); }
+ private:
+  int helper() const { return count_; }
+  int count_ = 0;
+};
+}  // namespace hgc
+"""
+    user = ("// Gadget::helper and count_ are private\n"
+            'const char* kDoc = "Gadget::helper";\n'
+            "int n(const hgc::Gadget& g) { return g.size(); }\n")
+    code, out = run_lint({
+        "src/core/gadget.hpp": header,
+        "apps/tool.cpp": user,
+    })
+    assert code == 0, out
+    # A name mentioned only in a comment or a string is not consumed.
+    only_mentioned = user.replace("return g.size();", "return 0;")
+    code, out = run_lint({
+        "src/core/gadget.hpp": header,
+        "apps/tool.cpp": only_mentioned,
+    })
+    assert code == 1
+    assert "src/core/gadget.hpp:6: [unconsumed-public] 'size'" in out
+    assert "helper" not in out and "count_" not in out
+
+
+def test_unconsumed_public_allowed_with_justification():
+    header = WIDGET_HPP.replace(
+        "  double spare() const;",
+        "  // lint:allow(unconsumed-public): kept for the next consumer\n"
+        "  double spare() const;").replace(
+        "int widget_count(const Widget& w);",
+        "int widget_count(const Widget& w);  "
+        "// lint:allow(unconsumed-public): same")
+    code, out = run_lint({
+        "src/core/widget.hpp": header,
+        "src/core/widget.cpp": WIDGET_CPP,
+    })
+    assert code == 0, out
+
+
+def test_unconsumed_public_stale_allow_is_an_error():
+    header = WIDGET_HPP.replace(
+        "  int used_field = 0;",
+        "  int used_field = 0;  "
+        "// lint:allow(unconsumed-public): no longer needed")
+    code, out = run_lint({
+        "src/core/widget.hpp": header,
+        "src/core/widget.cpp": WIDGET_CPP,
+        "bench/b.cpp": WIDGET_USER,
+    })
+    assert code == 1
+    assert "src/core/widget.hpp:5: [lint-allow]" in out
+    assert "suppresses nothing" in out
 
 
 # --- NOLINT budget -------------------------------------------------------
