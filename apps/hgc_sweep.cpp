@@ -68,8 +68,9 @@ void print_usage(std::ostream& os) {
         "                     timing) as JSON to F after the run\n"
         "  --metrics-interval S\n"
         "                     sample the metrics registry every S seconds\n"
-        "                     on a background thread (default off; read-\n"
-        "                     only, results stay byte-identical)\n"
+        "                     on a background thread into --metrics-log\n"
+        "                     (default off; read-only, results stay\n"
+        "                     byte-identical)\n"
         "  --metrics-log F    append each sample as one JSON line to F\n"
         "                     (JSONL; requires --metrics-interval; analyze\n"
         "                     with hgc_obs diff/top)\n"

@@ -1,8 +1,11 @@
 #include "exec/sweep.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <exception>
+#include <map>
 #include <memory>
+#include <tuple>
 #include <utility>
 
 #include "exec/thread_pool.hpp"
@@ -197,10 +200,12 @@ engine::ScenarioScript script_of(const ScenarioSpec& scenario) {
 /// scenario kind only chooses which columns the row reports.
 CellResult run_builtin_cell(const Cell& cell, ScenarioKind kind,
                             const engine::ScenarioScript& script,
-                            const SweepOptions& opts) {
+                            const SweepOptions& opts,
+                            const ConditionTape* tape) {
   ExperimentConfig config = cell.experiment;
   config.scheme_cache = opts.scheme_cache;
   config.decoding_cache_capacity = opts.decoding_cache_capacity;
+  config.condition_tape = tape;
   config.sim.trace_track = cell_trace_track(cell);
   const SchemeSummary run =
       run_experiment(cell.scheme, *cell.cluster, config, script);
@@ -223,10 +228,46 @@ CellResult run_builtin_cell(const Cell& cell, ScenarioKind kind,
   return result;
 }
 
-}  // namespace
+/// Runs one cell through `fn` with the per-cell observability: a wall-clock
+/// span (arg = cell index, so the trace row maps back to a ResultTable row),
+/// progress counters for --progress, and a cell-duration stat, all out of
+/// band. An exception becomes the row's error note.
+CellResult guarded(const Cell& cell, const CellFn& fn) {
+  HGC_TRACE_SCOPE("cell", "sweep", static_cast<std::int64_t>(cell.index));
+  const bool metrics = obs::metrics_enabled();
+  Stopwatch timer;
+  CellResult result;
+  try {
+    result = fn(cell);
+  } catch (const std::exception& e) {
+    result.note = std::string("error: ") + e.what();
+    if (metrics) {
+      static const obs::Counter cells_failed =
+          obs::Registry::global().counter("sweep.cells.failed");
+      cells_failed.add();
+    }
+  }
+  if (metrics) {
+    static const obs::Counter cells_done =
+        obs::Registry::global().counter("sweep.cells.done");
+    static const obs::StatHandle cell_seconds =
+        obs::Registry::global().stat("sweep.cell_seconds");
+    cells_done.add();
+    cell_seconds.observe(timer.seconds());
+  }
+  return result;
+}
 
-ResultTable run_sweep(const SweepGrid& grid, const CellFn& fn,
-                      const SweepOptions& opts) {
+/// Puts a sweep's cells on the pool; each task writes only its own cells'
+/// result slots.
+using SubmitFn = std::function<void(
+    const std::vector<Cell>&, std::vector<CellResult>&, ThreadPool&)>;
+
+/// The driver every sweep shares: expand the grid, run the tasks `submit`
+/// queues (under the optional recorder), then assemble the table serially
+/// in cell-index order.
+ResultTable drive(const SweepGrid& grid, const SweepOptions& opts,
+                  const SubmitFn& submit) {
   const std::vector<Cell> cells = expand(grid);
   std::vector<CellResult> results(cells.size());
   if (obs::metrics_enabled()) {
@@ -234,35 +275,6 @@ ResultTable run_sweep(const SweepGrid& grid, const CellFn& fn,
         obs::Registry::global().gauge("sweep.cells.total");
     cells_total.set(static_cast<double>(cells.size()));
   }
-  const auto guarded = [&fn](const Cell& cell) -> CellResult {
-    // Per-cell observability: a wall-clock span (arg = cell index, so the
-    // trace row maps back to a ResultTable row), progress counters for
-    // --progress, and a cell-duration stat. All out of band — the
-    // CellResult bytes are untouched.
-    HGC_TRACE_SCOPE("cell", "sweep", static_cast<std::int64_t>(cell.index));
-    const bool metrics = obs::metrics_enabled();
-    Stopwatch timer;
-    CellResult result;
-    try {
-      result = fn(cell);
-    } catch (const std::exception& e) {
-      result.note = std::string("error: ") + e.what();
-      if (metrics) {
-        static const obs::Counter cells_failed =
-            obs::Registry::global().counter("sweep.cells.failed");
-        cells_failed.add();
-      }
-    }
-    if (metrics) {
-      static const obs::Counter cells_done =
-          obs::Registry::global().counter("sweep.cells.done");
-      static const obs::StatHandle cell_seconds =
-          obs::Registry::global().stat("sweep.cell_seconds");
-      cells_done.add();
-      cell_seconds.observe(timer.seconds());
-    }
-    return result;
-  };
   std::unique_ptr<obs::Recorder> recorder;
   if (opts.metrics_interval_seconds > 0.0) {
     obs::RecorderOptions ropts;
@@ -272,10 +284,7 @@ ResultTable run_sweep(const SweepGrid& grid, const CellFn& fn,
     recorder->start();
   }
   ThreadPool pool(opts.threads ? opts.threads : ThreadPool::default_threads());
-  for (const Cell& cell : cells)
-    pool.submit([&guarded, &cell, &results] {
-      results[cell.index] = guarded(cell);
-    });
+  submit(cells, results, pool);
   pool.wait_idle();
   if (recorder) recorder->stop();
   if (opts.metrics_snapshot)
@@ -295,16 +304,111 @@ ResultTable run_sweep(const SweepGrid& grid, const CellFn& fn,
   return table;
 }
 
+/// Largest condition tape one draw group may share. Cells whose tape would
+/// be bigger run ungrouped and draw round by round, so no tape passes this
+/// budget however long or wide the grid is.
+constexpr std::size_t kMaxTapeBytes = std::size_t{8} << 20;
+
+/// The built-in sweep's draw groups, in first-cell order. A draw group is
+/// the cells whose conditions are provably identical: same cluster, victim
+/// count, fluctuation σ, seed and iteration count, under a script with no
+/// churn and no bursts. Scheme, delay, fault, estimation error, k and a
+/// splice or drift do not enter the condition stream. Every other cell, and
+/// every cell whose tape would pass kMaxTapeBytes, is a group of its own.
+std::vector<std::vector<std::size_t>> draw_groups(
+    const std::vector<Cell>& cells,
+    const std::vector<engine::ScenarioScript>& scripts) {
+  using Key = std::tuple<const Cluster*, std::size_t, std::uint64_t,
+                         std::uint64_t, std::size_t>;
+  std::map<Key, std::size_t> group_of;
+  std::vector<std::vector<std::size_t>> groups;
+  for (const Cell& cell : cells) {
+    const engine::ScenarioScript& script = scripts[cell.scenario_index];
+    const ExperimentConfig& config = cell.experiment;
+    if (!script.churn.empty() || !script.bursts.empty() ||
+        ConditionTape::bytes(config.model, cell.cluster->size(),
+                             config.iterations) > kMaxTapeBytes) {
+      groups.push_back({cell.index});
+      continue;
+    }
+    const Key key{cell.cluster, config.model.num_stragglers,
+                  std::bit_cast<std::uint64_t>(config.model.fluctuation_sigma),
+                  config.seed, config.iterations};
+    const auto [it, fresh] = group_of.try_emplace(key, groups.size());
+    if (fresh) groups.emplace_back();
+    groups[it->second].push_back(cell.index);
+  }
+  return groups;
+}
+
+/// A draw group's shared tape, drawn from its first cell; none when the
+/// draw throws: the members then draw their own conditions, so each reports
+/// the error its own run would.
+std::shared_ptr<const ConditionTape> group_tape(const Cell& first) {
+  // A wall-clock span per tape (arg = its first cell): the draw runs in the
+  // group's own pool task, outside every member's cell span.
+  HGC_TRACE_SCOPE("condition_tape", "sweep",
+                  static_cast<std::int64_t>(first.index));
+  try {
+    return std::make_shared<const ConditionTape>(
+        first.experiment.model, first.cluster->size(),
+        first.experiment.iterations, condition_stream(first.experiment.seed));
+  } catch (const std::exception&) {
+    return nullptr;
+  }
+}
+
+}  // namespace
+
+ResultTable run_sweep(const SweepGrid& grid, const CellFn& fn,
+                      const SweepOptions& opts) {
+  return drive(grid, opts,
+               [&fn](const std::vector<Cell>& cells,
+                     std::vector<CellResult>& results, ThreadPool& pool) {
+                 for (const Cell& cell : cells)
+                   pool.submit([&fn, &cell, &results] {
+                     results[cell.index] = guarded(cell, fn);
+                   });
+               });
+}
+
 ResultTable run_sweep(const SweepGrid& grid, const SweepOptions& opts) {
   std::vector<engine::ScenarioScript> scripts;
   scripts.reserve(grid.scenarios.size());
   for (const ScenarioSpec& scenario : grid.scenarios)
     scripts.push_back(script_of(scenario));
-  const CellFn fn = [&grid, &scripts, &opts](const Cell& cell) {
-    return run_builtin_cell(cell, grid.scenarios[cell.scenario_index].kind,
-                            scripts[cell.scenario_index], opts);
-  };
-  return run_sweep(grid, fn, opts);
+  return drive(grid, opts, [&](const std::vector<Cell>& cells,
+                               std::vector<CellResult>& results,
+                               ThreadPool& pool) {
+    // Group tasks run after this function returns, so each takes a copy;
+    // everything it captures lives until the pool drains.
+    const auto submit_cell = [&](std::size_t index,
+                                 std::shared_ptr<const ConditionTape> tape) {
+      pool.submit([&, index, tape = std::move(tape)] {
+        const CellFn fn = [&](const Cell& cell) {
+          return run_builtin_cell(cell,
+                                  grid.scenarios[cell.scenario_index].kind,
+                                  scripts[cell.scenario_index], opts,
+                                  tape.get());
+        };
+        results[index] = guarded(cells[index], fn);
+      });
+    };
+    for (std::vector<std::size_t>& members : draw_groups(cells, scripts)) {
+      if (members.size() == 1) {
+        submit_cell(members.front(), nullptr);
+        continue;
+      }
+      // The group's task draws the tape, then queues every member as a task
+      // of its own, so a group's cells still run in parallel. Each member
+      // holds the tape; the last one to finish frees it.
+      pool.submit([submit_cell, &cells, members = std::move(members)] {
+        const std::shared_ptr<const ConditionTape> tape =
+            group_tape(cells[members.front()]);
+        for (std::size_t index : members) submit_cell(index, tape);
+      });
+    }
+  });
 }
 
 }  // namespace hgc::exec

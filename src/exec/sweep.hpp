@@ -158,11 +158,12 @@ struct SweepOptions {
   /// before the run.)
   obs::Snapshot* metrics_snapshot = nullptr;
   /// > 0 runs an obs::Recorder for the duration of the sweep, sampling the
-  /// registry every interval on a background thread. Read-only against the
-  /// registry, so the ResultTable stays byte-identical with it on or off.
+  /// registry every interval on a background thread into metrics_log
+  /// (run_sweep throws if it is unset). Read-only against the registry, so
+  /// the ResultTable stays byte-identical with it on or off.
   double metrics_interval_seconds = 0.0;
-  /// Optional recorder sink: one compact snapshot JSON per line (JSONL),
-  /// appended at every sample. Not owned; ignored unless the recorder runs.
+  /// The recorder's sink: one compact snapshot JSON per line (JSONL),
+  /// appended at every sample. Not owned.
   std::ostream* metrics_log = nullptr;
 };
 
@@ -185,6 +186,15 @@ ResultTable run_sweep(const SweepGrid& grid, const CellFn& fn,
 /// iteration was undecodable. The engine kinds → stats time; quantiles
 /// latency; metrics failures, reinstantiations (not kTraceReplay), bursts
 /// (kScript only), total_time.
+///
+/// Cells whose conditions are provably identical form a draw group: same
+/// cluster, resolved victim count, fluctuation σ, seed and iterations, and
+/// a script with no churn and no bursts. A group's pool task draws its
+/// ConditionTape once, then queues each member as a task of its own that
+/// replays the tape, so the schemes of a group compare under the same
+/// stragglers by construction, its cells still run in parallel, and the
+/// bytes equal one run_experiment call per cell. Other cells, and cells
+/// whose tape would pass a fixed byte budget, draw their own conditions.
 ResultTable run_sweep(const SweepGrid& grid, const SweepOptions& opts = {});
 
 }  // namespace hgc::exec

@@ -4,14 +4,6 @@
 
 namespace hgc {
 
-double SparseRowMatrix::at(std::size_t r, std::size_t c) const {
-  HGC_REQUIRE(r < rows() && c < cols_, "sparse index out of range");
-  const auto cols = row_cols(r);
-  const auto it = std::lower_bound(cols.begin(), cols.end(), c);
-  if (it == cols.end() || *it != c) return 0.0;
-  return row_values(r)[static_cast<std::size_t>(it - cols.begin())];
-}
-
 SparseRowBuilder::SparseRowBuilder(std::size_t rows, std::size_t cols)
     : cols_(cols), entries_(rows) {
   HGC_REQUIRE(cols > 0, "sparse builder needs at least one column");

@@ -75,10 +75,6 @@ class SparseRowMatrix {
     return {values_.data() + row_ptr_[r], row_nnz(r)};
   }
 
-  /// Entry (r, c); 0.0 when absent from the structure. Binary search over
-  /// the row — O(log row_nnz), for tests and spot checks, not hot loops.
-  double at(std::size_t r, std::size_t c) const;
-
  private:
   friend class SparseRowBuilder;
 

@@ -7,11 +7,7 @@
 
 namespace hgc::obs {
 
-Recorder::Recorder(RecorderOptions opts) : opts_(opts) {
-  if (opts_.ring_capacity == 0)
-    throw std::invalid_argument("obs: recorder ring capacity must be > 0");
-  ring_.reserve(opts_.ring_capacity);
-}
+Recorder::Recorder(RecorderOptions opts) : opts_(opts) {}
 
 Recorder::~Recorder() { stop(); }
 
@@ -20,6 +16,8 @@ void Recorder::start() {
   if (running_) return;
   if (!(opts_.interval_seconds > 0.0))
     throw std::invalid_argument("obs: recorder interval must be > 0");
+  if (!opts_.jsonl)
+    throw std::invalid_argument("obs: recorder needs a jsonl sink");
   running_ = true;
   stopping_ = false;
   thread_ = std::thread([this] { run(); });
@@ -37,33 +35,15 @@ void Recorder::stop() {
   running_ = false;
 }
 
-std::vector<Snapshot> Recorder::samples() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  std::vector<Snapshot> out;
-  out.reserve(ring_.size());
-  // Oldest first: once full, ring_next_ points at the oldest entry.
-  for (std::size_t i = 0; i < ring_.size(); ++i)
-    out.push_back(ring_[(ring_next_ + i) % ring_.size()]);
-  return out;
-}
-
 void Recorder::sample_once(std::unique_lock<std::mutex>& lock) {
   // Snapshot outside the recorder lock: Registry::snapshot() takes the
-  // registry mutex and per-shard sample locks, and samples() callers must
-  // not wait on that.
+  // registry mutex and per-shard sample locks, and start()/stop() callers
+  // must not wait on that.
   lock.unlock();
-  Snapshot snap = Registry::global().snapshot();
+  const Snapshot snap = Registry::global().snapshot();
   lock.lock();
-  if (opts_.jsonl) {
-    snap.write_json(*opts_.jsonl, /*compact=*/true);
-    *opts_.jsonl << '\n';
-  }
-  if (ring_.size() < opts_.ring_capacity) {
-    ring_.push_back(std::move(snap));
-  } else {
-    ring_[ring_next_] = std::move(snap);
-    ring_next_ = (ring_next_ + 1) % opts_.ring_capacity;
-  }
+  snap.write_json(*opts_.jsonl, /*compact=*/true);
+  *opts_.jsonl << '\n';
 }
 
 void Recorder::run() {

@@ -1,10 +1,9 @@
 // Background metrics sampler — the time axis of the observability layer.
 //
 // Registry::snapshot() is a point-in-time view; the Recorder turns it into
-// a series by sampling on its own thread at a fixed interval. Samples land
-// in a fixed-capacity ring buffer (oldest overwritten — steady memory no
-// matter how long the run) and, optionally, append to a JSONL stream (one
-// compact Snapshot per line) for offline rate analysis with hgc_obs.
+// a series by sampling on its own thread at a fixed interval and appending
+// each sample to a JSONL stream (one compact Snapshot per line) for offline
+// rate analysis with hgc_obs.
 //
 // Isolation contract: the recorder only ever *reads* the registry — it
 // takes snapshots on its own thread and touches nothing the cells write.
@@ -13,11 +12,9 @@
 #pragma once
 
 #include <condition_variable>
-#include <cstddef>
 #include <iosfwd>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -26,11 +23,8 @@ namespace hgc::obs {
 struct RecorderOptions {
   /// Seconds between samples. Must be > 0 to start().
   double interval_seconds = 1.0;
-  /// Ring capacity in samples; the default keeps ten minutes at 1 Hz.
-  std::size_t ring_capacity = 600;
-  /// Optional sink: one compact Snapshot JSON per line, appended at each
-  /// sample. Not owned; must outlive stop(). Unlike the ring this keeps
-  /// every sample, so long runs should point it at a file.
+  /// The sink: one compact Snapshot JSON per line, appended at each
+  /// sample. Not owned; must be set to start() and outlive stop().
   std::ostream* jsonl = nullptr;
 };
 
@@ -49,21 +43,15 @@ class Recorder {
   /// join the thread. No-op when not running.
   void stop();
 
-  /// The ring's contents, oldest first. Callable any time; while running
-  /// it returns a consistent copy under the sampler's lock.
-  std::vector<Snapshot> samples() const;
-
  private:
   void sample_once(std::unique_lock<std::mutex>& lock);
   void run();
 
   RecorderOptions opts_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   bool running_ = false;
   bool stopping_ = false;
-  std::vector<Snapshot> ring_;   ///< ring storage, capacity opts_.ring_capacity
-  std::size_t ring_next_ = 0;    ///< next write slot once the ring is full
   std::thread thread_;
 };
 

@@ -77,7 +77,7 @@ BspTrainingResult train_bsp_ignore_stragglers(
   const SgdOptimizer optimizer(config.learning_rate);
   const auto shards = partition_rows(data.size(), m);
 
-  Rng condition_rng(experiment.seed + 0x79b9);
+  Rng condition_rng = condition_stream(experiment.seed);
   Rng init_rng(experiment.seed + 0x1111);
   Vector params = model.init_params(init_rng);
 

@@ -19,7 +19,7 @@ SspTrainingResult train_ssp(const Cluster& cluster,
   HGC_REQUIRE(config.record_every > 0, "record_every must be positive");
 
   const auto shards = partition_rows(data.size(), m);
-  Rng condition_rng(config.experiment.seed + 0x79b9);
+  Rng condition_rng = condition_stream(config.experiment.seed);
   Rng init_rng(config.experiment.seed + 0x1111);
 
   Vector params = model.init_params(init_rng);

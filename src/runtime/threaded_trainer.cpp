@@ -6,6 +6,7 @@
 #include "core/decoder.hpp"
 #include "ml/sgd.hpp"
 #include "runtime/channel.hpp"
+#include "sim/experiment.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
 
@@ -97,7 +98,7 @@ ThreadedTrainingResult train_bsp_threaded(
   const auto partitions =
       partition_rows(data.size(), scheme.num_partitions());
 
-  Rng condition_rng(config.seed + 0x79b9);
+  Rng condition_rng = condition_stream(config.seed);
   Rng init_rng(config.seed + 0x1111);
   Vector params = model.init_params(init_rng);
   const double inv_n = 1.0 / static_cast<double>(data.size());

@@ -27,6 +27,8 @@ constexpr std::size_t kGone = static_cast<std::size_t>(-1);
 
 }  // namespace
 
+Rng condition_stream(std::uint64_t seed) { return Rng(seed + 0x79b9); }
+
 std::size_t resolve_partitions(const ExperimentConfig& config,
                                std::size_t num_workers) {
   return config.k == 0 ? 2 * num_workers : config.k;
@@ -67,6 +69,11 @@ SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
                                return a.time < b.time;
                              }),
               "churn events must be sorted by time");
+  const ConditionTape* const tape = config.condition_tape;
+  if (tape) {
+    HGC_REQUIRE(script.churn.empty() && script.bursts.empty(),
+                "a condition tape needs a script without churn or bursts");
+  }
   const std::size_t splice_rows = script.splice.num_iterations();
   HGC_REQUIRE(splice_rows == 0 ||
                   script.splice.num_workers() == cluster.size(),
@@ -94,7 +101,7 @@ SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
   // byte-identical.
   Rng construction_rng(config.seed);
   Rng estimation_rng(config.seed + 0x9e37);
-  Rng condition_rng(config.seed + 0x79b9);
+  Rng condition_rng = condition_stream(config.seed);
   SchemeCache* const scheme_cache =
       script.churn.empty() && !hook.after_round && hook.initial_basis.empty()
           ? config.scheme_cache
@@ -156,6 +163,11 @@ SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
   engine::FixedLatencyLink link(config.sim.comm_latency);
   engine::RoundOptions round_options;
   round_options.trace_track = config.sim.trace_track;
+  IterationConditions conditions;  // every round overwrites it in place
+  // Where the first round's own draw would check its arguments, so a bad
+  // model reports the same error with or without a tape.
+  if (tape)
+    tape->require_matches(config.model, cluster.size(), config.iterations);
 
   for (std::size_t iter = 0; iter < config.iterations; ++iter) {
     // Apply every membership change that has come due, then re-instantiate
@@ -186,8 +198,10 @@ SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
       rebuild({});
     }
 
-    IterationConditions conditions =
-        config.model.draw(active->size(), condition_rng);
+    if (tape)
+      tape->replay(iter, config.model, conditions);
+    else
+      config.model.draw(active->size(), condition_rng, conditions);
 
     // Splice row: base per-worker delays recorded against the initial
     // roster (column = stable id; joined workers take none).

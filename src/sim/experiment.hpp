@@ -5,7 +5,8 @@
 // and aggregates the metrics the paper's figures report. Fairness contract:
 // when comparing schemes, every scheme sees the *same* per-iteration
 // conditions (same victims, same fluctuations), achieved by drawing
-// conditions from a dedicated RNG stream reset per scheme. An optional
+// conditions from a dedicated RNG stream (condition_stream) reset per
+// scheme, or by replaying one ConditionTape drawn from it. An optional
 // RoundHook sees every round and may rebuild the code: adaptive re-coding
 // (sim/adaptive.hpp) and the coded BSP trainer (runtime/sim_trainer.hpp)
 // are hooks on this loop.
@@ -52,7 +53,19 @@ struct ExperimentConfig {
   /// of one run_experiment call, so it is never shared across threads, and
   /// every churn re-instantiation rebuilds it.
   std::size_t decoding_cache_capacity = 0;
+  /// Pre-drawn conditions; nullptr = draw them from condition_stream(seed)
+  /// round by round. A tape drawn from that stream for this cluster's m,
+  /// these iterations and this model's victim count and σ replays the same
+  /// bytes, so cells that share all four can share one tape. Only runs
+  /// whose script has no churn and no bursts accept one: churn changes m
+  /// and burst draws interleave with the condition stream.
+  const ConditionTape* condition_tape = nullptr;
 };
+
+/// The per-iteration condition stream of a run seeded with `seed`. Every
+/// driver that replays a run's stragglers (run_experiment, the trainers, a
+/// ConditionTape) starts from it, so all of them see the same conditions.
+Rng condition_stream(std::uint64_t seed);
 
 /// Aggregated outcome of an experiment cell for one scheme.
 struct SchemeSummary {

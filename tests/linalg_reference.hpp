@@ -24,6 +24,16 @@ inline Matrix to_dense(const SparseRowMatrix& b) {
   return dense;
 }
 
+/// Entry (r, c) of b; 0.0 when absent from the structure. Binary search
+/// over the row.
+inline double at(const SparseRowMatrix& b, std::size_t r, std::size_t c) {
+  HGC_REQUIRE(r < b.rows() && c < b.cols(), "sparse index out of range");
+  const auto cols = b.row_cols(r);
+  const auto it = std::lower_bound(cols.begin(), cols.end(), c);
+  if (it == cols.end() || *it != c) return 0.0;
+  return b.row_values(r)[static_cast<std::size_t>(it - cols.begin())];
+}
+
 inline Matrix identity(std::size_t n) {
   Matrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;

@@ -87,7 +87,7 @@ TEST(Alg1, IdleWorkersGetZeroRowsAndStayOutOfDecoding) {
   const Assignment assignment = {{0, 1}, {}, {0}, {1}};
   const auto build = build_alg1(assignment, 2, 1, rng);
   EXPECT_EQ(build.b.row_nnz(1), 0u);
-  for (std::size_t j = 0; j < 2; ++j) EXPECT_DOUBLE_EQ(build.b.at(1, j), 0.0);
+  for (std::size_t j = 0; j < 2; ++j) EXPECT_DOUBLE_EQ(ref::at(build.b, 1, j), 0.0);
   EXPECT_EQ(build.code.workers(), (std::vector<WorkerId>{0, 2, 3}));
   // Decoding ignores worker 1's received flag entirely.
   std::vector<bool> received = {true, false, true, true};

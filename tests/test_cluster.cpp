@@ -157,6 +157,67 @@ TEST(StragglerModel, RejectsBadConfig) {
   EXPECT_THROW(model.draw(5, rng), std::invalid_argument);
 }
 
+/// Bit-exact equality of two conditions.
+void expect_same_conditions(const IterationConditions& a,
+                            const IterationConditions& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t w = 0; w < a.size(); ++w) {
+    EXPECT_EQ(a.speed_factor[w], b.speed_factor[w]) << "worker " << w;
+    EXPECT_EQ(a.delay[w], b.delay[w]) << "worker " << w;
+    EXPECT_EQ(a.faulted[w], b.faulted[w]) << "worker " << w;
+  }
+}
+
+TEST(ConditionTape, ReplaysSuccessiveDrawsUnderEveryDelayModel) {
+  // One tape serves every model sharing m, the victim count and σ: delay
+  // and fault are applied at replay, so each model's replay equals that
+  // model's own successive draws from the same stream.
+  for (double sigma : {0.0, 0.1}) {
+    StragglerModel tape_model;
+    tape_model.num_stragglers = 2;
+    tape_model.fluctuation_sigma = sigma;
+    const ConditionTape tape(tape_model, 9, 20, Rng(71));
+    EXPECT_NO_THROW(tape.require_matches(tape_model, 9, 20));
+    EXPECT_EQ(ConditionTape::bytes(tape_model, 9, 20),
+              20 * ((sigma > 0.0 ? 9 * sizeof(double) : 0) +
+                    2 * sizeof(std::size_t)));
+    for (const auto& [delay, fault] :
+         {std::pair{0.0, false}, std::pair{1.5, false}, std::pair{0.0, true}}) {
+      StragglerModel model = tape_model;
+      model.delay_seconds = delay;
+      model.fault = fault;
+      Rng rng(71);
+      IterationConditions replayed;
+      for (std::size_t iter = 0; iter < 20; ++iter) {
+        tape.replay(iter, model, replayed);
+        expect_same_conditions(replayed, model.draw(9, rng));
+      }
+    }
+  }
+}
+
+TEST(ConditionTape, RejectsBadConfigAndMismatchedModels) {
+  StragglerModel model;
+  model.num_stragglers = 7;
+  EXPECT_THROW(ConditionTape(model, 5, 3, Rng(1)), std::invalid_argument);
+  model.num_stragglers = 1;
+  const ConditionTape tape(model, 5, 3, Rng(1));
+  IterationConditions cond;
+  EXPECT_THROW(tape.replay(3, model, cond), std::invalid_argument);
+  EXPECT_NO_THROW(tape.require_matches(model, 5, 3));
+  EXPECT_THROW(tape.require_matches(model, 6, 3), std::invalid_argument);
+  EXPECT_THROW(tape.require_matches(model, 5, 4), std::invalid_argument);
+  StragglerModel other = model;
+  other.num_stragglers = 2;
+  EXPECT_THROW(tape.require_matches(other, 5, 3), std::invalid_argument);
+  other = model;
+  other.fluctuation_sigma = 0.1;
+  EXPECT_THROW(tape.require_matches(other, 5, 3), std::invalid_argument);
+  other = model;
+  other.delay_seconds = -1.0;
+  EXPECT_THROW(tape.require_matches(other, 5, 3), std::invalid_argument);
+}
+
 TEST(EstimateThroughputs, ExactWhenSigmaZero) {
   Rng rng(67);
   const Throughputs truth = {2, 4, 8};

@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "exec/figures.hpp"
@@ -517,6 +519,234 @@ TEST(ScenarioAxes, TraceCellsComposeOntoTheStragglerModel) {
     EXPECT_NE(none, fault) << scheme;
     EXPECT_NE(delayed, fault) << scheme;
   }
+}
+
+// --- Draw groups --------------------------------------------------------
+
+/// The built-in cell body with no draw groups: one run_experiment call per
+/// cell, drawing its own conditions. The reference a grouped built-in sweep
+/// must equal byte for byte.
+CellFn ungrouped_builtin(const SweepGrid& grid) {
+  return [&grid](const Cell& cell) {
+    const ScenarioSpec& scenario = grid.scenarios[cell.scenario_index];
+    engine::ScenarioScript script = scenario.script;
+    if (scenario.kind == ScenarioKind::kChurn)
+      script.churn = scenario.churn_events;
+    if (scenario.kind == ScenarioKind::kTraceReplay) {
+      script.splice = scenario.trace;
+      script.splice_repeat = 0;
+    }
+    const SchemeSummary run =
+        run_experiment(cell.scheme, *cell.cluster, cell.experiment, script);
+    CellResult result;
+    result.stats.emplace_back("time", run.iteration_time);
+    result.metrics.emplace_back("failures",
+                                static_cast<double>(run.failures));
+    if (scenario.kind == ScenarioKind::kStatic) {
+      result.stats.emplace_back("usage", run.resource_usage);
+      if (run.ever_failed()) result.note = "fail";
+      return result;
+    }
+    result.quantiles.emplace_back("latency", run.latency);
+    if (scenario.kind != ScenarioKind::kTraceReplay)
+      result.metrics.emplace_back("reinstantiations",
+                                  static_cast<double>(run.reinstantiations));
+    if (scenario.kind == ScenarioKind::kScript)
+      result.metrics.emplace_back("bursts",
+                                  static_cast<double>(run.bursts_started));
+    result.metrics.emplace_back("total_time", run.total_time);
+    return result;
+  };
+}
+
+/// A drift-only script: its cells join draw groups.
+engine::ScenarioScript drift_script(const Cluster& cluster) {
+  engine::ScenarioScript script;
+  script.workers = cluster.size();
+  const double ideal = ideal_iteration_time(cluster, 1);
+  script.drifts = {{0, 1.0, 0.4, 2.0 * ideal, 8.0 * ideal}};
+  return script;
+}
+
+/// A burst script: its Bernoulli draws interleave with the condition
+/// stream, so its cells draw their own conditions.
+engine::ScenarioScript burst_script(const Cluster& cluster) {
+  engine::ScenarioScript script;
+  script.workers = cluster.size();
+  const double ideal = ideal_iteration_time(cluster, 1);
+  script.bursts = {{{1, 2}, 0.3, 3.0 * ideal, 2.0 * ideal, false}};
+  return script;
+}
+
+/// Every scenario kind, and models that share and split draw groups.
+SweepGrid draw_group_grid(std::size_t iterations) {
+  SweepGrid grid;
+  grid.clusters = {cluster_a()};
+  grid.schemes = paper_schemes();
+  grid.iterations = iterations;
+  const Cluster& cluster = grid.clusters.front();
+  ScenarioSpec trace;
+  trace.name = "trace";
+  trace.kind = ScenarioKind::kTraceReplay;
+  trace.trace = demo_delay_trace(cluster, 5, 1);
+  ScenarioSpec drift;
+  drift.name = "drift";
+  drift.kind = ScenarioKind::kScript;
+  drift.script = drift_script(cluster);
+  ScenarioSpec burst;
+  burst.name = "burst";
+  burst.kind = ScenarioKind::kScript;
+  burst.script = burst_script(cluster);
+  ScenarioSpec churn;
+  churn.name = "churn";
+  churn.kind = ScenarioKind::kChurn;
+  churn.churn_events = demo_churn_events(cluster, iterations, 1);
+  grid.scenarios = {ScenarioSpec{}, trace, drift, burst, churn};
+  grid.models.clear();
+  for (double fluct : {0.0, 0.1}) {
+    const std::string suffix = fluct > 0.0 ? " fluct" : "";
+    StragglerAxis none;
+    none.label = "none" + suffix;
+    none.fluctuation_sigma = fluct;
+    StragglerAxis delayed = none;
+    delayed.label = "2x" + suffix;
+    delayed.delay_factor = 2.0;
+    StragglerAxis fault = none;
+    fault.label = "fault" + suffix;
+    fault.fault = true;
+    grid.models.insert(grid.models.end(), {none, delayed, fault});
+  }
+  grid.sigmas = {0.0, 0.1};
+  grid.seeds = {3, 4};
+  return grid;
+}
+
+TEST(DrawGroups, BuiltinSweepEqualsOneRunPerCell) {
+  const SweepGrid grid = draw_group_grid(12);
+  const std::string reference =
+      csv_of(run_sweep(grid, ungrouped_builtin(grid), {.threads = 1}));
+  ASSERT_FALSE(reference.empty());
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}})
+    EXPECT_EQ(csv_of(run_sweep(grid, {.threads = threads})), reference)
+        << "threads=" << threads;
+}
+
+TEST(DrawGroups, AFailedTapeDrawKeepsEveryCellsErrorNote) {
+  SweepGrid grid;
+  grid.clusters = {cluster_a()};
+  grid.schemes = {SchemeKind::kCyclic, SchemeKind::kHeterAware};
+  grid.iterations = 4;
+  StragglerAxis too_many;
+  too_many.num_stragglers = cluster_a().size() + 1;
+  too_many.delay_factor = 2.0;
+  StragglerAxis fine;
+  fine.delay_factor = 2.0;
+  grid.models = {too_many, fine};
+  const ResultTable grouped = run_sweep(grid, {.threads = 2});
+  EXPECT_EQ(csv_of(grouped),
+            csv_of(run_sweep(grid, ungrouped_builtin(grid), {.threads = 1})));
+  ASSERT_EQ(grouped.size(), 4u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_NE(grouped.row(i).note.find("cannot delay more workers"),
+              std::string::npos)
+        << grouped.row(i).note;
+    EXPECT_EQ(grouped.row(i + 2).note, "");
+  }
+}
+
+/// Every round's conditions and the summary of one run.
+struct ObservedRun {
+  std::vector<IterationConditions> rounds;
+  SchemeSummary summary;
+};
+
+ObservedRun observe(SchemeKind kind, const Cluster& cluster,
+                    const ExperimentConfig& config,
+                    const engine::ScenarioScript& script) {
+  ObservedRun run;
+  RoundHook hook;
+  hook.after_round = [&run](const RoundView& view) {
+    run.rounds.push_back(view.conditions);
+    return std::optional<Throughputs>();
+  };
+  run.summary = run_experiment(kind, cluster, config, script, hook);
+  return run;
+}
+
+TEST(DrawGroups, RunExperimentOnATapeEqualsItsOwnDraws) {
+  const Cluster cluster = cluster_a();
+  ExperimentConfig config;
+  config.s = 1;
+  config.iterations = 15;
+  config.seed = 9;
+  config.model.num_stragglers = 1;
+  config.model.delay_seconds = 2.0 * ideal_iteration_time(cluster, 1);
+  config.model.fluctuation_sigma = 0.05;
+  const ConditionTape tape(config.model, cluster.size(), config.iterations,
+                           condition_stream(config.seed));
+  engine::ScenarioScript spliced = drift_script(cluster);
+  spliced.splice = demo_delay_trace(cluster, 4, 1);
+  for (const engine::ScenarioScript& script :
+       {engine::ScenarioScript{}, spliced}) {
+    for (SchemeKind kind :
+         {SchemeKind::kNaive, SchemeKind::kCyclic,
+          SchemeKind::kFractionalRepetition, SchemeKind::kHeterAware,
+          SchemeKind::kGroupBased}) {
+      ExperimentConfig taped = config;
+      taped.condition_tape = &tape;
+      const ObservedRun own = observe(kind, cluster, config, script);
+      const ObservedRun replayed = observe(kind, cluster, taped, script);
+      const std::string name = to_string(kind);
+      ASSERT_EQ(own.rounds.size(), replayed.rounds.size()) << name;
+      for (std::size_t i = 0; i < own.rounds.size(); ++i) {
+        EXPECT_EQ(own.rounds[i].speed_factor, replayed.rounds[i].speed_factor)
+            << name << " round " << i;
+        EXPECT_EQ(own.rounds[i].delay, replayed.rounds[i].delay)
+            << name << " round " << i;
+        EXPECT_EQ(own.rounds[i].faulted, replayed.rounds[i].faulted)
+            << name << " round " << i;
+      }
+      EXPECT_EQ(own.summary.total_time, replayed.summary.total_time) << name;
+      EXPECT_EQ(own.summary.failures, replayed.summary.failures) << name;
+      EXPECT_EQ(own.summary.iteration_time.mean(),
+                replayed.summary.iteration_time.mean())
+          << name;
+      EXPECT_EQ(own.summary.resource_usage.mean(),
+                replayed.summary.resource_usage.mean())
+          << name;
+    }
+  }
+}
+
+TEST(DrawGroups, RunExperimentRejectsMismatchedTapesAndScripts) {
+  const Cluster cluster = cluster_a();
+  ExperimentConfig config;
+  config.iterations = 6;
+  config.model.num_stragglers = 1;
+  config.model.fluctuation_sigma = 0.05;
+  const auto rejects = [&](const StragglerModel& model, std::size_t workers,
+                           std::size_t iterations,
+                           const engine::ScenarioScript& script) {
+    const ConditionTape tape(model, workers, iterations,
+                             condition_stream(config.seed));
+    ExperimentConfig taped = config;
+    taped.condition_tape = &tape;
+    EXPECT_THROW(run_experiment(SchemeKind::kCyclic, cluster, taped, script),
+                 std::invalid_argument);
+  };
+  const std::size_t m = cluster.size();
+  rejects(config.model, m + 1, config.iterations, {});
+  rejects(config.model, m, config.iterations + 1, {});
+  StragglerModel other = config.model;
+  other.num_stragglers = 2;
+  rejects(other, m, config.iterations, {});
+  other = config.model;
+  other.fluctuation_sigma = 0.1;
+  rejects(other, m, config.iterations, {});
+  rejects(config.model, m, config.iterations, burst_script(cluster));
+  engine::ScenarioScript churn;
+  churn.churn = demo_churn_events(cluster, config.iterations, 1);
+  rejects(config.model, m, config.iterations, churn);
 }
 
 // --- Figure presets -----------------------------------------------------

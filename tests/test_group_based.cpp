@@ -26,7 +26,7 @@ TEST(GroupBased, PaperExampleFindsTwoGroups) {
   for (const Group& g : scheme.groups())
     for (WorkerId w : g)
       for (PartitionId p : scheme.assignment()[w])
-        EXPECT_DOUBLE_EQ(scheme.sparse_matrix().at(w, p), 1.0);
+        EXPECT_DOUBLE_EQ(ref::at(scheme.sparse_matrix(), w, p), 1.0);
 }
 
 TEST(GroupBased, SatisfiesCondition1) {

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -364,6 +365,16 @@ TEST(ObsSnapshotPrometheus, StatsReconstructAndQuantilesReportSkipped) {
 
 // --- Recorder -----------------------------------------------------------
 
+/// Every sample a recorder appended to its JSONL sink, oldest first.
+std::vector<Snapshot> read_jsonl(const std::string& jsonl) {
+  std::vector<Snapshot> samples;
+  std::istringstream lines(jsonl);
+  std::string line;
+  while (std::getline(lines, line))
+    if (!line.empty()) samples.push_back(Snapshot::read_json(line));
+  return samples;
+}
+
 TEST(ObsRecorder, SamplesTheRegistryAndAppendsJsonl) {
   obs::Registry::global().reset();
   obs::set_metrics_enabled(true);
@@ -382,7 +393,7 @@ TEST(ObsRecorder, SamplesTheRegistryAndAppendsJsonl) {
   recorder.stop();
   obs::set_metrics_enabled(false);
 
-  const std::vector<Snapshot> samples = recorder.samples();
+  const std::vector<Snapshot> samples = read_jsonl(jsonl.str());
   ASSERT_FALSE(samples.empty());  // stop() always takes a final sample
   EXPECT_EQ(samples.back().counter("t.rec.ticks"), 8u);
   std::uint64_t prev = 0;
@@ -391,48 +402,48 @@ TEST(ObsRecorder, SamplesTheRegistryAndAppendsJsonl) {
     prev = s.counter("t.rec.ticks");
     EXPECT_GT(s.unix_ns, 0);
   }
-
-  // Every JSONL line parses back to the corresponding ring sample.
-  std::istringstream lines(jsonl.str());
-  std::string line;
-  std::size_t parsed = 0;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    const Snapshot s = Snapshot::read_json(line);
-    EXPECT_LE(s.counter("t.rec.ticks"), 8u);
-    ++parsed;
-  }
-  EXPECT_EQ(parsed, samples.size());  // ring never wrapped at this length
   obs::Registry::global().reset();
 }
 
-TEST(ObsRecorder, RingStaysBounded) {
+TEST(ObsRecorder, JsonlSamplesAreInTimeOrder) {
+  std::ostringstream jsonl;
   obs::RecorderOptions opts;
   opts.interval_seconds = 0.001;
-  opts.ring_capacity = 3;
+  opts.jsonl = &jsonl;
   obs::Recorder recorder(opts);
   recorder.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(25));
   recorder.stop();
-  const std::vector<Snapshot> samples = recorder.samples();
-  EXPECT_EQ(samples.size(), 3u);  // wrapped several times, kept the last 3
+  const std::vector<Snapshot> samples = read_jsonl(jsonl.str());
+  EXPECT_GE(samples.size(), 2u);  // at least one tick plus the final sample
   for (std::size_t i = 1; i < samples.size(); ++i)
     EXPECT_GE(samples[i].unix_ns, samples[i - 1].unix_ns);
+}
+
+TEST(ObsRecorder, StartNeedsAnIntervalAndASink) {
+  std::ostringstream jsonl;
+  obs::RecorderOptions no_sink;
+  EXPECT_THROW(obs::Recorder(no_sink).start(), std::invalid_argument);
+  obs::RecorderOptions no_interval;
+  no_interval.interval_seconds = 0.0;
+  no_interval.jsonl = &jsonl;
+  EXPECT_THROW(obs::Recorder(no_interval).start(), std::invalid_argument);
 }
 
 TEST(ObsRecorder, StartStopRacesWritersAndSnapshotReaders) {
   // The TSan surface the `threaded` ctest label exists for: the sampler
   // thread snapshots the registry while writer threads bump counters,
-  // reader threads take their own snapshots and drain samples(), and the
-  // main thread churns start()/stop(). Assertions are deliberately light —
-  // the test's job is to make every cross-thread edge visible to TSan.
+  // reader threads take their own snapshots, and the main thread churns
+  // start()/stop(). Assertions are deliberately light — the test's job is
+  // to make every cross-thread edge visible to TSan.
   obs::Registry::global().reset();
   obs::set_metrics_enabled(true);
   const obs::Counter c = obs::Registry::global().counter("t.rec.race");
 
+  std::ostringstream jsonl;
   obs::RecorderOptions opts;
   opts.interval_seconds = 0.001;
-  opts.ring_capacity = 8;
+  opts.jsonl = &jsonl;
   obs::Recorder recorder(opts);
 
   std::atomic<bool> done{false};
@@ -443,24 +454,27 @@ TEST(ObsRecorder, StartStopRacesWritersAndSnapshotReaders) {
     });
   for (int r = 0; r < 2; ++r)
     threads.emplace_back([&] {
-      while (!done.load(std::memory_order_relaxed)) {
+      while (!done.load(std::memory_order_relaxed))
         (void)obs::Registry::global().snapshot();
-        (void)recorder.samples();
-      }
     });
 
+  std::size_t lines = 0;
   for (int cycle = 0; cycle < 5; ++cycle) {
     recorder.start();
     std::this_thread::sleep_for(std::chrono::milliseconds(4));
     recorder.stop();
-    EXPECT_FALSE(recorder.samples().empty());  // stop() takes a final sample
+    // stop() joined the sampler, so the sink is safe to read here, and it
+    // took a final sample.
+    const std::size_t now = read_jsonl(jsonl.str()).size();
+    EXPECT_GT(now, lines);
+    lines = now;
   }
 
   done.store(true, std::memory_order_relaxed);
   for (std::thread& t : threads) t.join();
   obs::set_metrics_enabled(false);
 
-  const std::vector<Snapshot> samples = recorder.samples();
+  const std::vector<Snapshot> samples = read_jsonl(jsonl.str());
   ASSERT_FALSE(samples.empty());
   for (std::size_t i = 1; i < samples.size(); ++i)
     EXPECT_GE(samples[i].counter("t.rec.race"),
@@ -507,6 +521,12 @@ TEST(ObsRecorder, SweepBytesAreIdenticalWithRecorderOn) {
               grid.num_cells());
   }
   obs::Registry::global().reset();
+
+  // An interval without a sink is a mistake, not a silent no-op.
+  exec::SweepOptions no_sink;
+  no_sink.threads = 1;
+  no_sink.metrics_interval_seconds = 0.002;
+  EXPECT_THROW(exec::run_sweep(grid, no_sink), std::invalid_argument);
 }
 
 }  // namespace

@@ -100,11 +100,11 @@ TEST(SparseBuilder, SortsColumnsAndDropsZeros) {
   EXPECT_EQ(cols[0], 0u);
   EXPECT_EQ(cols[1], 3u);
   EXPECT_EQ(cols[2], 5u);
-  EXPECT_DOUBLE_EQ(m.at(1, 0), -1.0);
-  EXPECT_DOUBLE_EQ(m.at(1, 3), 4.0);
-  EXPECT_DOUBLE_EQ(m.at(1, 5), 2.5);
-  EXPECT_DOUBLE_EQ(m.at(1, 1), 0.0);  // absent ⇒ 0.0
-  EXPECT_DOUBLE_EQ(m.at(2, 7), 0.0);
+  EXPECT_DOUBLE_EQ(ref::at(m, 1, 0), -1.0);
+  EXPECT_DOUBLE_EQ(ref::at(m, 1, 3), 4.0);
+  EXPECT_DOUBLE_EQ(ref::at(m, 1, 5), 2.5);
+  EXPECT_DOUBLE_EQ(ref::at(m, 1, 1), 0.0);  // absent ⇒ 0.0
+  EXPECT_DOUBLE_EQ(ref::at(m, 2, 7), 0.0);
 }
 
 TEST(SparseBuilder, DuplicateEntryThrows) {
@@ -137,7 +137,7 @@ TEST(SparseRowMatrix, DenseRoundTripIsExact) {
   // And the dense materialization fills absent entries with +0.0 exactly.
   for (std::size_t r = 0; r < sparse.rows(); ++r)
     for (std::size_t c = 0; c < sparse.cols(); ++c)
-      EXPECT_EQ(bits(dense(r, c)), bits(sparse.at(r, c)));
+      EXPECT_EQ(bits(dense(r, c)), bits(ref::at(sparse, r, c)));
 }
 
 // ----------------------------------------- kernel accumulation orders --
