@@ -3,17 +3,14 @@
 //   hgc_obs merge merged.json shard0.json shard1.json ...
 //   hgc_obs diff before.json after.json
 //   hgc_obs top 10 metrics.json
-//   hgc_obs convert metrics.json metrics.prom     # and back
 //
 // The fleet story: every process (or shard of a split sweep) writes its own
 // snapshot with --metrics-out; `merge` folds them with Snapshot::merge, so
 // counters and histogram buckets sum exactly and the totals are identical
 // to an unsplit run (CI asserts this on a split fig3 grid). `diff` turns
 // two snapshots of the same process into per-second rates using the
-// snapshot timestamps; `top` ranks the biggest counters and time sinks;
-// `convert` moves between the exact JSON format and Prometheus text
-// exposition (either direction — input format is sniffed, output format
-// follows the file extension: .prom/.txt = Prometheus, else JSON).
+// snapshot timestamps; `top` ranks the biggest counters and time sinks.
+// Inputs are JSON snapshots or recorder JSONL; merge writes JSON.
 //
 // File arguments accept '-' for stdin/stdout. Subcommands and positional
 // arguments are deliberate here (unlike the --flag-only sweep CLIs):
@@ -23,6 +20,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -42,13 +40,9 @@ void print_usage(std::ostream& os) {
         "                        one process, with per-second rates from\n"
         "                        the snapshot timestamps\n"
         "  top [N] IN            the N largest counters and the stats with\n"
-        "                        the most accumulated time (default N=10)\n"
-        "  convert IN OUT        rewrite between JSON and Prometheus text\n"
-        "                        (input sniffed; OUT ending in .prom/.txt\n"
-        "                        selects Prometheus, anything else JSON)\n\n"
-        "IN/OUT accept '-' for stdin/stdout. Inputs may be JSON snapshots\n"
-        "(--metrics-out), recorder JSONL lines, or Prometheus exposition\n"
-        "written by this tool.\n";
+        "                        the most accumulated time (default N=10)\n\n"
+        "IN/OUT accept '-' for stdin/stdout. Inputs are JSON snapshots\n"
+        "(--metrics-out) or recorder JSONL (--metrics-log); OUT is JSON.\n";
 }
 
 std::string slurp(const std::string& path) {
@@ -63,74 +57,50 @@ std::string slurp(const std::string& path) {
   return buf.str();
 }
 
-/// Sniff the format: snapshots are JSON objects; anything else is treated
-/// as Prometheus text. A recorder JSONL file parses too — each line is a
-/// complete snapshot, folded left-to-right (useful for `top` over a log).
+/// A JSON snapshot, or a recorder JSONL file — each line is a complete
+/// snapshot, and the last one wins (useful for `top` over a log). Errors
+/// name the file, and in JSONL the line.
 Snapshot read_snapshot(const std::string& path) {
   const std::string text = slurp(path);
-  const std::size_t first = text.find_first_not_of(" \t\r\n");
-  if (first == std::string::npos)
+  if (text.find_first_not_of(" \t\r\n") == std::string::npos)
     throw std::invalid_argument("empty snapshot input: " + path);
-  if (text[first] != '{') {
-    std::istringstream is(text);
-    std::vector<std::string> skipped;
-    Snapshot snap = Snapshot::read_prometheus(is, &skipped);
-    for (const std::string& name : skipped)
-      std::cerr << "hgc_obs: note: quantile summary '" << name
-                << "' cannot be reconstructed from Prometheus text; "
-                   "dropped\n";
-    return snap;
-  }
-  // One object, or JSONL (one object per line): parse the first line; if
-  // more lines follow, treat each as a snapshot of the same process over
-  // time and keep the last one per gauge/stat while summing nothing —
-  // recorder samples are cumulative, so "latest wins" is just the final
-  // line. A multi-line pretty-printed object lands in the single-parse
-  // branch because its first line alone fails to parse.
-  const std::size_t newline = text.find('\n', first);
-  if (newline != std::string::npos &&
-      text.find_first_not_of(" \t\r\n", newline) != std::string::npos) {
+  // A file whose first line is a whole snapshot is JSONL, and then every
+  // line must be one: recorder samples are cumulative, so "latest wins" is
+  // just the final line. A pretty-printed object's first line does not
+  // parse alone, so it falls through to the whole-document parse.
+  std::istringstream lines(text);
+  std::string line;
+  std::size_t number = 0;
+  Snapshot last;
+  bool jsonl = false;
+  while (std::getline(lines, line)) {
+    ++number;
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     try {
-      Snapshot last;
-      bool any = false;
-      std::istringstream lines(text);
-      std::string line;
-      while (std::getline(lines, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-        last = Snapshot::read_json(line);
-        any = true;
-      }
-      if (any) return last;
-    } catch (const std::exception&) {
-      // Not JSONL — fall through to whole-document parse.
+      last = Snapshot::read_json(line);
+    } catch (const std::exception& e) {
+      if (!jsonl) break;
+      throw std::runtime_error(path + ":" + std::to_string(number) + ": " +
+                               e.what());
     }
+    jsonl = true;
   }
-  return Snapshot::read_json(text);
-}
-
-bool prometheus_extension(const std::string& path) {
-  const auto ends_with = [&path](const char* suffix) {
-    const std::string s(suffix);
-    return path.size() >= s.size() &&
-           path.compare(path.size() - s.size(), s.size(), s) == 0;
-  };
-  return ends_with(".prom") || ends_with(".txt");
+  if (jsonl) return last;
+  try {
+    return Snapshot::read_json(text);
+  } catch (const std::exception& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
 }
 
 void write_snapshot(const Snapshot& snap, const std::string& path) {
-  const auto emit = [&snap, &path](std::ostream& os) {
-    if (prometheus_extension(path))
-      snap.write_prometheus(os);
-    else
-      snap.write_json(os);
-  };
   if (path == "-") {
-    emit(std::cout);
+    snap.write_json(std::cout);
     return;
   }
   std::ofstream file(path);
   if (!file) throw std::invalid_argument("cannot open for write: " + path);
-  emit(file);
+  snap.write_json(file);
 }
 
 int cmd_merge(const std::vector<std::string>& args) {
@@ -217,12 +187,6 @@ int cmd_top(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_convert(const std::vector<std::string>& args) {
-  if (args.size() != 2) throw std::invalid_argument("convert wants IN OUT");
-  write_snapshot(read_snapshot(args[0]), args[1]);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -237,7 +201,6 @@ int main(int argc, char** argv) {
     if (command == "merge") return cmd_merge(args);
     if (command == "diff") return cmd_diff(args);
     if (command == "top") return cmd_top(args);
-    if (command == "convert") return cmd_convert(args);
     print_usage(std::cerr);
     throw std::invalid_argument("unknown command: " + command);
   } catch (const std::exception& e) {

@@ -22,8 +22,6 @@ class CyclicScheme : public CodingScheme {
   std::optional<Vector> decoding_coefficients(
       const std::vector<bool>& received) const override;
 
-  const Alg1Code& code() const { return code_; }
-
  private:
   CyclicScheme(Alg1Build build, std::size_t s);
 

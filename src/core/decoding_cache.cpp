@@ -62,10 +62,4 @@ std::optional<Vector> DecodingCache::decode(
   return coefficients;
 }
 
-void DecodingCache::clear() {
-  entries_.clear();
-  index_.clear();
-  hits_ = misses_ = 0;
-}
-
 }  // namespace hgc

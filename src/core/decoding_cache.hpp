@@ -38,9 +38,6 @@ class DecodingCache {
   std::size_t hits() const { return hits_; }
   std::size_t misses() const { return misses_; }
   std::size_t size() const { return entries_.size(); }
-  std::size_t capacity() const { return capacity_; }
-
-  void clear();
 
  private:
   /// Pack received flags into 64-bit words for hashing/equality.

@@ -106,11 +106,4 @@ std::size_t SchemeCache::size() const {
   return map_.size();
 }
 
-void SchemeCache::clear() {
-  std::unique_lock lock(mutex_);
-  map_.clear();
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace hgc

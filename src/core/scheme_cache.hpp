@@ -70,8 +70,6 @@ class SchemeCache {
   }
   std::size_t size() const;
 
-  void clear();
-
  private:
   struct Key {
     SchemeKind kind;

@@ -48,7 +48,6 @@ class ResultTable {
   void add_row(ResultRow row) { rows_.push_back(std::move(row)); }
 
   std::size_t size() const { return rows_.size(); }
-  bool empty() const { return rows_.empty(); }
   const std::vector<ResultRow>& rows() const { return rows_; }
   const ResultRow& row(std::size_t i) const { return rows_.at(i); }
 

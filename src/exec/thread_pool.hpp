@@ -38,8 +38,6 @@ class ThreadPool {
   /// Block until every submitted task has finished executing.
   void wait_idle();
 
-  std::size_t size() const { return workers_.size(); }
-
   /// hardware_concurrency, floored at 1.
   static std::size_t default_threads();
 

@@ -55,7 +55,6 @@ class SparseRowMatrix {
   std::size_t rows() const { return row_ptr_.size() - 1; }
   std::size_t cols() const { return cols_; }
   std::size_t nnz() const { return values_.size(); }
-  bool empty() const { return rows() == 0 || cols_ == 0; }
 
   /// Number of nonzeros in row r (the coding layer's per-worker load).
   std::size_t row_nnz(std::size_t r) const {

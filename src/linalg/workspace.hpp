@@ -74,8 +74,6 @@ class QrWorkspace {
                          std::span<const std::size_t> rows);
 
   std::size_t rank() const { return rank_; }
-  std::size_t rows() const { return qr_.rows(); }
-  std::size_t cols() const { return qr_.cols(); }
 
   /// Least-squares min ‖A·x − b‖₂ against the last factor. Writes the basic
   /// solution into x (resized; free variables zero) and returns the

@@ -7,15 +7,16 @@
 namespace hgc::obs {
 
 const JsonValue& JsonValue::at(const std::string& key) const {
+  if (type != Type::kObject) throw std::runtime_error("expected an object");
   const auto it = object.find(key);
   if (it == object.end())
-    throw std::runtime_error("json: missing key: " + key);
+    throw std::runtime_error("missing key \"" + key + '"');
   return it->second;
 }
 
 std::uint64_t JsonValue::as_u64() const {
   if (type != Type::kNumber)
-    throw std::runtime_error("json: expected a number, got raw '" + raw + "'");
+    throw std::runtime_error("json: expected a number");
   std::uint64_t value = 0;
   const auto result =
       std::from_chars(raw.data(), raw.data() + raw.size(), value);
@@ -26,7 +27,7 @@ std::uint64_t JsonValue::as_u64() const {
 
 std::int64_t JsonValue::as_i64() const {
   if (type != Type::kNumber)
-    throw std::runtime_error("json: expected a number, got raw '" + raw + "'");
+    throw std::runtime_error("json: expected a number");
   std::int64_t value = 0;
   const auto result =
       std::from_chars(raw.data(), raw.data() + raw.size(), value);
@@ -73,16 +74,15 @@ class Parser {
       case '{': return object();
       case '[': return array();
       case '"': return string_value();
-      case 't': return literal("true", bool_value(true));
-      case 'f': return literal("false", bool_value(false));
+      case 't': return literal("true", bool_value());
+      case 'f': return literal("false", bool_value());
       case 'n': return literal("null", JsonValue{});
       default: return number();
     }
   }
-  static JsonValue bool_value(bool b) {
+  static JsonValue bool_value() {
     JsonValue v;
     v.type = JsonValue::Type::kBool;
-    v.boolean = b;
     return v;
   }
   JsonValue literal(const std::string& word, JsonValue v) {

@@ -22,17 +22,16 @@ namespace hgc::obs {
 
 struct JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
+  Type type = Type::kNull;  ///< a bool's value is not kept: no reader wants it
   double number = 0.0;
   std::string raw;  ///< numbers only: the exact source token
   std::string string;
   std::vector<JsonValue> array;
   std::map<std::string, JsonValue> object;
 
-  /// Object member access; throws std::runtime_error naming a missing key.
+  /// Object member access; throws std::runtime_error when this is not an
+  /// object or the key is missing (the message names the key).
   const JsonValue& at(const std::string& key) const;
-  bool has(const std::string& key) const { return object.count(key) > 0; }
 
   /// Exact 64-bit reads from the raw token (throws on non-numbers, signs
   /// that do not fit, or fractional tokens).

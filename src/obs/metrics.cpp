@@ -87,7 +87,7 @@ void QuantileHandle::observe_enabled(double x) const {
   shard.quantiles[index].add(x);
 }
 
-// Snapshot serialization (write_json/read_json/merge/prometheus) lives in
+// Snapshot serialization (write_json/read_json/merge) lives in
 // obs/snapshot.cpp — this file owns the registry and the hot-path handles.
 
 // --------------------------------------------------------------- registry --

@@ -117,7 +117,7 @@ struct Gauge {
 /// x <= bounds[b] (upper-inclusive); the final slot is the overflow bucket
 /// for x > bounds.back(). One extra slot accumulates the sum of observed
 /// values (bit-cast double, CAS-added — uncontended on the per-thread
-/// shard) so the Prometheus exposition can emit the standard `_sum` series.
+/// shard): the snapshot's JSON `sum`, which merge adds across shards.
 struct Histogram {
   std::uint32_t first_slot = 0;
   std::uint32_t num_bounds = 0;
@@ -201,10 +201,9 @@ struct Snapshot {
   /// bit either way.
   void write_json(std::ostream& os, bool compact = false) const;
 
-  /// Parse a snapshot written by write_json. Tolerates the PR 6 format
-  /// (gauges as bare numbers → timestamp 0, stats without "m2" → derived
-  /// from stddev); throws std::runtime_error on malformed input.
-  static Snapshot read_json(std::istream& is);
+  /// Parse a snapshot written by write_json. Strict: anything else throws
+  /// std::runtime_error naming the section and instrument, e.g.
+  /// `snapshot: gauges."mem.rss": expected an object`.
   static Snapshot read_json(const std::string& text);
 
   /// Fold another snapshot into this one — the fleet-merge primitive.
@@ -215,23 +214,6 @@ struct Snapshot {
   /// rounding). Throws std::invalid_argument when the same histogram name
   /// arrives with different bucket bounds.
   void merge(const Snapshot& other);
-
-  /// Prometheus text exposition (version 0.0.4): counters as `_total`,
-  /// histograms as cumulative `_bucket{le=...}` + `_sum`/`_count`, stats
-  /// as `_sum`/`_count` summaries plus `_mean`/`_min`/`_max`/`_stddev`
-  /// gauges,
-  /// quantile estimators as summaries with `quantile` labels. Original
-  /// dotted metric names ride along in `# HELP` lines so read_prometheus
-  /// can restore them.
-  void write_prometheus(std::ostream& os) const;
-
-  /// Parse write_prometheus output back into a snapshot. Counters, gauges
-  /// and histograms round-trip; stats come back with count/mean/min/max
-  /// exact and variance reconstructed from the stddev line; quantile
-  /// summaries cannot be reconstructed (their reservoir state is not in
-  /// the exposition) and are reported via `skipped` instead.
-  static Snapshot read_prometheus(std::istream& is,
-                                  std::vector<std::string>* skipped = nullptr);
 
   friend bool operator==(const Snapshot& a, const Snapshot& b) {
     return a.unix_ns == b.unix_ns && a.counters == b.counters &&

@@ -1,24 +1,19 @@
-// Snapshot serialization and fleet folding: exact JSON round-trip, the
-// associative merge, and Prometheus text exposition. Kept apart from
-// metrics.cpp so the registry's hot-path translation unit stays free of
-// formatting code.
+// Snapshot serialization and fleet folding: exact JSON round-trip and the
+// associative merge. Kept apart from metrics.cpp so the registry's hot-path
+// translation unit stays free of formatting code.
 //
 // Exactness contract: write_json emits 64-bit integers as plain integer
 // tokens and doubles in std::to_chars shortest-round-trip form, so
 // read_json(write_json(s)) == s to the bit — including counters past 2^53
-// and the reservoir's splitmix64 state. Prometheus is lossier by design
-// (quantile reservoirs are not in the exposition, gauge timestamps are
-// millisecond-granular); read_prometheus reports what it had to drop.
+// and the reservoir's splitmix64 state. read_json is strict: it accepts the
+// shape write_json writes and throws naming the section and instrument of
+// anything else.
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <istream>
-#include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -83,8 +78,35 @@ void write_json_double(std::ostream& os, double v) {
 double json_number(const JsonValue& v) {
   if (v.type == JsonValue::Type::kNull) return 0.0;  // non-finite placeholder
   if (v.type != JsonValue::Type::kNumber)
-    throw std::runtime_error("snapshot: expected a number");
+    throw std::runtime_error("expected a number");
   return v.number;
+}
+
+/// The array under `key`; throws naming the key when it is anything else.
+const std::vector<JsonValue>& array_at(const JsonValue& v, const char* key) {
+  const JsonValue& a = v.at(key);
+  if (a.type != JsonValue::Type::kArray)
+    throw std::runtime_error(std::string("\"") + key + "\" must be an array");
+  return a.array;
+}
+
+/// Calls read(name, entry) for every instrument of one section (counters,
+/// gauges, ...); an error comes back naming the section and the instrument:
+/// `snapshot: gauges."mem.rss": expected an object`.
+template <typename Read>
+void read_section(const JsonValue& root, const std::string& section,
+                  Read read) {
+  const auto it = root.object.find(section);
+  if (it == root.object.end() || it->second.type != JsonValue::Type::kObject)
+    throw std::runtime_error("snapshot: \"" + section + "\" must be an object");
+  for (const auto& [name, v] : it->second.object) {
+    try {
+      read(name, v);
+    } catch (const std::exception& e) {
+      throw std::runtime_error("snapshot: " + section + ".\"" + name +
+                               "\": " + e.what());
+    }
+  }
 }
 
 }  // namespace
@@ -211,86 +233,51 @@ void Snapshot::write_json(std::ostream& os, bool compact) const {
 
 // ------------------------------------------------------------ json reader --
 
-Snapshot Snapshot::read_json(std::istream& is) {
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return read_json(buf.str());
-}
-
 Snapshot Snapshot::read_json(const std::string& text) {
   const JsonValue root = parse_json(text);
   if (root.type != JsonValue::Type::kObject)
     throw std::runtime_error("snapshot: top level must be an object");
 
   Snapshot s;
-  if (root.has("snapshot_unix_ns"))
-    s.unix_ns = root.at("snapshot_unix_ns").as_i64();
+  s.unix_ns = root.at("snapshot_unix_ns").as_i64();
 
-  if (root.has("counters"))
-    for (const auto& [name, v] : root.at("counters").object)
-      s.counters[name] = v.as_u64();
+  read_section(root, "counters", [&](const auto& name, const auto& v) {
+    s.counters[name] = v.as_u64();
+  });
 
-  if (root.has("gauges"))
-    for (const auto& [name, v] : root.at("gauges").object) {
-      if (v.type == JsonValue::Type::kObject) {
-        s.gauges[name] = GaugeSnapshot{json_number(v.at("value")),
-                                       v.at("ts_unix_ns").as_i64()};
-      } else {
-        // PR 6 format: gauges were bare numbers with no snapshot time.
-        s.gauges[name] = GaugeSnapshot{json_number(v), 0};
-      }
-    }
+  read_section(root, "gauges", [&](const auto& name, const auto& v) {
+    s.gauges[name] = GaugeSnapshot{json_number(v.at("value")),
+                                   v.at("ts_unix_ns").as_i64()};
+  });
 
-  if (root.has("histograms"))
-    for (const auto& [name, v] : root.at("histograms").object) {
-      HistogramSnapshot h;
-      for (const JsonValue& b : v.at("bounds").array)
-        h.bounds.push_back(json_number(b));
-      for (const JsonValue& c : v.at("counts").array)
-        h.counts.push_back(c.as_u64());
-      if (h.counts.size() != h.bounds.size() + 1)
-        throw std::runtime_error("snapshot: histogram '" + name +
-                                 "' counts/bounds size mismatch");
-      h.sum = v.has("sum") ? json_number(v.at("sum")) : 0.0;  // PR 6: no sum
-      s.histograms[name] = std::move(h);
-    }
+  read_section(root, "histograms", [&](const auto& name, const auto& v) {
+    HistogramSnapshot h;
+    for (const JsonValue& b : array_at(v, "bounds"))
+      h.bounds.push_back(json_number(b));
+    for (const JsonValue& c : array_at(v, "counts"))
+      h.counts.push_back(c.as_u64());
+    if (h.counts.size() != h.bounds.size() + 1)
+      throw std::runtime_error("counts/bounds size mismatch");
+    h.sum = json_number(v.at("sum"));
+    s.histograms[name] = std::move(h);
+  });
 
-  if (root.has("stats"))
-    for (const auto& [name, v] : root.at("stats").object) {
-      const std::uint64_t count = v.at("count").as_u64();
-      double m2 = 0.0;
-      if (v.has("m2")) {
-        m2 = json_number(v.at("m2"));
-      } else if (v.has("stddev") && count > 1) {
-        // PR 6 format carried only the derived stddev; invert it. Lossy to
-        // rounding, which is the best a legacy file permits.
-        const double sd = json_number(v.at("stddev"));
-        m2 = sd * sd * static_cast<double>(count - 1);
-      }
-      s.stats[name] = RunningStats::from_parts(
-          count, count ? json_number(v.at("mean")) : 0.0, m2,
-          count ? json_number(v.at("min")) : 0.0,
-          count ? json_number(v.at("max")) : 0.0);
-    }
+  read_section(root, "stats", [&](const auto& name, const auto& v) {
+    s.stats[name] = RunningStats::from_parts(
+        v.at("count").as_u64(), json_number(v.at("mean")),
+        json_number(v.at("m2")), json_number(v.at("min")),
+        json_number(v.at("max")));
+  });
 
-  if (root.has("quantiles"))
-    for (const auto& [name, v] : root.at("quantiles").object) {
-      const std::uint64_t count = v.at("count").as_u64();
-      if (v.has("capacity")) {
-        std::vector<double> sample;
-        for (const JsonValue& x : v.at("sample").array)
-          sample.push_back(json_number(x));
-        s.quantiles.emplace(
-            name, ReservoirQuantiles::from_parts(v.at("capacity").as_u64(),
-                                                 v.at("state").as_u64(), count,
-                                                 std::move(sample)));
-      } else {
-        // PR 6 format kept only count + derived percentiles: the reservoir
-        // is unrecoverable, so restore the count over an empty sample.
-        s.quantiles.emplace(name, ReservoirQuantiles::from_parts(
-                                      1024, 0x5eed, count, {}));
-      }
-    }
+  read_section(root, "quantiles", [&](const auto& name, const auto& v) {
+    std::vector<double> sample;
+    for (const JsonValue& x : array_at(v, "sample"))
+      sample.push_back(json_number(x));
+    s.quantiles.emplace(
+        name, ReservoirQuantiles::from_parts(
+                  v.at("capacity").as_u64(), v.at("state").as_u64(),
+                  v.at("count").as_u64(), std::move(sample)));
+  });
 
   return s;
 }
@@ -331,285 +318,6 @@ void Snapshot::merge(const Snapshot& other) {
     const auto [it, inserted] = quantiles.emplace(name, q);
     if (!inserted) it->second.merge(q);
   }
-}
-
-// ------------------------------------------------------------- prometheus --
-
-namespace {
-
-/// `decode_cache.hits` -> `hgc_decode_cache_hits`.
-std::string prom_name(const std::string& dotted) {
-  std::string out = "hgc_";
-  for (char c : dotted)
-    out += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
-  return out;
-}
-
-void prom_value(std::ostream& os, double v) {
-  if (std::isnan(v)) {
-    os << "NaN";
-    return;
-  }
-  if (std::isinf(v)) {
-    os << (v > 0 ? "+Inf" : "-Inf");
-    return;
-  }
-  char buf[32];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
-  os.write(buf, result.ptr - buf);
-}
-
-double parse_prom_double(const std::string& raw) {
-  if (raw == "+Inf" || raw == "Inf")
-    return std::numeric_limits<double>::infinity();
-  if (raw == "-Inf") return -std::numeric_limits<double>::infinity();
-  if (raw == "NaN") return std::numeric_limits<double>::quiet_NaN();
-  double v = 0.0;
-  const auto result = std::from_chars(raw.data(), raw.data() + raw.size(), v);
-  if (result.ec != std::errc{} || result.ptr != raw.data() + raw.size())
-    throw std::runtime_error("prometheus: bad float: " + raw);
-  return v;
-}
-
-std::uint64_t parse_prom_u64(const std::string& raw) {
-  std::uint64_t v = 0;
-  const auto result = std::from_chars(raw.data(), raw.data() + raw.size(), v);
-  if (result.ec != std::errc{} || result.ptr != raw.data() + raw.size())
-    throw std::runtime_error("prometheus: bad integer: " + raw);
-  return v;
-}
-
-std::int64_t parse_prom_i64(const std::string& raw) {
-  std::int64_t v = 0;
-  const auto result = std::from_chars(raw.data(), raw.data() + raw.size(), v);
-  if (result.ec != std::errc{} || result.ptr != raw.data() + raw.size())
-    throw std::runtime_error("prometheus: bad integer: " + raw);
-  return v;
-}
-
-struct PromSample {
-  std::map<std::string, std::string> labels;
-  std::string value;  ///< raw token, parsed per-kind for exactness
-  std::string ts;     ///< optional trailing timestamp (milliseconds)
-};
-
-}  // namespace
-
-void Snapshot::write_prometheus(std::ostream& os) const {
-  // `# HELP` carries the original dotted name (plus an `hgc:` marker for
-  // families that need one) so read_prometheus can reverse the mapping.
-  if (unix_ns != 0) {
-    os << "# HELP hgc_snapshot_unix_ns snapshot wall time, unix ns\n"
-          "# TYPE hgc_snapshot_unix_ns gauge\n"
-          "hgc_snapshot_unix_ns "
-       << unix_ns << "\n";
-  }
-
-  for (const auto& [name, v] : counters) {
-    const std::string f = prom_name(name) + "_total";
-    os << "# HELP " << f << ' ' << name << "\n# TYPE " << f << " counter\n"
-       << f << ' ' << v << "\n";
-  }
-
-  for (const auto& [name, g] : gauges) {
-    const std::string f = prom_name(name);
-    os << "# HELP " << f << ' ' << name << "\n# TYPE " << f << " gauge\n"
-       << f << ' ';
-    prom_value(os, g.value);
-    if (g.ts_unix_ns != 0) os << ' ' << g.ts_unix_ns / 1'000'000;
-    os << "\n";
-  }
-
-  for (const auto& [name, h] : histograms) {
-    const std::string f = prom_name(name);
-    os << "# HELP " << f << ' ' << name << "\n# TYPE " << f << " histogram\n";
-    std::uint64_t cum = 0;
-    for (std::size_t b = 0; b < h.bounds.size(); ++b) {
-      cum += h.counts[b];
-      os << f << "_bucket{le=\"";
-      prom_value(os, h.bounds[b]);
-      os << "\"} " << cum << "\n";
-    }
-    cum += h.counts.back();
-    os << f << "_bucket{le=\"+Inf\"} " << cum << "\n";
-    os << f << "_sum ";
-    prom_value(os, h.sum);
-    os << "\n" << f << "_count " << cum << "\n";
-  }
-
-  for (const auto& [name, s] : stats) {
-    const std::string f = prom_name(name);
-    os << "# HELP " << f << ' ' << name << " hgc:stat\n# TYPE " << f
-       << " summary\n";
-    os << f << "_sum ";
-    prom_value(os, s.sum());
-    os << "\n" << f << "_count " << s.count() << "\n";
-    const std::pair<const char*, double> parts[] = {
-        {"_mean", s.mean()}, {"_min", s.min()},
-        {"_max", s.max()},   {"_stddev", s.stddev()}};
-    for (const auto& [suffix, value] : parts) {
-      os << "# HELP " << f << suffix << ' ' << name
-         << " hgc:stat-part\n# TYPE " << f << suffix << " gauge\n"
-         << f << suffix << ' ';
-      prom_value(os, value);
-      os << "\n";
-    }
-  }
-
-  for (const auto& [name, q] : quantiles) {
-    const std::string f = prom_name(name);
-    os << "# HELP " << f << ' ' << name << " hgc:quantile\n# TYPE " << f
-       << " summary\n";
-    if (q.count() > 0) {
-      const std::pair<const char*, double> qs[] = {
-          {"0.5", q.p50()}, {"0.95", q.p95()}, {"0.99", q.p99()}};
-      for (const auto& [label, value] : qs) {
-        os << f << "{quantile=\"" << label << "\"} ";
-        prom_value(os, value);
-        os << "\n";
-      }
-    }
-    os << f << "_count " << q.count() << "\n";
-  }
-}
-
-Snapshot Snapshot::read_prometheus(std::istream& is,
-                                   std::vector<std::string>* skipped) {
-  std::map<std::string, std::vector<PromSample>> samples;
-  std::map<std::string, std::string> help_text, type_of;
-  std::vector<std::string> order;  // families, in `# TYPE` line order
-
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      std::istringstream ls(line);
-      std::string hash, kw, fam;
-      ls >> hash >> kw >> fam;
-      if (kw == "HELP") {
-        std::string rest;
-        std::getline(ls, rest);
-        if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-        help_text[fam] = rest;
-      } else if (kw == "TYPE") {
-        std::string t;
-        ls >> t;
-        type_of[fam] = t;
-        order.push_back(fam);
-      }
-      continue;
-    }
-
-    const std::size_t brace = line.find('{');
-    const std::size_t space = line.find(' ');
-    if (space == std::string::npos)
-      throw std::runtime_error("prometheus: malformed line: " + line);
-    PromSample sample;
-    std::string metric;
-    std::size_t rest_pos;
-    if (brace != std::string::npos && brace < space) {
-      metric = line.substr(0, brace);
-      const std::size_t close = line.find('}', brace);
-      if (close == std::string::npos)
-        throw std::runtime_error("prometheus: unterminated labels: " + line);
-      std::string labels = line.substr(brace + 1, close - brace - 1);
-      std::istringstream lab(labels);
-      std::string item;
-      while (std::getline(lab, item, ',')) {
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos) continue;
-        std::string key = item.substr(0, eq);
-        std::string val = item.substr(eq + 1);
-        if (val.size() >= 2 && val.front() == '"' && val.back() == '"')
-          val = val.substr(1, val.size() - 2);
-        sample.labels[key] = val;
-      }
-      rest_pos = close + 1;
-    } else {
-      metric = line.substr(0, space);
-      rest_pos = space;
-    }
-    std::istringstream rs(line.substr(rest_pos));
-    rs >> sample.value >> sample.ts;
-    samples[metric].push_back(std::move(sample));
-  }
-
-  const auto first = [&samples](const std::string& metric) -> PromSample& {
-    const auto it = samples.find(metric);
-    if (it == samples.end() || it->second.empty())
-      throw std::runtime_error("prometheus: missing series: " + metric);
-    return it->second.front();
-  };
-
-  Snapshot snap;
-  for (const std::string& fam : order) {
-    if (fam == "hgc_snapshot_unix_ns") {
-      snap.unix_ns = parse_prom_i64(first(fam).value);
-      continue;
-    }
-    // HELP text is "<original.dotted.name> [hgc:marker]".
-    std::string orig = help_text[fam], marker;
-    if (const std::size_t sp = orig.rfind(' '); sp != std::string::npos &&
-        orig.compare(sp + 1, 4, "hgc:") == 0) {
-      marker = orig.substr(sp + 1);
-      orig.resize(sp);
-    }
-    if (orig.empty())
-      throw std::runtime_error("prometheus: family '" + fam +
-                               "' has no HELP line with its original name");
-    const std::string& type = type_of[fam];
-
-    if (type == "counter") {
-      snap.counters[orig] = parse_prom_u64(first(fam).value);
-    } else if (type == "gauge") {
-      if (marker == "hgc:stat-part") continue;  // folded into its stat below
-      const PromSample& sample = first(fam);
-      snap.gauges[orig] = GaugeSnapshot{
-          parse_prom_double(sample.value),
-          sample.ts.empty() ? 0 : parse_prom_i64(sample.ts) * 1'000'000};
-    } else if (type == "histogram") {
-      HistogramSnapshot h;
-      std::uint64_t prev = 0;
-      const auto it = samples.find(fam + "_bucket");
-      if (it == samples.end())
-        throw std::runtime_error("prometheus: histogram '" + fam +
-                                 "' has no _bucket series");
-      for (const PromSample& bucket : it->second) {
-        const auto le = bucket.labels.find("le");
-        if (le == bucket.labels.end())
-          throw std::runtime_error("prometheus: bucket without le label");
-        const std::uint64_t cum = parse_prom_u64(bucket.value);
-        if (cum < prev)
-          throw std::runtime_error("prometheus: non-cumulative buckets in " +
-                                   fam);
-        h.counts.push_back(cum - prev);
-        prev = cum;
-        if (le->second != "+Inf") h.bounds.push_back(
-            parse_prom_double(le->second));
-      }
-      if (h.counts.size() != h.bounds.size() + 1)
-        throw std::runtime_error("prometheus: histogram '" + fam +
-                                 "' is missing its +Inf bucket");
-      h.sum = parse_prom_double(first(fam + "_sum").value);
-      snap.histograms[orig] = std::move(h);
-    } else if (type == "summary") {
-      if (marker == "hgc:quantile") {
-        // The reservoir's state is not in the exposition; report the loss
-        // instead of fabricating an estimator.
-        if (skipped) skipped->push_back(orig);
-        continue;
-      }
-      const std::uint64_t count = parse_prom_u64(first(fam + "_count").value);
-      const double mean = parse_prom_double(first(fam + "_mean").value);
-      const double sd = parse_prom_double(first(fam + "_stddev").value);
-      snap.stats[orig] = RunningStats::from_parts(
-          count, mean,
-          count > 1 ? sd * sd * static_cast<double>(count - 1) : 0.0,
-          parse_prom_double(first(fam + "_min").value),
-          parse_prom_double(first(fam + "_max").value));
-    }
-  }
-  return snap;
 }
 
 }  // namespace hgc::obs

@@ -115,19 +115,13 @@ SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
   // The decoding cache keys on the scheme's receive patterns, so every
   // re-instantiation invalidates it wholesale.
   std::optional<DecodingCache> decoding_cache;
-  const auto harvest_decode_cache = [&] {
-    if (!decoding_cache) return;
-    summary.decode_hits += decoding_cache->hits();
-    summary.decode_misses += decoding_cache->misses();
-    decoding_cache.reset();
-  };
   double clock = 0.0;
   // Builds from `basis`, or from noisy estimates of the truth when empty.
   // Every build after the first is a re-instantiation.
   const auto rebuild = [&](Throughputs basis) {
     HGC_REQUIRE(script.churn.empty() || active->size() >= config.s + 2,
                 "churn left too few workers for tolerance s");
-    harvest_decode_cache();
+    decoding_cache.reset();  // it refers to the scheme being replaced
     if (basis.empty())
       basis = estimate_throughputs(active->throughputs(),
                                    config.estimation_sigma, estimation_rng);
@@ -284,7 +278,6 @@ SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
       rebuild(std::move(*basis));
   }
 
-  harvest_decode_cache();
   summary.total_time = clock;
   return summary;
 }

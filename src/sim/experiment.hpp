@@ -83,11 +83,6 @@ struct SchemeSummary {
   double total_time = 0.0;
   /// Active worker count per scheme epoch, initial epoch first.
   std::vector<std::size_t> epoch_sizes;
-  /// Decoding-cache traffic summed over epochs (both 0 when the cache was
-  /// disabled). Reported out of band — never part of the figure metrics, so
-  /// cached and uncached runs stay byte-identical.
-  std::size_t decode_hits = 0;
-  std::size_t decode_misses = 0;
 
   double mean_time() const { return iteration_time.mean(); }
   bool ever_failed() const { return failures > 0; }

@@ -39,11 +39,6 @@ Args::Args(std::span<const std::string> tokens) {
   }
 }
 
-bool Args::has(const std::string& key) const {
-  queried_.insert(key);
-  return values_.count(key) > 0;
-}
-
 const std::string* Args::find_value(const std::string& key) const {
   queried_.insert(key);
   const auto it = values_.find(key);

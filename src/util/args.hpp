@@ -29,8 +29,6 @@ class Args {
   /// errors that name the offending flag.
   explicit Args(std::span<const std::string> tokens);
 
-  bool has(const std::string& key) const;
-
   /// Value-typed accessors. A key that was given as a bare flag (no `=value`
   /// and no following value token) throws std::invalid_argument naming the
   /// flag; get_int/get_double additionally reject values that are not (in

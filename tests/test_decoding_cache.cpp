@@ -87,15 +87,6 @@ TEST_F(DecodingCacheTest, CapacityOneKeepsOnlyTheLatestPattern) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST_F(DecodingCacheTest, ClearResets) {
-  DecodingCache cache(scheme_);
-  cache.decode(all_but({0}));
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
-}
-
 TEST_F(DecodingCacheTest, RejectsWrongWidth) {
   DecodingCache cache(scheme_);
   EXPECT_THROW(cache.decode(std::vector<bool>(3, true)),

@@ -44,7 +44,6 @@ TEST(ThreadPool, SingleThreadWorks) {
     pool.submit([&counter] { counter.fetch_add(1); });
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 50);
-  EXPECT_EQ(pool.size(), 1u);
 }
 
 TEST(ThreadPool, WaitIdleIsReusable) {
@@ -480,9 +479,7 @@ std::vector<double> row_values(
 
 /// A file under the repository's examples/ directory.
 std::string example_path(const std::string& name) {
-  return (std::filesystem::path(__FILE__).parent_path().parent_path() /
-          "examples" / name)
-      .string();
+  return (std::filesystem::path(HGC_SOURCE_DIR) / "examples" / name).string();
 }
 
 TEST(ScenarioAxes, ChurnAndScriptCellsApplyEstimationError) {

@@ -1,5 +1,5 @@
 // Tests for the snapshot layer on top of the metrics registry: the exact
-// JSON round-trip, the associative fleet merge, Prometheus exposition, and
+// JSON round-trip and its strict reader, the associative fleet merge, and
 // the background Recorder.
 //
 // Exactness boundaries under test:
@@ -103,40 +103,55 @@ TEST(ObsSnapshotJson, RegistrySnapshotRoundTrips) {
   obs::Registry::global().reset();
 }
 
-TEST(ObsSnapshotJson, ReadsThePr6LegacyFormat) {
-  // The PR 6 writer emitted gauges as bare numbers, histograms without a
-  // sum, stats with stddev instead of m2, and quantiles as percentiles
-  // only — all still ingestible.
-  const std::string legacy = R"({
-    "counters": {"old.c": 5},
-    "gauges": {"old.g": 2.5},
-    "histograms": {"old.h": {"bounds": [1, 2], "counts": [3, 0, 1],
-                             "total": 4}},
-    "stats": {"old.s": {"count": 3, "mean": 2, "stddev": 1, "min": 1,
-                        "max": 3}},
-    "quantiles": {"old.q": {"count": 9, "p50": 1.5, "p95": 2.9, "p99": 3}}
-  })";
-  const Snapshot s = Snapshot::read_json(legacy);
-  EXPECT_EQ(s.unix_ns, 0);
-  EXPECT_EQ(s.counter("old.c"), 5u);
-  EXPECT_DOUBLE_EQ(s.gauge("old.g"), 2.5);
-  EXPECT_EQ(s.gauges.at("old.g").ts_unix_ns, 0);
-  EXPECT_EQ(s.histograms.at("old.h").total(), 4u);
-  EXPECT_DOUBLE_EQ(s.histograms.at("old.h").sum, 0.0);
-  const RunningStats& st = s.stats.at("old.s");
-  EXPECT_EQ(st.count(), 3u);
-  EXPECT_DOUBLE_EQ(st.mean(), 2.0);
-  EXPECT_NEAR(st.stddev(), 1.0, 1e-12);  // m2 reconstructed from stddev
-  EXPECT_EQ(s.quantiles.at("old.q").count(), 9u);
+/// The error read_json throws for an empty snapshot with one `entry`
+/// spliced into `section`; empty when it parses.
+std::string read_error(const std::string& section, const std::string& entry) {
+  std::string text = to_json(Snapshot{});
+  const std::string key = '"' + section + "\": {";
+  text.insert(text.find(key) + key.size(), entry);
+  try {
+    Snapshot::read_json(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ObsSnapshotJson, StrictReaderNamesSectionAndInstrument) {
+  // The four shapes an early writer emitted are not what write_json
+  // writes, so each throws, and the message says where.
+  EXPECT_EQ(read_error("gauges", R"("mem.rss": 2.5)"),
+            R"(snapshot: gauges."mem.rss": expected an object)");
+  EXPECT_EQ(read_error("histograms", R"("solve.lat": {"bounds": [1, 2],
+                       "counts": [3, 0, 1], "total": 4})"),
+            R"(snapshot: histograms."solve.lat": missing key "sum")");
+  EXPECT_EQ(read_error("stats", R"("cell.s": {"count": 3, "mean": 2,
+                       "stddev": 1, "min": 1, "max": 3})"),
+            R"(snapshot: stats."cell.s": missing key "m2")");
+  EXPECT_EQ(read_error("quantiles", R"("round.lat": {"count": 9, "p50": 1.5,
+                       "p95": 2.9, "p99": 3})"),
+            R"(snapshot: quantiles."round.lat": missing key "sample")");
 }
 
 TEST(ObsSnapshotJson, MalformedInputThrows) {
   EXPECT_THROW(Snapshot::read_json("not json"), std::runtime_error);
   EXPECT_THROW(Snapshot::read_json("[1, 2]"), std::runtime_error);
-  // Histogram with counts/bounds size mismatch.
-  EXPECT_THROW(Snapshot::read_json(
-                   R"({"histograms": {"h": {"bounds": [1], "counts": [1]}}})"),
-               std::runtime_error);
+  EXPECT_EQ(read_error("histograms", R"("h": {"bounds": [1], "counts": [1],
+                       "sum": 0})"),
+            R"(snapshot: histograms."h": counts/bounds size mismatch)");
+  EXPECT_EQ(read_error("histograms", R"("h": {"bounds": 1, "counts": [1],
+                       "sum": 0})"),
+            R"(snapshot: histograms."h": "bounds" must be an array)");
+  EXPECT_EQ(read_error("counters", R"("c": -1)"),
+            R"(snapshot: counters."c": json: not an exact uint64: -1)");
+  EXPECT_EQ(read_error("counters", R"("c": "7")"),
+            R"(snapshot: counters."c": json: expected a number)");
+  try {
+    Snapshot::read_json(R"({"snapshot_unix_ns": 0})");
+    ADD_FAILURE() << "accepted a snapshot with no sections";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), R"(snapshot: "counters" must be an object)");
+  }
 }
 
 // --- Merge --------------------------------------------------------------
@@ -296,71 +311,6 @@ TEST(ObsSnapshotMerge, MergedShardsMatchOneUnsplitRun) {
   EXPECT_EQ(combined.stats.at("sweep.cell_seconds").count(),
             full.stats.at("sweep.cell_seconds").count());
   obs::Registry::global().reset();
-}
-
-// --- Prometheus ---------------------------------------------------------
-
-TEST(ObsSnapshotPrometheus, CountersGaugesHistogramsRoundTrip) {
-  Snapshot s;
-  s.unix_ns = 1'700'000'000'123'456'789;
-  s.counters["big.counter"] = (std::uint64_t{1} << 60) + 7;
-  // A millisecond-aligned gauge timestamp survives the exposition format
-  // (which carries milliseconds); sub-ms precision would not.
-  s.gauges["mem.rss"] = GaugeSnapshot{0.1 + 0.2, 1'700'000'000'123'000'000};
-  HistogramSnapshot h;
-  h.bounds = {0.001, 0.1, 2.5};
-  h.counts = {4, 0, 3, 1};
-  h.sum = 7.625;
-  s.histograms["solve.lat"] = h;
-
-  std::ostringstream os;
-  s.write_prometheus(os);
-  const std::string text = os.str();
-  // Spot-check the exposition shape before parsing it back.
-  EXPECT_NE(text.find("# TYPE hgc_big_counter_total counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("hgc_solve_lat_bucket{le=\"+Inf\"} 8"),
-            std::string::npos);
-  EXPECT_NE(text.find("hgc_solve_lat_sum 7.625"), std::string::npos);
-
-  std::istringstream is(text);
-  const Snapshot back = Snapshot::read_prometheus(is);
-  EXPECT_EQ(back.unix_ns, s.unix_ns);
-  EXPECT_EQ(back.counters, s.counters);
-  EXPECT_EQ(back.gauges, s.gauges);
-  EXPECT_EQ(back.histograms, s.histograms);
-}
-
-TEST(ObsSnapshotPrometheus, StatsReconstructAndQuantilesReportSkipped) {
-  Snapshot s;
-  RunningStats st;
-  st.add(1.0);
-  st.add(2.5);
-  st.add(4.0);
-  s.stats["cell.seconds"] = st;
-  ReservoirQuantiles q(4, 5);
-  q.add(1.0);
-  q.add(9.0);
-  s.quantiles["round.latency"] = q;
-
-  std::ostringstream os;
-  s.write_prometheus(os);
-  EXPECT_NE(os.str().find("quantile=\"0.95\""), std::string::npos);
-
-  std::istringstream is(os.str());
-  std::vector<std::string> skipped;
-  const Snapshot back = Snapshot::read_prometheus(is, &skipped);
-  ASSERT_EQ(skipped.size(), 1u);
-  EXPECT_EQ(skipped[0], "round.latency");
-  EXPECT_TRUE(back.quantiles.empty());
-  // The stat-part gauges fold back into the stat, not into gauges.
-  EXPECT_TRUE(back.gauges.empty());
-  const RunningStats& rs = back.stats.at("cell.seconds");
-  EXPECT_EQ(rs.count(), st.count());
-  EXPECT_DOUBLE_EQ(rs.mean(), st.mean());
-  EXPECT_DOUBLE_EQ(rs.min(), st.min());
-  EXPECT_DOUBLE_EQ(rs.max(), st.max());
-  EXPECT_NEAR(rs.m2(), st.m2(), 1e-9 * (1.0 + st.m2()));
 }
 
 // --- Recorder -----------------------------------------------------------

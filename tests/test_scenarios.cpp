@@ -550,8 +550,6 @@ void expect_same_summary(const SchemeSummary& a, const SchemeSummary& b) {
   EXPECT_EQ(a.bursts_started, b.bursts_started);
   EXPECT_EQ(a.total_time, b.total_time);
   EXPECT_EQ(a.epoch_sizes, b.epoch_sizes);
-  EXPECT_EQ(a.decode_hits, b.decode_hits);
-  EXPECT_EQ(a.decode_misses, b.decode_misses);
 }
 
 TEST(ScenarioScript, SchemeCacheIsTransparentWithAndWithoutChurn) {

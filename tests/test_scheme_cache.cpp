@@ -128,15 +128,6 @@ TEST(SchemeCache, DistinguishesKAndS) {
   EXPECT_EQ(cache.misses(), 3u);
 }
 
-TEST(SchemeCache, ClearResets) {
-  SchemeCache cache;
-  cache.get_or_create(SchemeKind::kNaive, kClusterLike, 10, 1, 1);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
-}
-
 TEST(SchemeCache, ConcurrentLookupsAgreeOnOneInstance) {
   // Hammer a small key set from many threads; every thread must observe the
   // same instance per key. Runs under TSan in CI to prove the shared-mutex

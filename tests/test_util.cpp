@@ -1,12 +1,15 @@
-// Unit tests for src/util: RNG, stats, tables, args.
+// Unit tests for src/util: RNG, stats, tables, args, error macros.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/args.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -520,6 +523,19 @@ TEST(Args, TokenSpanConstructorMatchesArgv) {
   const std::vector<std::string> malformed = {"oops"};
   EXPECT_THROW(Args{std::span<const std::string>(malformed)},
                std::invalid_argument);
+}
+
+TEST(Error, RequireNamesTheRepoRelativeSourceFile) {
+  // Error notes land in CSVs, so the location must not depend on where the
+  // checkout lives: the build maps the source prefix out of __FILE__.
+  try {
+    HGC_REQUIRE(1 + 1 == 3, "arithmetic");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(" at tests/test_util.cpp:"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
