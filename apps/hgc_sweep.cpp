@@ -33,6 +33,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/args.hpp"
+#include "util/checked_cast.hpp"
 
 namespace {
 
@@ -188,9 +189,9 @@ int main(int argc, char** argv) {
       return 0;
     }
     const std::string grid_arg = args.get("grid", "");
-    const auto iters = static_cast<std::size_t>(args.get_int("iters", 0));
+    const auto iters = checked_cast<std::size_t>(args.get_int("iters", 0));
     const auto threads =
-        static_cast<std::size_t>(args.get_int("threads", 0));
+        checked_cast<std::size_t>(args.get_int("threads", 0));
     const std::string csv_path = args.get("csv", "");
     const std::string json_path = args.get("json", "");
     const std::string pivot_spec = args.get("pivot", "");

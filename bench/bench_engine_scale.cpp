@@ -29,6 +29,7 @@
 #include "sim/experiment.hpp"
 #include "sim/iteration.hpp"
 #include "util/args.hpp"
+#include "util/checked_cast.hpp"
 #include "util/stats.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -209,13 +210,13 @@ void bench_trace_replay(std::size_t s) {
 int main(int argc, char** argv) {
   Args args(argc, argv);
   const auto workers =
-      static_cast<std::size_t>(args.get_int("workers", 1000));
+      checked_cast<std::size_t>(args.get_int("workers", 1000));
   const auto big_workers =
-      static_cast<std::size_t>(args.get_int("big-workers", 10000));
-  const auto rounds = static_cast<std::size_t>(args.get_int("rounds", 20));
+      checked_cast<std::size_t>(args.get_int("big-workers", 10000));
+  const auto rounds = checked_cast<std::size_t>(args.get_int("rounds", 20));
   const auto big_rounds =
-      static_cast<std::size_t>(args.get_int("big-rounds", 5));
-  const auto s = static_cast<std::size_t>(args.get_int("s", 2));
+      checked_cast<std::size_t>(args.get_int("big-rounds", 5));
+  const auto s = checked_cast<std::size_t>(args.get_int("s", 2));
   args.check_unused();
 
   std::cout << "=== Engine scale: 1,000- and 10,000-worker rounds, churn, "

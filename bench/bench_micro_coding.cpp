@@ -632,26 +632,6 @@ void BM_EncodeGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeGradient)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
-void BM_StreamingDecoderIteration(benchmark::State& state) {
-  // Full master-side pipeline: m arrivals, decodability checks, combine.
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const Throughputs c = spread_throughputs(m);
-  Rng rng(12);
-  HeterAwareScheme scheme(c, 2 * m, 1, rng);
-  std::vector<Vector> grads(2 * m, Vector(1024, 0.25));
-  std::vector<Vector> coded(m);
-  for (WorkerId w = 0; w < m; ++w)
-    coded[w] = encode_gradient(scheme, w, grads);
-  for (auto _ : state) {
-    StreamingDecoder decoder(scheme);
-    for (WorkerId w = 0; w < m && !decoder.ready(); ++w)
-      decoder.add_result(w, coded[w]);
-    Vector aggregate = decoder.aggregate();
-    benchmark::DoNotOptimize(aggregate);
-  }
-}
-BENCHMARK(BM_StreamingDecoderIteration)->Arg(8)->Arg(32)->Arg(58);
-
 void BM_BuildDecodingMatrix(benchmark::State& state) {
   // Offline Eq. 2 table for all C(m, s) regular patterns.
   const auto m = static_cast<std::size_t>(state.range(0));

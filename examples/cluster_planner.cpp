@@ -15,6 +15,7 @@
 #include "core/scheme_factory.hpp"
 #include "sim/experiment.hpp"
 #include "util/args.hpp"
+#include "util/checked_cast.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -49,8 +50,8 @@ int main(int argc, char** argv) {
   using namespace hgc;
   Args args(argc, argv);
   const Cluster cluster = select_cluster(args);
-  const auto s = static_cast<std::size_t>(args.get_int("s", 1));
-  auto k = static_cast<std::size_t>(args.get_int("k", 0));
+  const auto s = checked_cast<std::size_t>(args.get_int("s", 1));
+  auto k = checked_cast<std::size_t>(args.get_int("k", 0));
   args.check_unused();
   if (k == 0) k = exact_partition_count(cluster, s);
 

@@ -13,13 +13,14 @@
 #include "runtime/threaded_trainer.hpp"
 #include "sim/experiment.hpp"
 #include "util/args.hpp"
+#include "util/checked_cast.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace hgc;
   Args args(argc, argv);
   const std::string scheme_name = args.get("scheme", "heter");
-  const auto iterations = static_cast<std::size_t>(args.get_int("iters", 12));
+  const auto iterations = checked_cast<std::size_t>(args.get_int("iters", 12));
   const double delay = args.get_double("delay", 0.5);
   const double time_scale = args.get_double("time-scale", 2e-3);
   args.check_unused();

@@ -7,15 +7,16 @@
 
 #include "sim/experiment.hpp"
 #include "util/args.hpp"
+#include "util/checked_cast.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace hgc;
   Args args(argc, argv);
   const std::string name = args.get("cluster", "A");
-  const auto s = static_cast<std::size_t>(args.get_int("s", 1));
+  const auto s = checked_cast<std::size_t>(args.get_int("s", 1));
   const auto iterations =
-      static_cast<std::size_t>(args.get_int("iters", 200));
+      checked_cast<std::size_t>(args.get_int("iters", 200));
   args.check_unused();
 
   Cluster cluster = cluster_a();

@@ -4,7 +4,6 @@
 
 #include "linalg/kernels.hpp"
 #include "linalg/workspace.hpp"
-#include "util/checked_cast.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
@@ -48,6 +47,15 @@ void check_shape(const SparseRowMatrix& b, std::size_t assignment_rows,
   HGC_REQUIRE(s < b.rows(),
               "cannot tolerate as many stragglers as there are workers");
 }
+
+void check_quorums(const std::vector<DecodeQuorum>& quorums, std::size_t m) {
+  HGC_REQUIRE(!quorums.empty(), "a scheme needs at least one decode quorum");
+  for (const DecodeQuorum& quorum : quorums) {
+    HGC_REQUIRE(quorum.need > 0, "a decode quorum needs at least one result");
+    for (WorkerId w : quorum.workers)
+      HGC_REQUIRE(w < m, "quorum worker id out of range");
+  }
+}
 }  // namespace
 
 CodingScheme::CodingScheme(SparseRowMatrix b, Assignment assignment,
@@ -57,7 +65,7 @@ CodingScheme::CodingScheme(SparseRowMatrix b, Assignment assignment,
       s_(s),
       quorums_(std::move(quorums)) {
   check_shape(coding_matrix_, assignment_.size(), s_);
-  index_quorums();
+  check_quorums(quorums_, num_workers());
   // The coding matrix's support must match the declared assignment exactly;
   // the simulator derives per-worker compute load from the assignment and
   // the decoder trusts the matrix, so a mismatch would silently skew both.
@@ -75,7 +83,7 @@ CodingScheme::CodingScheme(SparseRowMatrix b, std::size_t s,
                            std::vector<DecodeQuorum> quorums)
     : coding_matrix_(std::move(b)), s_(s), quorums_(std::move(quorums)) {
   check_shape(coding_matrix_, coding_matrix_.rows(), s_);
-  index_quorums();
+  check_quorums(quorums_, num_workers());
   // The assignment IS the row structure: supp(b_w), already ascending.
   assignment_.resize(coding_matrix_.rows());
   for (std::size_t w = 0; w < coding_matrix_.rows(); ++w) {
@@ -84,54 +92,16 @@ CodingScheme::CodingScheme(SparseRowMatrix b, std::size_t s,
   }
 }
 
-void CodingScheme::index_quorums() {
-  HGC_REQUIRE(!quorums_.empty(), "a scheme needs at least one decode quorum");
-  const std::size_t m = num_workers();
-  // Counting sort of (worker, quorum) memberships into CSR: one pass to
-  // size the rows, one to fill them — O(m + Σ|quorum|) time and space.
-  std::vector<std::uint32_t> sizes(m, 0);
-  bool any_listed = false;
-  for (std::size_t q = 0; q < quorums_.size(); ++q) {
-    const DecodeQuorum& quorum = quorums_[q];
-    HGC_REQUIRE(quorum.need > 0, "a decode quorum needs at least one result");
-    if (quorum.workers.empty()) {
-      global_quorums_.push_back(checked_cast<std::uint32_t>(q));
-      continue;
-    }
-    any_listed = true;
-    for (WorkerId w : quorum.workers) {
-      HGC_REQUIRE(w < m, "quorum worker id out of range");
-      ++sizes[w];
-    }
-  }
-  if (!any_listed) return;
-  quorum_offsets_.assign(m + 1, 0);
-  for (std::size_t w = 0; w < m; ++w)
-    quorum_offsets_[w + 1] = quorum_offsets_[w] + sizes[w];
-  quorum_ids_.resize(quorum_offsets_[m]);
-  std::vector<std::uint32_t> next(quorum_offsets_.begin(),
-                                  quorum_offsets_.end() - 1);
-  for (std::size_t q = 0; q < quorums_.size(); ++q)
-    for (WorkerId w : quorums_[q].workers)
-      quorum_ids_[next[w]++] = checked_cast<std::uint32_t>(q);
-}
-
-std::span<const std::uint32_t> CodingScheme::quorums_of(WorkerId w) const {
-  HGC_REQUIRE(w < num_workers(), "worker id out of range");
-  if (quorum_offsets_.empty()) return {};
-  return std::span<const std::uint32_t>(quorum_ids_)
-      .subspan(quorum_offsets_[w], quorum_offsets_[w + 1] - quorum_offsets_[w]);
-}
-
 bool CodingScheme::quorum_met(const std::vector<bool>& received) const {
   HGC_REQUIRE(received.size() == num_workers(),
               "received flags must have one entry per worker");
-  std::size_t total = 0;
-  if (!global_quorums_.empty()) total = count_received(received);
+  std::optional<std::size_t> total;  // every arrival, counted at most once
   for (const DecodeQuorum& quorum : quorums_) {
-    std::size_t count = total;
-    if (!quorum.workers.empty()) {
-      count = 0;
+    std::size_t count = 0;
+    if (quorum.workers.empty()) {
+      if (!total) total = count_received(received);
+      count = *total;
+    } else {
       for (WorkerId w : quorum.workers) count += received[w] ? 1 : 0;
     }
     if (count >= quorum.need) return true;

@@ -19,11 +19,10 @@
 // through it.
 //
 // Each scheme also declares its decode quorums: necessary conditions for
-// decoding_coefficients to succeed. Streaming callers count arrivals per
-// quorum and only solve once one is met (see QuorumTracker).
+// decoding_coefficients to succeed. first_decodable_prefix (core/decoder)
+// only solves from the first arrival at which one is met.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -80,18 +79,9 @@ class CodingScheme {
   /// The scheme's decode quorums (see DecodeQuorum for the contract).
   const std::vector<DecodeQuorum>& quorums() const { return quorums_; }
 
-  /// Indices of the quorums with an empty worker list (every arrival
-  /// counts toward them).
-  std::span<const std::uint32_t> global_quorums() const {
-    return global_quorums_;
-  }
-
-  /// Indices of the listed quorums that contain worker w.
-  std::span<const std::uint32_t> quorums_of(WorkerId w) const;
-
   /// True when some quorum has at least `need` of its workers received —
   /// the necessary condition for decoding_coefficients to succeed.
-  /// O(m + Σ|quorum|); streaming callers track it incrementally instead.
+  /// O(m + Σ|quorum|).
   bool quorum_met(const std::vector<bool>& received) const;
 
  protected:
@@ -114,19 +104,11 @@ class CodingScheme {
       const;
 
  private:
-  /// Validate the quorums and build the worker → quorum index.
-  void index_quorums();
-
+  // Immutable after construction, so schemes stay shareable across threads.
   SparseRowMatrix coding_matrix_;
   Assignment assignment_;
   std::size_t s_;
-  // Immutable after construction, so schemes stay shareable across threads.
-  // The index is CSR over workers (empty when every quorum is global):
-  // quorums_of(w) = quorum_ids_[quorum_offsets_[w] .. quorum_offsets_[w+1]).
   std::vector<DecodeQuorum> quorums_;
-  std::vector<std::uint32_t> global_quorums_;
-  std::vector<std::uint32_t> quorum_offsets_;
-  std::vector<std::uint32_t> quorum_ids_;
 };
 
 /// Does 1_{1×k} lie in the row span of B restricted to `rows`? A

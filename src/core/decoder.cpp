@@ -34,13 +34,6 @@ std::optional<Vector> solve_decoding_coefficients(
   return coefficients;
 }
 
-std::optional<Vector> probe_decoding_coefficients(
-    const CodingScheme& scheme, const std::vector<bool>& received,
-    DecodingCache* cache) {
-  return cache ? cache->decode(received)
-               : solve_decoding_coefficients(scheme, received);
-}
-
 std::vector<DecodingRow> build_decoding_matrix(const CodingScheme& scheme) {
   const std::size_t m = scheme.num_workers();
   const std::size_t s = scheme.stragglers_tolerated();
@@ -68,25 +61,6 @@ std::vector<DecodingRow> build_decoding_matrix(const CodingScheme& scheme) {
   return rows;
 }
 
-QuorumTracker::QuorumTracker(const CodingScheme& scheme)
-    : scheme_(scheme), counts_(scheme.quorums().size(), 0) {}
-
-bool QuorumTracker::add(WorkerId w) {
-  const auto& quorums = scheme_.quorums();
-  const auto bump = [&](std::uint32_t q) {
-    if (++counts_[q] >= quorums[q].need) met_ = true;
-  };
-  for (std::uint32_t q : scheme_.global_quorums()) bump(q);
-  for (std::uint32_t q : scheme_.quorums_of(w)) bump(q);
-  return met_;
-}
-
-std::optional<Vector> QuorumTracker::add_and_probe(
-    WorkerId w, const std::vector<bool>& received) {
-  if (!add(w)) return std::nullopt;  // no decode can succeed yet
-  return solve_decoding_coefficients(scheme_, received);
-}
-
 namespace {
 
 /// first_decodable_prefix's scratch, one per thread (the linalg workspace
@@ -101,6 +75,15 @@ struct PrefixWorkspace {
 PrefixWorkspace& prefix_workspace() {
   thread_local PrefixWorkspace ws;
   return ws;
+}
+
+/// One decode probe of the received set: through `cache` when non-null
+/// (which must wrap `scheme`), else solve_decoding_coefficients.
+std::optional<Vector> probe_decoding_coefficients(
+    const CodingScheme& scheme, const std::vector<bool>& received,
+    DecodingCache* cache) {
+  return cache ? cache->decode(received)
+               : solve_decoding_coefficients(scheme, received);
 }
 
 }  // namespace
@@ -124,7 +107,7 @@ DecodablePrefix first_decodable_prefix(const CodingScheme& scheme,
 
   // The first arrival at which a quorum is met: per quorum, the need-th
   // smallest (time, worker) among its arriving members, by selection. The
-  // earliest of those is where QuorumTracker::add would first return true.
+  // earliest of those is the first arrival after which a quorum is met.
   std::optional<Arrival> met_at;
   const auto select = [&](std::span<Arrival> members, std::size_t need) {
     if (members.size() < need) return;
@@ -144,7 +127,6 @@ DecodablePrefix first_decodable_prefix(const CodingScheme& scheme,
   }
 
   DecodablePrefix prefix;
-  prefix.quorum_met = met_at.has_value();
   if (!met_at) {  // no probe can succeed
     prefix.taken = arrivals.size();
     return prefix;
@@ -183,27 +165,6 @@ DecodablePrefix first_decodable_prefix(const CodingScheme& scheme,
     }
   }
   return prefix;
-}
-
-StreamingDecoder::StreamingDecoder(const CodingScheme& scheme)
-    : quorums_(scheme),
-      received_(scheme.num_workers(), false),
-      coded_(scheme.num_workers()) {}
-
-bool StreamingDecoder::add_result(WorkerId w, Vector coded_gradient) {
-  HGC_REQUIRE(w < received_.size(), "worker id out of range");
-  HGC_REQUIRE(!received_[w], "duplicate result from worker");
-  received_[w] = true;
-  coded_[w] = std::move(coded_gradient);
-  if (coefficients_) return false;  // already decodable, extra result unused
-  coefficients_ = quorums_.add_and_probe(w, received_);
-  return coefficients_.has_value();
-}
-
-Vector StreamingDecoder::aggregate() const {
-  if (!coefficients_)
-    throw DecodeError("aggregate requested before the code is decodable");
-  return combine_coded_gradients(*coefficients_, coded_);
 }
 
 }  // namespace hgc

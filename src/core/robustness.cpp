@@ -52,34 +52,25 @@ std::optional<double> completion_time(const CodingScheme& scheme,
   const std::size_t m = scheme.num_workers();
   HGC_REQUIRE(c.size() == m, "one throughput per worker");
 
-  std::vector<bool> received(m, true);
+  std::vector<bool> straggles(m, false);
   for (WorkerId w : stragglers) {
     HGC_REQUIRE(w < m, "straggler id out of range");
-    received[w] = false;
+    straggles[w] = true;
   }
 
   // Finish times of surviving workers that actually hold data; the paper's
   // full-straggler assumption means stragglers never arrive.
   std::vector<Arrival> arrivals;
   for (std::size_t w = 0; w < m; ++w) {
-    if (scheme.load(w) == 0) received[w] = false;
-    if (!received[w]) continue;
+    if (straggles[w] || scheme.load(w) == 0) continue;
     HGC_REQUIRE(c[w] > 0.0, "non-straggler throughput must be positive");
     arrivals.emplace_back(static_cast<double>(scheme.load(w)) / c[w], w);
   }
 
   const DecodablePrefix prefix =
       first_decodable_prefix(scheme, arrivals, cache);
-  if (prefix.decisive) return prefix.decisive->first;
-  // Tail case: when no quorum was ever met no prefix was probed, so one
-  // final decode of everything received leaves the verdict to the scheme
-  // itself. Once a quorum is met every later prefix is probed, so the last
-  // attempt already was the full set and re-solving it would only confirm
-  // the failure.
-  if (arrivals.empty() || prefix.quorum_met) return std::nullopt;
-  if (!probe_decoding_coefficients(scheme, received, cache))
-    return std::nullopt;
-  return std::max_element(arrivals.begin(), arrivals.end())->first;
+  if (!prefix.decisive) return std::nullopt;
+  return prefix.decisive->first;
 }
 
 std::optional<double> worst_case_time(const CodingScheme& scheme,

@@ -114,6 +114,12 @@ ThreadedTrainingResult train_bsp_threaded(
                          std::cref(config), std::ref(bcast),
                          std::ref(results));
 
+  // One Section III-B store for the run: its cached nullopt entries make
+  // re-probing a prefix that already failed a lookup, not a solve.
+  DecodingCache cache(scheme);
+  std::vector<Arrival> arrivals;
+  arrivals.reserve(m);
+
   ThreadedTrainingResult result;
   result.trace.label = scheme.name() + "+threads";
   Stopwatch wall;
@@ -128,17 +134,26 @@ ThreadedTrainingResult train_bsp_threaded(
     }
     bcast.cv.notify_all();
 
-    StreamingDecoder decoder(scheme);
-    while (!decoder.ready()) {
+    // Section III-C's rule, as in every simulated round: after each fresh
+    // result, the first prefix of the arrivals so far that decodes. Stamping
+    // results with their receive sequence number makes (time, worker) order
+    // arrival order.
+    arrivals.clear();
+    std::vector<Vector> coded(m);
+    std::optional<Vector> coefficients;
+    while (!coefficients) {
       auto msg = results.receive();
       HGC_ASSERT(msg.has_value(), "result channel closed mid-iteration");
       if (msg->iteration != iter) {
         ++result.results_discarded;  // straggler from a previous round
         continue;
       }
-      decoder.add_result(msg->worker, std::move(msg->coded));
+      arrivals.emplace_back(static_cast<double>(arrivals.size()), msg->worker);
+      coded[msg->worker] = std::move(msg->coded);
+      coefficients =
+          first_decodable_prefix(scheme, arrivals, &cache).coefficients;
     }
-    Vector aggregate = decoder.aggregate();
+    Vector aggregate = combine_coded_gradients(*coefficients, coded);
     scale(inv_n, aggregate);
     optimizer.step(params, aggregate);
     result.trace.points.push_back(

@@ -1,12 +1,14 @@
 // Real-thread BSP coded training: one OS thread per worker, a blocking
 // channel to the master, genuine gradient computation and encoding on the
-// workers, streaming decode on the master.
+// workers, decoding on the master as results arrive.
 //
 // Heterogeneity and stragglers are physically realized: each worker sleeps
 // for its simulated compute duration (scaled by `time_scale` so tests stay
 // fast), then does the real math. Faulted workers stay silent for the
-// iteration. The master decodes from the earliest decodable arrival set —
-// the same protocol the paper deployed on QingCloud, shrunk onto threads.
+// iteration. After each result the master applies first_decodable_prefix
+// (core/decoder), the rule every simulated round uses, to the arrivals so
+// far and steps once a prefix decodes — the same protocol the paper
+// deployed on QingCloud, shrunk onto threads.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,5 @@
-// Tests for the decoding-matrix builder (Eq. 2), the streaming decoder and
-// its decode-quorum gate.
+// Tests for the decoding-matrix builder (Eq. 2), the decode rule
+// first_decodable_prefix and its decode-quorum gate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -103,110 +103,128 @@ TEST(DecodingMatrix, NonEmptyPatternErrorNamesItsFirstWorker) {
   }
 }
 
-TEST(StreamingDecoder, DecodesAtFirstSufficientArrival) {
+// The threaded master's usage of first_decodable_prefix: after each
+// result, the first decodable prefix of the arrivals so far, the i-th
+// result stamped with time i, one cache for the run. Returns the number of
+// results taken when a prefix first decodes (0 if none does) and its
+// coefficients.
+std::pair<std::size_t, std::optional<Vector>> decode_per_arrival(
+    const CodingScheme& scheme, const std::vector<WorkerId>& order,
+    DecodingCache& cache) {
+  std::vector<Arrival> arrivals;
+  for (WorkerId w : order) {
+    arrivals.emplace_back(static_cast<double>(arrivals.size()), w);
+    auto coefficients =
+        first_decodable_prefix(scheme, arrivals, &cache).coefficients;
+    if (coefficients) return {arrivals.size(), std::move(coefficients)};
+  }
+  return {0, std::nullopt};
+}
+
+// Results from `order` arriving at times 0, 1, 2, ….
+std::vector<Arrival> in_order(const std::vector<WorkerId>& order) {
+  std::vector<Arrival> arrivals;
+  for (WorkerId w : order)
+    arrivals.emplace_back(static_cast<double>(arrivals.size()), w);
+  return arrivals;
+}
+
+// Per-partition scalar "gradients" 1..k (aggregate 28 at k = 7), coded per
+// worker.
+std::vector<Vector> coded_results(const CodingScheme& scheme) {
+  std::vector<Vector> grads(scheme.num_partitions());
+  for (std::size_t p = 0; p < grads.size(); ++p) grads[p] = {double(p + 1)};
+  std::vector<Vector> coded(scheme.num_workers());
+  for (WorkerId w = 0; w < scheme.num_workers(); ++w)
+    coded[w] = encode_gradient(scheme, w, grads);
+  return coded;
+}
+
+TEST(FirstDecodablePrefix, DecodesAtFirstSufficientArrival) {
   Rng rng(53);
   HeterAwareScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
-  StreamingDecoder decoder(scheme);
-
-  // Per-partition scalar "gradients" 1..7; aggregate = 28.
-  std::vector<Vector> grads(7);
-  for (std::size_t p = 0; p < 7; ++p) grads[p] = {double(p + 1)};
-
-  EXPECT_FALSE(decoder.add_result(0, encode_gradient(scheme, 0, grads)));
-  EXPECT_FALSE(decoder.add_result(1, encode_gradient(scheme, 1, grads)));
-  EXPECT_FALSE(decoder.add_result(2, encode_gradient(scheme, 2, grads)));
-  EXPECT_FALSE(decoder.ready());
-  // Fourth arrival: only one worker missing <= s, decodable.
-  EXPECT_TRUE(decoder.add_result(3, encode_gradient(scheme, 3, grads)));
-  EXPECT_TRUE(decoder.ready());
-  const Vector aggregate = decoder.aggregate();
+  DecodingCache cache(scheme);
+  // The fourth arrival leaves one worker missing (≤ s): decodable there,
+  // not before.
+  const auto [taken, coefficients] =
+      decode_per_arrival(scheme, {0, 1, 2, 3, 4}, cache);
+  EXPECT_EQ(taken, 4u);
+  ASSERT_TRUE(coefficients.has_value());
+  const Vector aggregate =
+      combine_coded_gradients(*coefficients, coded_results(scheme));
   ASSERT_EQ(aggregate.size(), 1u);
   EXPECT_NEAR(aggregate[0], 28.0, 1e-8);
 }
 
-TEST(StreamingDecoder, ExtraResultsAreUnused) {
+TEST(FirstDecodablePrefix, ExtraResultsAreUnused) {
   Rng rng(54);
   HeterAwareScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
-  StreamingDecoder decoder(scheme);
-  std::vector<Vector> grads(7);
-  for (std::size_t p = 0; p < 7; ++p) grads[p] = {1.0};
-  for (WorkerId w = 0; w < 4; ++w)
-    decoder.add_result(w, encode_gradient(scheme, w, grads));
-  ASSERT_TRUE(decoder.ready());
-  // Late fifth result, poisoned: recorded but not part of the decode.
-  EXPECT_FALSE(decoder.add_result(4, Vector{1e6}));
-  EXPECT_NEAR(decoder.aggregate()[0], 7.0, 1e-8);
+  auto arrivals = in_order({0, 1, 2, 3, 4});
+  const DecodablePrefix prefix = first_decodable_prefix(scheme, arrivals);
+  ASSERT_TRUE(prefix.decisive.has_value());
+  EXPECT_EQ(prefix.decisive->second, 3u);
+  EXPECT_EQ(prefix.taken, 4u);
+  // Late fifth result, poisoned: received but not part of the decode.
+  auto coded = coded_results(scheme);
+  coded[4] = {1e6};
+  EXPECT_EQ((*prefix.coefficients)[4], 0.0);
+  EXPECT_NEAR(combine_coded_gradients(*prefix.coefficients, coded)[0], 28.0,
+              1e-8);
 }
 
-TEST(StreamingDecoder, RejectsDuplicateResult) {
+TEST(FirstDecodablePrefix, RejectsDuplicateResult) {
   Rng rng(55);
   HeterAwareScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
-  StreamingDecoder decoder(scheme);
-  decoder.add_result(0, Vector{1.0});
-  EXPECT_THROW(decoder.add_result(0, Vector{1.0}), std::invalid_argument);
+  auto arrivals = in_order({0, 0});
+  EXPECT_THROW(first_decodable_prefix(scheme, arrivals),
+               std::invalid_argument);
 }
 
-TEST(StreamingDecoder, ThrowsBeforeReady) {
-  Rng rng(56);
-  HeterAwareScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
-  StreamingDecoder decoder(scheme);
-  EXPECT_THROW(decoder.aggregate(), DecodeError);
-}
-
-TEST(StreamingDecoder, GroupFastPathDecodesBelowFullQuorum) {
+TEST(FirstDecodablePrefix, GroupFastPathDecodesBelowFullQuorum) {
   // Group-based {1,2,3,4,4}: groups {0,1,4} and {2,3}, so the smallest
   // quorum needs 2 — far below the m−s = 4 of heter-aware. Arrival order
-  // 2, 3 completes a group: the first arrival must be skipped by the gate
-  // (no quorum met) and the second must decode immediately.
+  // 2, 3 completes a group: the first arrival alone meets no quorum and
+  // the second must decode immediately.
   Rng rng(41);
   GroupBasedScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
   std::size_t smallest = scheme.num_workers();
   for (const DecodeQuorum& q : scheme.quorums())
     smallest = std::min(smallest, q.need);
   ASSERT_EQ(smallest, 2u);
-  StreamingDecoder decoder(scheme);
-  std::vector<Vector> grads(7);
-  for (std::size_t p = 0; p < 7; ++p) grads[p] = {double(p + 1)};
-
-  EXPECT_FALSE(decoder.add_result(2, encode_gradient(scheme, 2, grads)));
-  EXPECT_FALSE(decoder.ready());
-  EXPECT_TRUE(decoder.add_result(3, encode_gradient(scheme, 3, grads)));
-  EXPECT_TRUE(decoder.ready());
-  EXPECT_NEAR(decoder.aggregate()[0], 28.0, 1e-8);
+  DecodingCache cache(scheme);
+  const auto [taken, coefficients] =
+      decode_per_arrival(scheme, {2, 3}, cache);
+  EXPECT_EQ(taken, 2u);
+  EXPECT_EQ(cache.misses(), 1u);  // the lone first arrival was never probed
+  ASSERT_TRUE(coefficients.has_value());
+  EXPECT_NEAR(combine_coded_gradients(*coefficients, coded_results(scheme))[0],
+              28.0, 1e-8);
 }
 
-TEST(StreamingDecoder, ArrivalOrderPastMinRequiresMoreSolves) {
-  // Arrival order 0, 1, 2, 4: no quorum is met (no complete group, fewer
-  // than active−s results), so the decoder keeps answering "not yet"
-  // until group {0,1,4} completes on the fourth arrival. Worker 2's result
-  // ends up unused: poisoning it leaves the aggregate exact.
+TEST(FirstDecodablePrefix, LaterResultsStayUnused) {
+  // Arrival order 0, 1, 2, 4, 3: no quorum is met (no complete group,
+  // fewer than active−s results) until group {0,1,4} completes on the
+  // fourth arrival. Worker 2's result and the later worker 3's end up
+  // unused: poisoning them leaves the aggregate exact.
   Rng rng(41);
   GroupBasedScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
-  StreamingDecoder decoder(scheme);
-  std::vector<Vector> grads(7);
-  for (std::size_t p = 0; p < 7; ++p) grads[p] = {double(p + 1)};
-
-  EXPECT_FALSE(decoder.add_result(0, encode_gradient(scheme, 0, grads)));
-  EXPECT_FALSE(decoder.add_result(1, encode_gradient(scheme, 1, grads)));
-  EXPECT_FALSE(decoder.add_result(2, Vector{1e6}));
-  EXPECT_TRUE(decoder.add_result(4, encode_gradient(scheme, 4, grads)));
-  EXPECT_NEAR(decoder.aggregate()[0], 28.0, 1e-8);
-
-  // A result arriving after decodability is recorded but changes nothing.
-  EXPECT_FALSE(decoder.add_result(3, Vector{1e6}));
-  EXPECT_NEAR(decoder.aggregate()[0], 28.0, 1e-8);
+  auto arrivals = in_order({0, 1, 2, 4, 3});
+  const DecodablePrefix prefix = first_decodable_prefix(scheme, arrivals);
+  ASSERT_TRUE(prefix.decisive.has_value());
+  EXPECT_EQ(*prefix.decisive, Arrival(3.0, 4));
+  EXPECT_EQ(prefix.taken, 4u);
+  auto coded = coded_results(scheme);
+  coded[2] = {1e6};
+  coded[3] = {1e6};
+  EXPECT_NEAR(combine_coded_gradients(*prefix.coefficients, coded)[0], 28.0,
+              1e-8);
 }
 
-TEST(StreamingDecoder, DuplicateAfterDecodabilityStillThrows) {
+TEST(FirstDecodablePrefix, DuplicateAfterDecodabilityStillThrows) {
   Rng rng(41);
   GroupBasedScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
-  StreamingDecoder decoder(scheme);
-  std::vector<Vector> grads(7);
-  for (std::size_t p = 0; p < 7; ++p) grads[p] = {1.0};
-  decoder.add_result(2, encode_gradient(scheme, 2, grads));
-  decoder.add_result(3, encode_gradient(scheme, 3, grads));
-  ASSERT_TRUE(decoder.ready());
-  EXPECT_THROW(decoder.add_result(2, encode_gradient(scheme, 2, grads)),
+  auto arrivals = in_order({2, 3, 2});
+  EXPECT_THROW(first_decodable_prefix(scheme, arrivals),
                std::invalid_argument);
 }
 
@@ -399,35 +417,14 @@ TEST(QuorumGate, SoundOnTable2Clusters) {
   }
 }
 
-TEST(QuorumGate, TrackerAgreesWithDirectCheck) {
-  // The incremental counters must report exactly scheme.quorum_met() of the
-  // current prefix after every arrival.
-  Rng orders(78);
-  for (const GateCase& gate_case : table2_cases()) {
-    const CodingScheme& scheme = *gate_case.scheme;
-    const std::size_t m = scheme.num_workers();
-    for (int round = 0; round < 3; ++round) {
-      QuorumTracker tracker(scheme);
-      std::vector<std::size_t> order(m);
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      shuffle(orders, std::span<std::size_t>(order));
-      std::vector<bool> received(m, false);
-      for (WorkerId w : order) {
-        received[w] = true;
-        ASSERT_EQ(tracker.add(w), scheme.quorum_met(received))
-            << gate_case.label;
-      }
-    }
-  }
-}
-
 TEST(QuorumGate, GatedDecoderMatchesUngatedReference) {
   // 200 seeded arrival orders (a random number of stragglers never
-  // arrive): the gated StreamingDecoder and first_decodable_prefix (with and
-  // without a decoding cache) must decode at the same arrival as a reference
-  // probing every prefix, with the same coefficients — bit for bit from
-  // first_decodable_prefix, and by value through the StreamingDecoder's
-  // aggregate of unit-vector results (Σ a_w e_w = a exactly).
+  // arrive): first_decodable_prefix over the whole round (with and without
+  // a decoding cache) and per arrival on the growing list (the threaded
+  // master's usage, one cache) must decode at the same arrival as a
+  // reference probing every prefix, with bit-identical coefficients. Per
+  // arrival, the cache must hold the solves to one per prefix from the
+  // first met quorum on, as if each prefix were probed once.
   Rng orders(79);
   const auto cases = table2_cases();
   for (int trial = 0; trial < 200; ++trial) {
@@ -442,9 +439,11 @@ TEST(QuorumGate, GatedDecoderMatchesUngatedReference) {
 
     std::optional<Vector> expected;
     std::size_t expected_at = 0;
+    std::size_t gated_probes = 0;
     std::vector<bool> received(m, false);
     for (std::size_t i = 0; i < order.size() && !expected; ++i) {
       received[order[i]] = true;
+      if (scheme.quorum_met(received)) ++gated_probes;
       expected = scheme.decoding_coefficients(received);
       expected_at = i + 1;
     }
@@ -457,22 +456,15 @@ TEST(QuorumGate, GatedDecoderMatchesUngatedReference) {
             << gate_case.label << " worker " << w;
     };
 
-    StreamingDecoder decoder(scheme);
-    std::size_t decoded_at = 0;
-    for (std::size_t i = 0; i < order.size() && !decoder.ready(); ++i) {
-      Vector unit(m, 0.0);
-      unit[order[i]] = 1.0;
-      if (decoder.add_result(order[i], std::move(unit))) decoded_at = i + 1;
-    }
-    ASSERT_EQ(decoder.ready(), expected.has_value())
+    DecodingCache master_cache(scheme);
+    const auto [decoded_at, master] =
+        decode_per_arrival(scheme, order, master_cache);
+    ASSERT_EQ(master.has_value(), expected.has_value())
         << gate_case.label << " trial " << trial;
+    EXPECT_EQ(master_cache.misses(), gated_probes) << gate_case.label;
     if (expected) {
       EXPECT_EQ(decoded_at, expected_at) << gate_case.label;
-      const Vector aggregate = decoder.aggregate();
-      ASSERT_EQ(aggregate.size(), m);
-      for (std::size_t w = 0; w < m; ++w)
-        ASSERT_EQ(aggregate[w], (*expected)[w])
-            << gate_case.label << " worker " << w;
+      expect_bit_identical(*master);
     }
 
     // The i-th arrival of `order` lands at time i; the list is handed over
@@ -503,13 +495,7 @@ TEST(QuorumGate, GatedDecoderMatchesUngatedReference) {
                                                      want_taken));
       std::sort(want.begin(), want.end());
       EXPECT_EQ(taken, want) << where;
-      std::vector<bool> all_taken(m, false);
-      for (WorkerId w : want) all_taken[w] = true;
-      if (!expected) {
-        EXPECT_EQ(prefix.quorum_met, scheme.quorum_met(all_taken)) << where;
-        continue;
-      }
-      EXPECT_TRUE(prefix.quorum_met) << where;
+      if (!expected) continue;
       EXPECT_EQ(prefix.decisive->first,
                 static_cast<double>(expected_at - 1))
           << where;

@@ -1,13 +1,15 @@
 // Tests for the LRU decoding-coefficient cache (the paper's "partially
 // stored" decoding matrix, Section III-B) and its wiring into the
-// robustness hot paths (completion_time / worst_case_time), including the
-// duplicate-tail-solve fix verified with a solve-counting scheme wrapper.
+// robustness hot paths (completion_time / worst_case_time), with solves
+// counted by a scheme wrapper: no duplicate tail solve, and none at all
+// when no decode quorum is met.
 #include <gtest/gtest.h>
 
 #include "core/decoding_cache.hpp"
 #include "core/heter_aware.hpp"
 #include "core/robustness.hpp"
 #include "linalg_reference.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace hgc {
@@ -169,17 +171,24 @@ TEST(CompletionTimeSolves, NoDuplicateSolveWhenLoopAlreadyTriedFullSet) {
   EXPECT_EQ(scheme.solves, 3u);
 }
 
-TEST(CompletionTimeSolves, TailStillRunsWhenLoopNeverReachedFullSet) {
+TEST(CompletionTimeSolves, NoSolveWhenNoQuorumIsMet) {
   // Heter-aware with s = 1 has one global quorum of m - 1; with two
-  // stragglers only m - 2 survivors arrive, the quorum is never met, the
-  // loop never attempts a decode, and the tail case probes the full
-  // survivor set once.
+  // stragglers only m - 2 survivors arrive, so the quorum is never met and
+  // no prefix can decode (QuorumGate.SoundOnTable2Clusters pins that
+  // contract). completion_time answers nullopt without solving, as a
+  // simulated round does.
   Rng rng(151);
   HeterAwareScheme inner({1, 2, 3, 4, 4}, 7, 1, rng);
   CountingScheme scheme(inner);
   const Throughputs c = {1.0, 2.0, 3.0, 4.0, 4.0};
+  obs::Registry::global().reset();
+  obs::set_metrics_enabled(true);
   EXPECT_FALSE(completion_time(scheme, c, {3, 4}).has_value());
-  EXPECT_EQ(scheme.solves, 1u);
+  const auto solves =
+      obs::Registry::global().snapshot().counter("decode.solves");
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(solves, 0u);
+  EXPECT_EQ(scheme.solves, 0u);
 }
 
 TEST(CompletionTimeSolves, CacheAbsorbsRepeatedPatterns) {

@@ -28,6 +28,7 @@
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "util/stats.hpp"
+#include "util/stopwatch.hpp"
 
 namespace hgc {
 namespace {
@@ -361,11 +362,18 @@ TEST(ObsRecorder, JsonlSamplesAreInTimeOrder) {
   opts.interval_seconds = 0.001;
   opts.jsonl = &jsonl;
   obs::Recorder recorder(opts);
-  recorder.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  recorder.stop();
-  const std::vector<Snapshot> samples = read_jsonl(jsonl.str());
-  EXPECT_GE(samples.size(), 2u);  // at least one tick plus the final sample
+  // A loaded machine may not schedule a 1 ms tick within the sleep, so
+  // run start/stop cycles (each stop writes a final sample) until the sink
+  // holds two samples. The sink is only read while the recorder is stopped.
+  const Stopwatch waited;
+  std::vector<Snapshot> samples;
+  while (samples.size() < 2 && waited.seconds() < 10.0) {
+    recorder.start();
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    recorder.stop();
+    samples = read_jsonl(jsonl.str());
+  }
+  EXPECT_GE(samples.size(), 2u);
   for (std::size_t i = 1; i < samples.size(); ++i)
     EXPECT_GE(samples[i].unix_ns, samples[i - 1].unix_ns);
 }

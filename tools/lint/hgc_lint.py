@@ -46,12 +46,16 @@ Rules (see RULES for scopes and per-rule allowlists):
                         level down.
   prefix-loop           A BSP round's decode rule (take arrivals in
                         (time, worker) order, stop at the first decodable
-                        prefix) lives once, in src/core/decoder:
-                        first_decodable_prefix for a round whose arrivals
-                        are known, StreamingDecoder for one fed result by
-                        result. Naming QuorumTracker anywhere else in src/
-                        is the start of another sort-gate-probe loop that
-                        can drift from it in tie order or gating.
+                        prefix) lives once, in src/core/decoder's
+                        first_decodable_prefix, for a whole round and for
+                        the threaded master's growing list alike. A decode
+                        probe primitive — solve_decoding_coefficients, a
+                        .decoding_coefficients( call or quorum_met( —
+                        anywhere in src/ outside the files that implement
+                        them (the scheme files, core/decoder and
+                        core/decoding_cache) is the start of another
+                        gate-and-probe loop that can drift from it in tie
+                        order or gating.
   unconsumed-public     No code without a consumer. Every public name a
                         src/ header declares (namespace-scope functions,
                         types and variables; public member functions and
@@ -193,13 +197,26 @@ RULES = {
     "prefix-loop": Rule(
         name="prefix-loop",
         description=(
-            "QuorumTracker outside src/core/decoder (decode a round with "
-            "first_decodable_prefix or StreamingDecoder instead of another "
-            "sort-gate-probe loop)"
+            "decode probe outside the scheme, decoder and decoding-cache "
+            "files (decode arrivals with first_decodable_prefix instead of "
+            "another gate-and-probe loop)"
         ),
-        patterns=[re.compile(r"\bQuorumTracker\b")],
+        patterns=[
+            re.compile(r"\bsolve_decoding_coefficients\b"),
+            re.compile(r"(?:\.|->)\s*decoding_coefficients\s*\("),
+            re.compile(r"\bquorum_met\s*\("),
+        ],
         include=["src/"],
-        exclude=["src/core/decoder."],
+        exclude=[
+            "src/core/coding_scheme.",
+            "src/core/naive.",
+            "src/core/cyclic.",
+            "src/core/fractional.",
+            "src/core/heter_aware.",
+            "src/core/group_based.",
+            "src/core/decoder.",
+            "src/core/decoding_cache.",
+        ],
     ),
     "unconsumed-public": Rule(
         name="unconsumed-public",

@@ -348,35 +348,53 @@ def test_stale_allow_is_an_error():
 PREFIX_LOOP = """
 #include "core/decoder.hpp"
 double decode_time(const CodingScheme& scheme, Arrivals& arrivals) {
-  QuorumTracker quorums(scheme);
-  return 0.0;
+  std::vector<bool> received(scheme.num_workers(), false);
+  for (const auto& [time, w] : arrivals) {
+    received[w] = true;
+    if (!scheme.quorum_met(received)) continue;
+    if (scheme.decoding_coefficients(received)) return time;
+  }
+  return -1.0;
 }
 """
 
 
-def test_prefix_loop_fires_outside_decoder():
-    code, out = run_lint({"src/sim/my_round.cpp": PREFIX_LOOP})
+def test_prefix_loop_fires_on_hand_rolled_probe_loop():
+    code, out = run_lint({"src/runtime/my_master.cpp": PREFIX_LOOP})
     assert code == 1
-    assert "src/sim/my_round.cpp:4: [prefix-loop]" in out
+    assert "src/runtime/my_master.cpp:7: [prefix-loop]" in out
+    assert "src/runtime/my_master.cpp:8: [prefix-loop]" in out
     assert "first_decodable_prefix" in out  # the finding names the fix
+    solve = "auto a = solve_decoding_coefficients(*scheme, received);\n"
+    code, out = run_lint({"src/runtime/solve.cpp": solve})
+    assert code == 1
+    assert "src/runtime/solve.cpp:1: [prefix-loop]" in out
 
 
-def test_prefix_loop_ignored_in_decoder_tests_and_comments():
+def test_prefix_loop_ignored_in_implementing_files_tests_and_comments():
     code, out = run_lint({
         "src/core/decoder.cpp": PREFIX_LOOP,
-        "src/core/decoder.hpp": "class QuorumTracker;\n",
+        "src/core/decoding_cache.cpp": PREFIX_LOOP,
+        "src/core/cyclic.cpp": PREFIX_LOOP,
+        "src/core/coding_scheme.cpp": PREFIX_LOOP,
         "tests/test_gate.cpp": PREFIX_LOOP,
-        "src/engine/round.cpp": "// gated on QuorumTracker inside\nint x;\n",
+        "src/engine/round.cpp": (
+            "// probes scheme.decoding_coefficients(received) via\n"
+            "// solve_decoding_coefficients once quorum_met(received)\n"
+            "int x;\n"),
     })
     assert code == 0, out
 
 
 def test_prefix_loop_allowed_with_justification():
     snippet = PREFIX_LOOP.replace(
-        "QuorumTracker quorums(scheme);",
-        "QuorumTracker quorums(scheme);  "
-        "// lint:allow(prefix-loop): fixture for the gate itself")
-    code, out = run_lint({"src/sim/my_round.cpp": snippet})
+        "if (scheme.decoding_coefficients(received)) return time;",
+        "// lint:allow(prefix-loop): fixture for the rule itself\n"
+        "    if (scheme.decoding_coefficients(received)) return time;").replace(
+        "if (!scheme.quorum_met(received)) continue;",
+        "if (!scheme.quorum_met(received)) continue;  "
+        "// lint:allow(prefix-loop): fixture for the rule itself")
+    code, out = run_lint({"src/runtime/my_master.cpp": snippet})
     assert code == 0, out
 
 
