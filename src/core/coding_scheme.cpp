@@ -95,15 +95,12 @@ CodingScheme::CodingScheme(SparseRowMatrix b, std::size_t s,
 bool CodingScheme::quorum_met(const std::vector<bool>& received) const {
   HGC_REQUIRE(received.size() == num_workers(),
               "received flags must have one entry per worker");
-  std::optional<std::size_t> total;  // every arrival, counted at most once
   for (const DecodeQuorum& quorum : quorums_) {
     std::size_t count = 0;
-    if (quorum.workers.empty()) {
-      if (!total) total = count_received(received);
-      count = *total;
-    } else {
+    if (quorum.workers.empty())
+      count = count_received(received);
+    else
       for (WorkerId w : quorum.workers) count += received[w] ? 1 : 0;
-    }
     if (count >= quorum.need) return true;
   }
   return false;

@@ -118,7 +118,6 @@ ThreadedTrainingResult train_bsp_threaded(
   // re-probing a prefix that already failed a lookup, not a solve.
   DecodingCache cache(scheme);
   std::vector<Arrival> arrivals;
-  arrivals.reserve(m);
 
   ThreadedTrainingResult result;
   result.trace.label = scheme.name() + "+threads";
